@@ -34,6 +34,7 @@ from .cover import (
 )
 from .lasso import (
     InconsistentDistanceError,
+    closure,
     edge_weight_lasso_certificate,
     is_2dtree,
     is_shellable,
@@ -224,9 +225,7 @@ def cmd_treefrom2d(args) -> int:
 def cmd_closure(args) -> int:
     eps = _epsilon()
     distances = parse_cord_distances(_read(args.distances), eps=eps)
-    from .lasso import closure as run_closure
-
-    trace = run_closure(distances, eps=eps, exact_rational=args.exact_rational)
+    trace = closure(distances, eps=eps, exact_rational=args.exact_rational)
     if args.trace:
         _write(args.trace, "".join(line + "\n" for line in trace.lines()))
     _write(args.out, format_cord_distances(trace.final))
@@ -398,6 +397,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # Newick parsing and writing recurse once per nesting level.
+        print("error: input nests too deeply (Python recursion limit reached)", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -11,27 +11,31 @@ and the missing value follows from the four-point equality:
 
 Iterating to a fixpoint yields the closure of the cord set.  When the input
 cords contain a shellable lasso of the source tree, the closure reaches all
-pairs, after which the whole tree is recoverable (see reconstruct).
+pairs, after which the whole tree is recoverable (see reconstruct).  One
+engine computes the fixpoint on dense taxon indices, re-examining only the
+4-taxon sets that contain each inserted cord; derivations come in the order
+of a lexicographic rescan of all 4-taxon sets, pass after pass.
 
 Shellability
 ------------
 A cord set L is a shellable lasso for a tree T when the missing cords admit
 an ordering in which each cord ab has "pivots" x,y: T restricted to
 {a,b,x,y} is the quartet ax||yb and the other five cords of the quartet are
-already available.  Saturation is computed greedily: once a cord is
-derivable it stays derivable (the available set only grows and the quartet
-shape is a property of T alone), so the set of reachable cords is a closure
-and any maximal greedy run finds it; order influences the trace, never the
-verdict.
+already available: on a fully-resolved tree, the extension rule on T's
+unit-hop distances with eps=0, run by the same engine.  A derivable cord
+stays derivable (the available set only grows and the quartet shape is a
+property of T alone), so the reachable set is a closure and any maximal
+greedy run finds it; order influences the trace, never the verdict.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,7 +92,8 @@ def closure(
 ) -> ClosureTrace:
     """Fixpoint of the distance-extension rule, with a step-by-step trace.
 
-    Candidate quadruples are scanned in lexicographic taxon order and each
+    Derivations come in the order of a lexicographic rescan: the 4-taxon
+    sets are scanned in sorted taxon order, pass after pass, and each
     derived cord is inserted immediately, so the trace is deterministic.
     Whenever a cord becomes derivable, every quadruple able to derive it at
     that moment is cross-checked; disagreement beyond tolerance raises
@@ -99,75 +104,99 @@ def closure(
     if not len(d):
         raise ValueError("closure needs a non-empty distance map")
     taxa = sorted(d.taxa)
-    if exact_rational:
-        known: dict[Cord, object] = {c: Fraction(d[c]) for c in d.cords}
-        eff_eps = 0.0
-    else:
-        known = dict(d)
-        eff_eps = eps
-
-    total = len(taxa) * (len(taxa) - 1) // 2
-    steps: list[ClosureStep] = []
-    changed = len(known) < total
-    while changed:
-        changed = False
-        for quad in itertools.combinations(taxa, 4):
-            derived = _derive(quad, known, eff_eps)
-            if derived is None:
-                continue
-            cord, quadruple, value = derived
-            _cross_check(cord, value, known, taxa, eff_eps)
-            known[cord] = value
-            steps.append(ClosureStep(cord, quadruple, float(value)))
-            changed = True
-        if len(known) == total:
-            break
-
-    final = PartialDistance({c: float(v) for c, v in known.items()})
-    return ClosureTrace(tuple(steps), final)
+    if len(d) == len(taxa) * (len(taxa) - 1) // 2:
+        return ClosureTrace((), d)
+    cords = {c: Fraction(v) for c, v in d.items()} if exact_rational else d
+    derivations, final = _extend(taxa, cords, 0.0 if exact_rational else eps)
+    steps = tuple(ClosureStep(Cord(q[0], q[3]), q, float(v)) for q, v in derivations)
+    return ClosureTrace(steps, PartialDistance({c: float(v) for c, v in final.items()}))
 
 
-def _derive(quad, known, eps):
-    """Apply the extension rule to one 4-taxon set, if exactly one cord is
-    missing and the strict inequality singles out the quartet shape."""
-    cords6 = [Cord(p, q) for p, q in itertools.combinations(quad, 2)]
-    missing = [c for c in cords6 if c not in known]
-    if len(missing) != 1:
-        return None
-    (m,) = missing
-    p1, p2 = sorted(set(quad) - {m.a, m.b})
-    s1 = known[Cord(m.a, p1)] + known[Cord(m.b, p2)]
-    s2 = known[Cord(m.a, p2)] + known[Cord(m.b, p1)]
-    base = known[Cord(p1, p2)]
-    if definitely_less(s1, s2, eps):
-        # quartet is (m.a p1 || p2 m.b): x=m.a, y=p1, u=p2, z=m.b
-        return m, (m.a, p1, p2, m.b), s2 - base
-    if definitely_less(s2, s1, eps):
-        return m, (m.a, p2, p1, m.b), s1 - base
-    return None
+#: Row g: positions in a sorted 4-taxon set of the ends of its g-th cord,
+#: then of the other two taxa.
+_ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
 
 
-def _cross_check(cord, value, known, taxa, eps):
-    exact = eps == 0
-    for q1, q2 in itertools.combinations([t for t in taxa if t not in (cord.a, cord.b)], 2):
-        needed = (
-            Cord(cord.a, q1),
-            Cord(cord.a, q2),
-            Cord(cord.b, q1),
-            Cord(cord.b, q2),
-            Cord(q1, q2),
-        )
-        if any(c not in known for c in needed):
+def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float):
+    """The extension rule's fixpoint over *taxa* from the values on *cords*
+    (floats or ints, or Fractions with eps=0).  Returns the derivations as
+    ((x, y, u, z), value), quartet xy||uz giving cord xz with x before z in
+    *taxa*, and the final map from cords to values.
+
+    A 4-taxon set is ready once exactly one of its cords is missing; its five
+    values never change after that, so its four-point test runs once, when
+    it becomes ready.  Strict ready sets wait in a heap keyed by their sorted
+    index 4-tuple; one made ready behind the set that fired waits for the
+    next pass, as in a lexicographic rescan, pass after pass.
+    """
+    n = len(taxa)
+    index = {t: i for i, t in enumerate(taxa)}
+    i, j = np.array([(index[c.a], index[c.b]) for c in cords], dtype=np.intp).reshape(-1, 2).T
+    given = np.array(list(cords.values()))
+    value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
+    value[i, j] = value[j, i] = given
+    known[i, j] = known[j, i] = True
+    first, second = np.triu_indices(n, 1)
+    # Heaps for this pass (keyed ahead of the cursor) and the next, each with
+    # the earliest key it holds per cord: a set keyed after that one would
+    # find its cord already derived, so it is not queued at all.
+    now, later = ([], {}), ([], {})
+
+    def four_point(ma, mb, p1, p2):
+        """Strict mask, ma-with-p1 flag and value for cords ma-mb, ma < mb."""
+        s1 = value[ma, p1] + value[mb, p2]
+        s2 = value[ma, p2] + value[mb, p1]
+        lt = definitely_less(s1, s2, eps)
+        return lt | definitely_less(s2, s1, eps), lt, np.where(lt, s2, s1) - value[p1, p2]
+
+    def offer(quads, cursor):
+        """Test ready 4-taxon sets (rows) and queue the strict ones."""
+        quads = np.sort(quads, axis=1)
+        gap = np.argmin(known[quads[:, _ROLES[:, 0]], quads[:, _ROLES[:, 1]]], axis=1)
+        ma, mb, p1, p2 = np.take_along_axis(quads, _ROLES[gap], axis=1).T
+        strict, lt, derived = four_point(ma, mb, p1, p2)
+        keys = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
+        pa, pb = np.where(lt, p1, p2)[strict], np.where(lt, p2, p1)[strict]
+        for entry in zip(keys[strict].tolist(), ma[strict].tolist(), pa.tolist(), pb.tolist(),
+                         mb[strict].tolist(), derived[strict].tolist()):
+            heap, earliest = now if entry[0] > cursor else later
+            if entry[0] < earliest.get((entry[1], entry[4]), entry[0] + 1):
+                earliest[entry[1], entry[4]] = entry[0]
+                heapq.heappush(heap, entry)
+
+    def arrived(a, b, cursor):
+        """Offer the sets {a, b, x, y} that the new cord ab left one cord short."""
+        gaps = (~known[a]).astype(np.int8) + ~known[b]
+        gaps[[a, b]] = 3
+        sel = np.flatnonzero(gaps[first] + gaps[second] + ~known[first, second] == 1)
+        if sel.size:
+            offer(np.stack(np.broadcast_arrays(a, b, first[sel], second[sel]), axis=1), cursor)
+
+    for a, b in zip(i.tolist(), j.tolist()):  # every ready set holds a given cord
+        arrived(a, b, -1)
+    derivations = []
+    while now[0] or later[0]:
+        if not now[0]:
+            now, later = later, ([], {})
+        key, x, y, u, z, v = heapq.heappop(now[0])
+        if known[x, z]:
             continue
-        alt = _derive((cord.a, cord.b, q1, q2), known, eps)
-        if alt is None:
-            continue
-        other = alt[2]
-        agree = value == other if exact else approx_equal(value, other, eps)
-        if not agree:
+        # Cross-check v against every set {x, z, q1, q2} deriving xz right now.
+        q = np.flatnonzero(known[x] & known[z])
+        q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
+        strict, _, other = four_point(x, z, q1, q2)
+        clash = np.flatnonzero(strict & ~approx_equal(v, other, eps))
+        if clash.size:
             raise InconsistentDistanceError(
-                f"{cord} derivable as both {float(value)} and {float(other)}"
+                f"{Cord(taxa[x], taxa[z])} derivable as both {float(v)} and {float(other[clash[0]])}"
             )
+        value[x, z] = value[z, x] = v
+        known[x, z] = known[z, x] = True
+        derivations.append(((taxa[x], taxa[y], taxa[u], taxa[z]), v))
+        arrived(x, z, key)
+    values = value.tolist()
+    final = {Cord(taxa[i], taxa[j]): values[i][j] for i, j in zip(*np.nonzero(np.triu(known)))}
+    return derivations, final
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +234,12 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     lasso for the tree.
 
     A cord ab is derivable once pivots x,y exist with the restriction to
-    {a,b,x,y} equal to ax||yb and the other five cords available.  Derivable
-    cords are tracked per 4-taxon set by counting available cords, so each
-    insertion touches only the quartets containing it.  *rng* (a
-    random.Random) shuffles the processing order; the verdict is unaffected
-    (saturation is a monotone closure), which the test suite exercises.
+    {a,b,x,y} equal to ax||yb and the other five cords available: exactly
+    when the extension rule fires on the unit-hop leaf distances with eps=0.
+    The closure engine saturates over the tree's taxa, so the steps come in
+    lexicographic-rescan order.  *rng* (a random.Random) permutes the taxon
+    order the scan runs over; the verdict is unaffected (saturation is a
+    monotone closure), which the test suite exercises.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
@@ -218,55 +248,12 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     stray = cord_taxa(present) - tree.taxa
     if stray:
         raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
-    quartets = list(itertools.combinations(taxa, 4))
     if rng is not None:
-        rng.shuffle(quartets)
-    count = []
-    by_cord: dict[Cord, list[int]] = {c: [] for c in all_cords(taxa)}
-    for idx, quad in enumerate(quartets):
-        k = 0
-        for p, q in itertools.combinations(quad, 2):
-            c = Cord(p, q)
-            by_cord[c].append(idx)
-            if c in present:
-                k += 1
-        count.append(k)
-
-    def derivable(idx: int) -> ShellingStep | None:
-        quad = quartets[idx]
-        gap = [Cord(p, q) for p, q in itertools.combinations(quad, 2) if Cord(p, q) not in present]
-        if len(gap) != 1:
-            return None
-        (m,) = gap
-        split = tree.quartet_topology(*quad)
-        if split is None:
-            return None
-        (side,) = [s for s in split if m.a in s]
-        if m.b in side:
-            return None  # quartet keeps a and b together: no pivot pair here
-        x = next(iter(side - {m.a}))
-        other = next(s for s in split if s is not side)
-        y = next(iter(other - {m.b}))
-        return ShellingStep(m, (x, y))
-
-    queue = deque(idx for idx in range(len(quartets)) if count[idx] == 5)
-    steps: list[ShellingStep] = []
-    while queue:
-        idx = queue.popleft()
-        if count[idx] != 5:
-            continue
-        step = derivable(idx)
-        if step is None:
-            continue
-        present.add(step.cord)
-        steps.append(step)
-        for jdx in by_cord[step.cord]:
-            count[jdx] += 1
-            if count[jdx] == 5:
-                queue.append(jdx)
-
-    missing = all_cords(taxa) - present
-    return ShellingResult(tuple(steps), frozenset(missing))
+        rng.shuffle(taxa)
+    hops = tree._hops
+    derivations, final = _extend(taxa, {c: hops[c.a][c.b] for c in present}, 0.0)
+    steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
+    return ShellingResult(steps, all_cords(taxa).difference(final))
 
 
 def verify_shelling(

@@ -9,23 +9,28 @@ LASSO_EPSILON environment variable.
 
 from __future__ import annotations
 
+import numpy as np
+
 DEFAULT_EPSILON = 1e-9
 
 
-def _scale(*values: float) -> float:
-    return max(1.0, *(abs(v) for v in values))
+def _scale(x, y):
+    return np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0)
 
 
-def approx_equal(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
-    """True when x and y differ by at most eps relative to their magnitude."""
-    return abs(x - y) <= eps * _scale(x, y)
+def approx_equal(x, y, eps: float = DEFAULT_EPSILON):
+    """True when x and y differ by at most eps relative to their magnitude
+    (elementwise on numpy arrays; eps=0 compares exactly)."""
+    if eps == 0:
+        return x == y
+    return np.abs(x - y) <= eps * _scale(x, y)
 
 
-def definitely_less(x: float, y: float, eps: float = DEFAULT_EPSILON) -> bool:
+def definitely_less(x, y, eps: float = DEFAULT_EPSILON):
     """True when x < y with a margin exceeding the tolerance.
 
-    Used for strict-inequality triggers that must not fire on float noise.
-    For exact number types (e.g. Fraction) pass eps=0.
+    Used for strict-inequality triggers that must not fire on float noise;
+    elementwise on numpy arrays.  For exact types (e.g. Fraction) pass eps=0.
     """
     if eps == 0:
         return x < y

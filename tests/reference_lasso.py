@@ -1,0 +1,166 @@
+"""Test-only reference engines: the lexicographic-rescan closure and the
+count-based shellability saturation that the dense fixpoint engine in
+treelasso.lasso replaced, with the scalar tolerance helpers they used.  The
+differential tests compare the two on seeded sweeps; nothing in the library
+imports this module.
+"""
+
+import itertools
+from collections import deque
+from fractions import Fraction
+
+from treelasso import Cord, InconsistentDistanceError, PartialDistance, all_cords
+from treelasso.cords import cord_taxa
+from treelasso.lasso import ClosureStep, ClosureTrace, ShellingResult, ShellingStep
+from treelasso.tolerance import DEFAULT_EPSILON
+from treelasso.tree import TreeError
+
+
+def _scale(*values):
+    return max(1.0, *(abs(v) for v in values))
+
+
+def approx_equal(x, y, eps=DEFAULT_EPSILON):
+    return abs(x - y) <= eps * _scale(x, y)
+
+
+def definitely_less(x, y, eps=DEFAULT_EPSILON):
+    if eps == 0:
+        return x < y
+    return x < y - eps * _scale(x, y)
+
+
+def rescan_closure(d, eps=DEFAULT_EPSILON, exact_rational=False):
+    """Scan every 4-taxon set in lexicographic order, pass after pass, until
+    a pass derives nothing; cross-check each derived cord against every
+    quadruple able to derive it at that moment."""
+    if not len(d):
+        raise ValueError("closure needs a non-empty distance map")
+    taxa = sorted(d.taxa)
+    if exact_rational:
+        known = {c: Fraction(d[c]) for c in d.cords}
+        eff_eps = 0.0
+    else:
+        known = dict(d)
+        eff_eps = eps
+
+    total = len(taxa) * (len(taxa) - 1) // 2
+    steps = []
+    changed = len(known) < total
+    while changed:
+        changed = False
+        for quad in itertools.combinations(taxa, 4):
+            derived = _derive(quad, known, eff_eps)
+            if derived is None:
+                continue
+            cord, quadruple, value = derived
+            _cross_check(cord, value, known, taxa, eff_eps)
+            known[cord] = value
+            steps.append(ClosureStep(cord, quadruple, float(value)))
+            changed = True
+        if len(known) == total:
+            break
+
+    final = PartialDistance({c: float(v) for c, v in known.items()})
+    return ClosureTrace(tuple(steps), final)
+
+
+def _derive(quad, known, eps):
+    cords6 = [Cord(p, q) for p, q in itertools.combinations(quad, 2)]
+    missing = [c for c in cords6 if c not in known]
+    if len(missing) != 1:
+        return None
+    (m,) = missing
+    p1, p2 = sorted(set(quad) - {m.a, m.b})
+    s1 = known[Cord(m.a, p1)] + known[Cord(m.b, p2)]
+    s2 = known[Cord(m.a, p2)] + known[Cord(m.b, p1)]
+    base = known[Cord(p1, p2)]
+    if definitely_less(s1, s2, eps):
+        return m, (m.a, p1, p2, m.b), s2 - base
+    if definitely_less(s2, s1, eps):
+        return m, (m.a, p2, p1, m.b), s1 - base
+    return None
+
+
+def _cross_check(cord, value, known, taxa, eps):
+    exact = eps == 0
+    for q1, q2 in itertools.combinations([t for t in taxa if t not in (cord.a, cord.b)], 2):
+        needed = (
+            Cord(cord.a, q1),
+            Cord(cord.a, q2),
+            Cord(cord.b, q1),
+            Cord(cord.b, q2),
+            Cord(q1, q2),
+        )
+        if any(c not in known for c in needed):
+            continue
+        alt = _derive((cord.a, cord.b, q1, q2), known, eps)
+        if alt is None:
+            continue
+        other = alt[2]
+        agree = value == other if exact else approx_equal(value, other, eps)
+        if not agree:
+            raise InconsistentDistanceError(
+                f"{cord} derivable as both {float(value)} and {float(other)}"
+            )
+
+
+def counting_is_shellable(tree, cords, rng=None):
+    """Count available cords per 4-taxon set and saturate from a FIFO queue
+    of quartets that lack exactly one cord."""
+    if not tree.is_fully_resolved():
+        raise TreeError("shellability is defined for fully-resolved trees")
+    taxa = sorted(tree.taxa)
+    present = set(cords)
+    stray = cord_taxa(present) - tree.taxa
+    if stray:
+        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
+    quartets = list(itertools.combinations(taxa, 4))
+    if rng is not None:
+        rng.shuffle(quartets)
+    count = []
+    by_cord = {c: [] for c in all_cords(taxa)}
+    for idx, quad in enumerate(quartets):
+        k = 0
+        for p, q in itertools.combinations(quad, 2):
+            c = Cord(p, q)
+            by_cord[c].append(idx)
+            if c in present:
+                k += 1
+        count.append(k)
+
+    def derivable(idx):
+        quad = quartets[idx]
+        gap = [Cord(p, q) for p, q in itertools.combinations(quad, 2) if Cord(p, q) not in present]
+        if len(gap) != 1:
+            return None
+        (m,) = gap
+        split = tree.quartet_topology(*quad)
+        if split is None:
+            return None
+        (side,) = [s for s in split if m.a in s]
+        if m.b in side:
+            return None
+        x = next(iter(side - {m.a}))
+        other = next(s for s in split if s is not side)
+        y = next(iter(other - {m.b}))
+        return ShellingStep(m, (x, y))
+
+    queue = deque(idx for idx in range(len(quartets)) if count[idx] == 5)
+    steps = []
+    while queue:
+        idx = queue.popleft()
+        if count[idx] != 5:
+            continue
+        step = derivable(idx)
+        if step is None:
+            continue
+        present.add(step.cord)
+        steps.append(step)
+        for jdx in by_cord[step.cord]:
+            count[jdx] += 1
+            if count[jdx] == 5:
+                queue.append(jdx)
+
+    missing = all_cords(taxa) - present
+    return ShellingResult(tuple(steps), frozenset(missing))

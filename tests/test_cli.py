@@ -276,3 +276,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith(";")
+
+
+def test_deeply_nested_tree_exit_1_without_traceback(tmp_path):
+    # A 1500-leaf caterpillar nests 1500 levels deep, past the interpreter's
+    # default recursion limit.
+    newick = "t0001"
+    for i in range(2, 1501):
+        newick = f"({newick},t{i:04d})"
+    tree = tmp_path / "caterpillar.nwk"
+    tree.write_text(newick + ";\n")
+    cords = tmp_path / "cords.tsv"
+    cords.write_text("t0001\tt0002\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelasso", "classify", str(tree), str(cords)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nests too deeply" in proc.stderr

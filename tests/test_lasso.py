@@ -146,6 +146,13 @@ class TestShellability:
         assert not result.is_complete
         assert result.missing == {Cord("c", "d")}
 
+    def test_taxon_in_no_cord_leaves_all_its_cords_missing(self, caterpillar7, lasso11):
+        # Without e the other six taxa still shell completely, but no cord
+        # of e can be derived: each needs two cords of e already available.
+        cords = {c for c in lasso11 if "e" not in c.taxa}
+        result = is_shellable(caterpillar7, cords)
+        assert result.missing == {Cord("e", t) for t in caterpillar7.taxa - {"e"}}
+
     def test_verdict_invariant_under_scan_order(self, caterpillar7, lasso11):
         baseline = is_shellable(caterpillar7, lasso11).is_complete
         for seed in range(6):
