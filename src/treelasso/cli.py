@@ -399,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        # Newick parsing and writing recurse once per nesting level.
+        # is_2dtree's backtracking elimination recurses once per taxon.
         print("error: input nests too deeply (Python recursion limit reached)", file=sys.stderr)
         return EXIT_INPUT
 

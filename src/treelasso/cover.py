@@ -22,8 +22,7 @@ from .tree import TreeError, XTree
 Transversal = dict
 
 
-def _require_total(f: Mapping[frozenset, str], tree: XTree) -> frozenset:
-    clusters = tree.clusters()
+def _require_total(f: Mapping[frozenset, str], clusters: frozenset) -> frozenset:
     missing = [c for c in clusters if c not in f]
     if missing:
         shown = ",".join(sorted(min(missing, key=min)))
@@ -35,7 +34,7 @@ def _require_total(f: Mapping[frozenset, str], tree: XTree) -> frozenset:
 
 def is_transversal(f: Mapping[frozenset, str], tree: XTree) -> bool:
     """f picks a member of every cluster of the tree."""
-    clusters = _require_total(f, tree)
+    clusters = _require_total(f, tree.clusters())
     return all(f[c] in c for c in clusters)
 
 
@@ -46,8 +45,27 @@ def stability_violation(
 
     Returns None when no pair violates stability.  Pairs are scanned in a
     deterministic order so the witness is reproducible.
+
+    A first pass compares each cluster A, the side of an edge, only with its
+    child clusters: the sides of the next edges away from A's edge.  That
+    decides stability in O(n) lookups.  A cluster B ⊊ A is the side of an
+    edge inside A, so a chain of child clusters leads from A down to B; if
+    f(A) ∈ B, every cluster on the chain contains f(A), and agreement with
+    each child carries f(A) down to B.  Only when some child disagrees does
+    the scan for the witness run.
     """
-    clusters = sorted(_require_total(f, tree), key=lambda c: (len(c), sorted(c)))
+    side = {}
+    for u, v, _ in tree.edges():
+        side[u, v], side[v, u] = tree.side_leaves(u, v), tree.side_leaves(v, u)
+    clusters = _require_total(f, frozenset(side.values()))
+    if all(
+        f[side[w, u]] == f[a]
+        for (u, v), a in side.items()
+        for w in tree.neighbors(u)
+        if w != v and f[a] in side[w, u]
+    ):
+        return None
+    clusters = sorted(clusters, key=lambda c: (len(c), sorted(c)))
     for b, a in itertools.combinations(clusters, 2):
         # sorted by size, so b can only be the subset of the pair
         if f[a] in b and b < a and f[a] != f[b]:

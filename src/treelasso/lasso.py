@@ -117,11 +117,13 @@ def closure(
 _ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
 
 
-def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float):
+def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True):
     """The extension rule's fixpoint over *taxa* from the values on *cords*
     (floats or ints, or Fractions with eps=0).  Returns the derivations as
     ((x, y, u, z), value), quartet xy||uz giving cord xz with x before z in
-    *taxa*, and the final map from cords to values.
+    *taxa*, and the final map from cords to values.  With *cross_check* each
+    derived value is compared with every set able to derive its cord at that
+    moment, and a clash raises InconsistentDistanceError.
 
     A 4-taxon set is ready once exactly one of its cords is missing; its five
     values never change after that, so its four-point test runs once, when
@@ -181,15 +183,15 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float):
         key, x, y, u, z, v = heapq.heappop(now[0])
         if known[x, z]:
             continue
-        # Cross-check v against every set {x, z, q1, q2} deriving xz right now.
-        q = np.flatnonzero(known[x] & known[z])
-        q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
-        strict, _, other = four_point(x, z, q1, q2)
-        clash = np.flatnonzero(strict & ~approx_equal(v, other, eps))
-        if clash.size:
-            raise InconsistentDistanceError(
-                f"{Cord(taxa[x], taxa[z])} derivable as both {float(v)} and {float(other[clash[0]])}"
-            )
+        if cross_check:  # against every set {x, z, q1, q2} deriving xz right now
+            q = np.flatnonzero(known[x] & known[z])
+            q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
+            strict, _, other = four_point(x, z, q1, q2)
+            clash = np.flatnonzero(strict & ~approx_equal(v, other, eps))
+            if clash.size:
+                raise InconsistentDistanceError(
+                    f"{Cord(taxa[x], taxa[z])} derivable as both {float(v)} and {float(other[clash[0]])}"
+                )
         value[x, z] = value[z, x] = v
         known[x, z] = known[z, x] = True
         derivations.append(((taxa[x], taxa[y], taxa[u], taxa[z]), v))
@@ -240,6 +242,12 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     lexicographic-rescan order.  *rng* (a random.Random) permutes the taxon
     order the scan runs over; the verdict is unaffected (saturation is a
     monotone closure), which the test suite exercises.
+
+    The engine's cross-check is skipped because it cannot fire here: every
+    value is the tree's exact integer hop distance.  The given ones are, and
+    when d(x,y)+d(u,z) < d(x,u)+d(y,z) the four-point condition makes
+    d(x,u)+d(y,z) = d(x,z)+d(y,u), so every derivation of xz yields the true
+    d(x,z) and all derivations of it agree.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
@@ -250,8 +258,8 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
         raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
     if rng is not None:
         rng.shuffle(taxa)
-    hops = tree._hops
-    derivations, final = _extend(taxa, {c: hops[c.a][c.b] for c in present}, 0.0)
+    hops = {c: tree._hops(c.a, c.b) for c in present}
+    derivations, final = _extend(taxa, hops, 0.0, cross_check=False)
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
     return ShellingResult(steps, all_cords(taxa).difference(final))
 
@@ -464,12 +472,51 @@ def _edge_nearest_path_midpoint(adj, path: list[int]) -> tuple[tuple[int, int], 
 # ---------------------------------------------------------------------------
 
 
+#: Prime modulus of the fast rank test; below 2**31, so the product of two
+#: residues fits in int64.
+_RANK_PRIME = 2**31 - 1
+
+
 def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination: exact, no floating point."""
+    """Rank over the rationals of an integer matrix, exact.
+
+    The rank mod a prime p comes first, by numpy int64 elimination.  It
+    never exceeds the rank over the rationals: a minor that is nonzero mod p
+    is nonzero over the integers.  So when it reaches min(rows, columns) it
+    is the answer; otherwise fraction-free (Bareiss) elimination decides,
+    with no floating point.
+    """
     m = [list(map(int, row)) for row in rows]
     if not m:
         return 0
+    rank = _rank_mod_prime(m)
+    if rank == min(len(m), len(m[0])):
+        return rank
+    return _bareiss_rank(m)
+
+
+def _rank_mod_prime(m: list[list[int]]) -> int:
+    p = _RANK_PRIME
+    a = np.array([[x % p for x in row] for row in m], dtype=np.int64).reshape(len(m), -1)
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        a[[rank, pivot]] = a[[pivot, rank]]
+        top = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
+        below = a[rank + 1 :, col:]
+        below[:] = (below - np.outer(below[:, 0], top) % p) % p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank by fraction-free (Bareiss) elimination; overwrites *m*."""
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     prev = 1

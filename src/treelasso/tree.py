@@ -18,6 +18,19 @@ Conventions
   threads.
 * Path distances are computed with ``math.fsum`` (correctly rounded, order
   independent), so ``distance(x, y) == distance(y, x)`` exactly.
+
+Rooted index
+------------
+Path, side and hop queries read one lazily built index per tree: the tree
+rooted next to its smallest taxon, with each vertex's parent, hop depth and
+the bitset (a Python int, bit i for the i-th sorted taxon) of the leaves at
+or below it.  A leaf path climbs parent pointers to the lowest common
+ancestor; the hop distance is depth[x] + depth[y] - 2 * depth[lca].  The side
+of edge {u, v} where v is u's parent is ``below[u]``, the other side its
+complement.  ``distance`` still takes ``math.fsum`` of the same edge
+weights, so its values are bit-identical to a search along the path.
+Newick parsing and writing are iterative, so nesting depth is bounded by
+memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import random
 import re
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -60,6 +73,28 @@ def _check_label(label: str) -> str:
     if not LABEL_PATTERN.match(label or ""):
         raise TreeError(f"invalid taxon label {label!r}")
     return label
+
+
+#: Maps the digits of ``bin(bits)`` to ``itertools.compress`` selectors.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _RootedIndex(NamedTuple):
+    """An XTree rooted at ``order[0]``; *order* lists parents before children."""
+
+    order: list[int]
+    parent: dict[int, int | None]
+    depth: dict[int, int]
+    below: dict[int, int]  # leaf bitset of each vertex's subtree
+    taxa: list[str]  # sorted; bit i stands for taxa[i]
+    full: int  # bitset of every taxon
+
+    def members(self, bits: int) -> frozenset[str]:
+        # bin() writes the most significant bit first; reversed, its digits
+        # select taxa[0], taxa[1], ... in one C-level pass.
+        return frozenset(
+            itertools.compress(self.taxa, bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS))
+        )
 
 
 class XTree:
@@ -191,22 +226,37 @@ class XTree:
         path = self._path(self.leaf_vertex(x), self.leaf_vertex(y))
         return math.fsum(self._adj[a][b] for a, b in zip(path, path[1:]))
 
-    def _path(self, src: int, dst: int) -> list[int]:
-        parent: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            if v == dst:
-                break
+    @cached_property
+    def _index(self) -> _RootedIndex:
+        taxa = sorted(self._leaf_by_label)
+        (root,) = self._adj[self._leaf_by_label[taxa[0]]]
+        parent: dict[int, int | None] = {root: None}
+        depth = {root: 0}
+        order = [root]
+        for v in order:  # breadth first: the list grows while it is read
             for nb in self._adj[v]:
                 if nb not in parent:
                     parent[nb] = v
-                    queue.append(nb)
-        path = [dst]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+                    depth[nb] = depth[v] + 1
+                    order.append(nb)
+        below = dict.fromkeys(order, 0)
+        for i, label in enumerate(taxa):
+            below[self._leaf_by_label[label]] = 1 << i
+        for v in reversed(order[1:]):
+            below[parent[v]] |= below[v]
+        return _RootedIndex(order, parent, depth, below, taxa, below[root])
+
+    def _path(self, src: int, dst: int) -> list[int]:
+        parent, depth = self._index.parent, self._index.depth
+        up, down = [src], [dst]
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        return up + down[-2::-1]
 
     def path_edges(self, x: str, y: str) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v on the leaf path from x to y."""
@@ -225,24 +275,12 @@ class XTree:
                     queue.append(nb)
         return dist
 
-    @cached_property
-    def _hops(self) -> dict[str, dict[str, int]]:
-        # Unit (edge-count) leaf distances; exact integers, so quartet
-        # topology tests are free of float comparisons.
-        out: dict[str, dict[str, int]] = {}
-        for label, start in self._leaf_by_label.items():
-            hop = {start: 0}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for nb in self._adj[v]:
-                    if nb not in hop:
-                        hop[nb] = hop[v] + 1
-                        queue.append(nb)
-            out[label] = {
-                lab: hop[vert] for lab, vert in self._leaf_by_label.items()
-            }
-        return out
+    def _hops(self, x: str, y: str) -> int:
+        # Unit (edge-count) leaf distance, depth[x] + depth[y] - 2 * depth[lca]
+        # as the length of the climb through the lowest common ancestor; an
+        # exact integer, so quartet topology tests are free of float
+        # comparisons.
+        return len(self._path(self.leaf_vertex(x), self.leaf_vertex(y))) - 1
 
     # -- structural queries ----------------------------------------------
 
@@ -250,19 +288,10 @@ class XTree:
         """Taxa on u's side of the edge {u, v}."""
         if v not in self._adj[u]:
             raise TreeError(f"({u},{v}) is not an edge")
-        seen = {u, v}
-        queue = deque([u])
-        labels = []
-        while queue:
-            w = queue.popleft()
-            if w != v and self.is_leaf(w):
-                labels.append(self._label_by_leaf[w])
-            for nb in self._adj[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        seen.discard(v)
-        return frozenset(labels)
+        index = self._index
+        if index.parent[u] == v:
+            return index.members(index.below[u])
+        return index.members(index.full ^ index.below[v])
 
     def components(self, v: int) -> tuple[frozenset[str], ...]:
         """Leaf sets of the components of T - v, sorted by smallest label."""
@@ -311,12 +340,9 @@ class XTree:
         if len({a, b, c, d}) != 4:
             raise TreeError("quartet taxa must be distinct")
         h = self._hops
-        try:
-            s_ab = h[a][b] + h[c][d]
-            s_ac = h[a][c] + h[b][d]
-            s_ad = h[a][d] + h[b][c]
-        except KeyError as exc:
-            raise KeyError(f"unknown taxon {exc.args[0]!r}") from None
+        s_ab = h(a, b) + h(c, d)
+        s_ac = h(a, c) + h(b, d)
+        s_ad = h(a, d) + h(b, c)
         # Four-point condition on the unit weighting: the two largest sums
         # are equal; a unique minimum identifies the split, all-equal is a star.
         low = min(s_ab, s_ac, s_ad)
@@ -388,28 +414,21 @@ class XTree:
         """
         if self.n_leaves < 3:
             raise TreeError("canonical Newick requires at least three leaves")
-        anchor = self.leaf_vertex(min(self.taxa))
-        (root,) = self._adj[anchor]
-
-        def render(v: int, parent: int) -> tuple[str, str]:
-            if self.is_leaf(v):
-                label = self._label_by_leaf[v]
-                return label, label
+        # The index is rooted at the interior vertex next to the smallest taxon.
+        index = self._index
+        rendered: dict[int, tuple[str, str]] = {}
+        for v in reversed(index.order):
+            if v in self._label_by_leaf:
+                rendered[v] = (self._label_by_leaf[v],) * 2
+                continue
             parts = []
-            for child in self._adj[v]:
-                if child == parent:
-                    continue
-                key, text = render(child, v)
-                parts.append((key, f"{text}:{_format_weight(self._adj[v][child])}"))
+            for child, w in self._adj[v].items():
+                if child != index.parent[v]:
+                    key, text = rendered.pop(child)
+                    parts.append((key, f"{text}:{_format_weight(w)}"))
             parts.sort()
-            return parts[0][0], "(" + ",".join(text for _, text in parts) + ")"
-
-        parts = []
-        for child in self._adj[root]:
-            key, text = render(child, root)
-            parts.append((key, f"{text}:{_format_weight(self._adj[root][child])}"))
-        parts.sort()
-        return "(" + ",".join(text for _, text in parts) + ");"
+            rendered[v] = parts[0][0], "(" + ",".join(text for _, text in parts) + ")"
+        return rendered[index.order[0]][1] + ";"
 
     def __repr__(self) -> str:
         taxa = ",".join(sorted(self.taxa))
@@ -435,7 +454,7 @@ class _RawNode:
 
 
 class _NewickParser:
-    """Recursive-descent parser tracking position for error messages."""
+    """Newick parser tracking position for error messages."""
 
     _LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
     _NUMBER_CHARS = set("0123456789.eE+-")
@@ -469,28 +488,40 @@ class _NewickParser:
         return root
 
     def _subtree(self) -> _RawNode:
-        node = _RawNode()
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            node.children.append(self._subtree())
-            while self._peek() == ",":
+        # Recursive descent with an explicit stack of the open '(' nodes.
+        open_nodes: list[_RawNode] = []
+        while True:
+            node = _RawNode()
+            ch = self._peek()
+            if ch == "(":
                 self.pos += 1
-                node.children.append(self._subtree())
-            if self._peek() != ")":
-                self.fail("unbalanced parenthesis: expected ')' or ','")
-            self.pos += 1
-            # Internal node labels are tolerated and discarded.
-            if self._peek() in self._LABEL_CHARS:
-                self._read_label()
-        elif ch in self._LABEL_CHARS:
-            node.label = self._read_label()
-        else:
-            self.fail("expected '(' or a taxon label" if ch else "unexpected end of input")
+                open_nodes.append(node)
+                continue
+            if ch in self._LABEL_CHARS:
+                node.label = self._read_label()
+            else:
+                self.fail("expected '(' or a taxon label" if ch else "unexpected end of input")
+            self._read_length(node)
+            while open_nodes:  # close the nodes this one completes
+                open_nodes[-1].children.append(node)
+                if self._peek() == ",":
+                    self.pos += 1
+                    break
+                if self._peek() != ")":
+                    self.fail("unbalanced parenthesis: expected ')' or ','")
+                self.pos += 1
+                # Internal node labels are tolerated and discarded.
+                if self._peek() in self._LABEL_CHARS:
+                    self._read_label()
+                node = open_nodes.pop()
+                self._read_length(node)
+            else:  # no '(' left open: node is the whole tree
+                return node
+
+    def _read_length(self, node: _RawNode) -> None:
         if self._peek() == ":":
             self.pos += 1
             node.length = self._read_number()
-        return node
 
     def _read_label(self) -> str:
         self._skip_ws()
@@ -542,21 +573,20 @@ def parse_newick(text: str) -> XTree:
     adj: dict[int, dict[int, float | None]] = {}
     labels: dict[int, str] = {}
 
-    def build(node: _RawNode) -> int:
+    # Vertex ids in preorder, children in their written order.
+    stack: list[tuple[_RawNode, int | None]] = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
         vid = next(counter)
         adj[vid] = {}
+        if parent is not None:
+            adj[parent][vid] = adj[vid][parent] = node.length
         if node.children:
-            for child in node.children:
-                cid = build(child)
-                adj[vid][cid] = child.length
-                adj[cid][vid] = child.length
+            stack.extend((child, vid) for child in reversed(node.children))
         else:
             if node.label is None:
                 raise NewickError("leaf without a label")
             labels[vid] = node.label
-        return vid
-
-    build(root)
 
     for vid, label in labels.items():
         if not LABEL_PATTERN.match(label):

@@ -278,9 +278,9 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip().endswith(";")
 
 
-def test_deeply_nested_tree_exit_1_without_traceback(tmp_path):
+def test_deeply_nested_tree_classifies_without_traceback(tmp_path):
     # A 1500-leaf caterpillar nests 1500 levels deep, past the interpreter's
-    # default recursion limit.
+    # default recursion limit; the parser does not recurse.
     newick = "t0001"
     for i in range(2, 1501):
         newick = f"({newick},t{i:04d})"
@@ -293,6 +293,14 @@ def test_deeply_nested_tree_exit_1_without_traceback(tmp_path):
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 1
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
-    assert "nests too deeply" in proc.stderr
+    assert proc.stdout.splitlines() == [
+        "connected\tno",
+        "non-bipartite\tno",
+        "cover\tno",
+        "triplet-cover\tno",
+        "shellable\tno",
+        "2d-tree\tno",
+        "edge-weight-lasso\tno\trank-target=2997",
+    ]

@@ -29,6 +29,7 @@ from treelasso import (
     verify_2dtree_ordering,
     verify_shelling,
 )
+from treelasso.lasso import _bareiss_rank, _rank_mod_prime
 from conftest import cords_of
 
 
@@ -296,6 +297,30 @@ class TestIntegerRank:
             cols = rng.randrange(1, 8)
             m = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
             assert integer_matrix_rank(m) == np.linalg.matrix_rank(np.array(m))
+
+    def test_singular_mod_p_falls_back_to_exact(self):
+        m = [[2147483647, 0], [0, 1]]  # 2**31 - 1 is the modulus itself
+        assert _rank_mod_prime(m) == 1
+        assert integer_matrix_rank(m) == 2
+
+    def test_entries_beyond_int64(self):
+        assert integer_matrix_rank([[2**70, 1], [1, 1]]) == 2
+        assert integer_matrix_rank([[2**64 + 1, 2**63], [2**65 + 2, 2**64]]) == 1
+        assert integer_matrix_rank([[-(2**63) - 5, 3, 2**80]]) == 1
+
+    def test_path_incidence_of_covers_minus_a_cord_matches_bareiss(self):
+        for seed in range(6):
+            rng = random.Random(seed)
+            tree = random_tree(6 + 3 * seed, seed=seed)
+            cover = triplet_cover(tree, min_order_transversal(tree))
+            others = sorted(all_cords(tree.taxa) - cover)
+            for cord in rng.sample(sorted(cover), 3):
+                rest = cover - {cord}
+                matrix = path_incidence_matrix(tree, rest)
+                square = path_incidence_matrix(tree, rest | {rng.choice(others)})
+                for m in (matrix, matrix + [matrix[0]], [list(c) for c in zip(*matrix)], square):
+                    assert integer_matrix_rank(m) == _bareiss_rank([row[:] for row in m])
+                assert integer_matrix_rank(matrix + [matrix[0]]) == len(tree.edges()) - 1
 
 
 class TestEdgeWeightLassoCertificate:

@@ -103,6 +103,25 @@ class TestWriteNewick:
             assert is_equivalent(t, back)
             assert split_weight_delta(t, back) <= 1e-12
 
+    def test_deep_caterpillar_round_trip(self):
+        # 5000 nesting levels, far past the interpreter's recursion limit.
+        text = "t0001"
+        for i in range(2, 5001):
+            text = f"({text},t{i:04d})"
+        tree = parse_newick(text + ";")
+        written = tree.newick()
+        again = parse_newick(written)
+        assert again.newick() == written
+
+        def split_bits(t):
+            # splits() would hold O(n^2) labels; compare the index's bitsets
+            # over the (shared) sorted taxa instead.
+            index = t._index
+            return {frozenset({b, index.full ^ b}) for v, b in index.below.items() if v != index.order[0]}
+
+        assert len(split_bits(tree)) == 2 * 5000 - 3
+        assert split_bits(again) == split_bits(tree)
+
     def test_two_leaf_tree_not_serialisable(self, quartet_abcd):
         with pytest.raises(TreeError):
             quartet_abcd.restrict({"a", "b"}).newick()
