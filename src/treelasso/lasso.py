@@ -34,6 +34,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -73,7 +74,7 @@ class ClosureTrace:
     steps: tuple[ClosureStep, ...]
     final: PartialDistance
 
-    @property
+    @cached_property
     def missing(self) -> frozenset[Cord]:
         return all_cords(self.final.taxa) - self.final.cords
 
@@ -107,9 +108,11 @@ def closure(
     if len(d) == len(taxa) * (len(taxa) - 1) // 2:
         return ClosureTrace((), d)
     cords = {c: Fraction(v) for c, v in d.items()} if exact_rational else d
-    derivations, final = _extend(taxa, cords, 0.0 if exact_rational else eps)
+    derivations, _ = _extend(taxa, cords, 0.0 if exact_rational else eps)
     steps = tuple(ClosureStep(Cord(q[0], q[3]), q, float(v)) for q, v in derivations)
-    return ClosureTrace(steps, PartialDistance({c: float(v) for c, v in final.items()}))
+    final = dict(d)
+    final.update((s.cord, s.value) for s in steps)
+    return ClosureTrace(steps, PartialDistance(final))
 
 
 #: Row g: positions in a sorted 4-taxon set of the ends of its g-th cord,
@@ -121,7 +124,7 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     """The extension rule's fixpoint over *taxa* from the values on *cords*
     (floats or ints, or Fractions with eps=0).  Returns the derivations as
     ((x, y, u, z), value), quartet xy||uz giving cord xz with x before z in
-    *taxa*, and the final map from cords to values.  With *cross_check* each
+    *taxa*, and the final n x n known-mask over *taxa*.  With *cross_check* each
     derived value is compared with every set able to derive its cord at that
     moment, and a clash raises InconsistentDistanceError.
 
@@ -196,9 +199,7 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
         known[x, z] = known[z, x] = True
         derivations.append(((taxa[x], taxa[y], taxa[u], taxa[z]), v))
         arrived(x, z, key)
-    values = value.tolist()
-    final = {Cord(taxa[i], taxa[j]): values[i][j] for i, j in zip(*np.nonzero(np.triu(known)))}
-    return derivations, final
+    return derivations, known
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +260,14 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     if rng is not None:
         rng.shuffle(taxa)
     hops = {c: tree._hops(c.a, c.b) for c in present}
-    derivations, final = _extend(taxa, hops, 0.0, cross_check=False)
+    derivations, known = _extend(taxa, hops, 0.0, cross_check=False)
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
-    return ShellingResult(steps, all_cords(taxa).difference(final))
+    missing = frozenset(  # row by row: no n^2 index arrays or all_cords
+        Cord(taxa[i], taxa[j])
+        for i in range(len(taxa))
+        for j in (np.flatnonzero(~known[i, i + 1 :]) + i + 1).tolist()
+    )
+    return ShellingResult(steps, missing)
 
 
 def verify_shelling(
@@ -565,35 +571,110 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Topological-lasso oracle (small n, exhaustive over alternative trees)
+# Topological-lasso oracle (small n, exact, pruned by forced quartets)
 # ---------------------------------------------------------------------------
 
 MAX_ORACLE_TAXA = 9
+
+#: Relative margin on every float test of the oracle's pruning: far above the
+#: rounding of the few additions each bound or sum takes (about 1e-15).
+_ROUNDING = 1e-12
 
 
 def all_topologies(taxa: Sequence[str]):
     """Yield every fully-resolved tree topology on the taxa (unit weights),
     in a deterministic order: (2n-5)!! trees, each exactly once."""
-    taxa = sorted(taxa)
+    yield from _topologies(sorted(taxa), {})
+
+
+def _topologies(taxa: Sequence[str], forbidden: Mapping[int, Sequence[tuple[int, int]]]):
+    """Stepwise leaf insertion over *taxa*, depth first: taxon i splits each
+    edge of the tree on taxa[:i] in turn.  forbidden[i] holds pairings of
+    4-taxon sets whose largest taxon index is i, as leaf bitsets of the two
+    pairs; a partial tree displaying one after taxon i is inserted is dropped
+    with all its completions.  That is exact: inserting a leaf leaves the
+    quartets on the earlier leaves as they were.
+
+    Each edge (u, v) carries the bitset of the taxa on v's side.  Inserting
+    taxon i into edge k adds it to v's side of every edge whose v side holds
+    edge k, that is, one side of edge k.
+    """
     if len(taxa) < 3:
         raise ValueError("topology enumeration needs at least 3 taxa")
 
-    def expand(edges, leaf_of, next_id, i):
+    def expand(edges, sides, leaf_of, next_id, i):
         if i == len(taxa):
             yield XTree([(u, v, 1.0) for u, v in edges], dict(leaf_of))
             return
-        leaf, mid = next_id, next_id + 1
+        leaf, mid, bit, seen = next_id, next_id + 1, 1 << i, (1 << i) - 1
         for k in range(len(edges)):
             u, v = edges[k]
+            below, above = sides[k], seen & ~sides[k]
+            new_sides = [
+                s | bit if not below & ~s or not above & ~s else s for s in sides[:k] + sides[k + 1 :]
+            ] + [below | bit, below, bit]
+            if any(
+                (s & p == p and not s & q) or (s & q == q and not s & p)
+                for p, q in forbidden.get(i, ())
+                for s in new_sides
+            ):
+                continue
             new_edges = edges[:k] + edges[k + 1 :] + [(u, mid), (mid, v), (mid, leaf)]
             new_leaf_of = dict(leaf_of)
             new_leaf_of[leaf] = taxa[i]
-            yield from expand(new_edges, new_leaf_of, next_id + 2, i + 1)
+            yield from expand(new_edges, new_sides, new_leaf_of, next_id + 2, i + 1)
 
     center = 3
     base_edges = [(0, center), (1, center), (2, center)]
     base_leaves = {0: taxa[0], 1: taxa[1], 2: taxa[2]}
-    yield from expand(base_edges, base_leaves, 4, 3)
+    yield from expand(base_edges, [0b110, 0b101, 0b011], base_leaves, 4, 3)
+
+
+def _surely_below(low, high) -> bool:
+    """Whether every metric within the (value, error) bounds of the cords has
+    a smaller sum over *low* than over *high*, with the float test's own
+    rounding covered."""
+    gap = sum(v for v, _ in high) - sum(v for v, _ in low)
+    slack = sum(e for _, e in low + high)
+    return gap > slack + _ROUNDING * (sum(abs(v) for v, _ in low + high) + slack)
+
+
+def _forbidden_pairings(taxa: Sequence[str], cords: Sequence[Cord], b, accept: float):
+    """Pairings of 4-taxon sets that no tree within *accept* of the values *b*
+    on every cord can display, keyed by the largest taxon index of the set,
+    as in _topologies.
+
+    Every such metric d' lies within a bound (value, error) on each cord:
+    b(c) and *accept* on the given ones, plus rounding.  The extension rule's
+    derivations extend the bounds: when d'(xy)+d'(uz) < d'(xu)+d'(yz) is
+    sure for the bounds, the four-point condition forces d'(xz) =
+    d'(xu)+d'(yz)-d'(yu), so xz gets the engine's value and the summed
+    error.  A derivation that is not sure leaves its cord unbounded.  When
+    S'(P) < S'(Q) is sure for two pairings P and Q of a 4-taxon set, both
+    with bounded cords, every pairing but P is forbidden: a tree with
+    non-negative weights that displays pairing R has S'(R) no larger than
+    the other two sums, which are equal.
+    """
+    values = dict(zip(cords, b.tolist()))
+    bound = {c: (v, accept + _ROUNDING * (v + accept)) for c, v in values.items()}
+    derivations, _ = _extend(taxa, values, 0.0, cross_check=False)
+    for (x, y, u, z), v in derivations:
+        xy, uz, xu, yz, yu = (bound.get(Cord(p, q)) for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
+        if None not in (xy, uz, xu, yz, yu) and _surely_below([xy, uz], [xu, yz]):
+            used = (xu, yz, yu)
+            bound[Cord(x, z)] = (v, sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used))
+    forbidden: dict[int, list[tuple[int, int]]] = {}
+    for quad in itertools.combinations(range(len(taxa)), 4):
+        pairings = [((quad[0], quad[k]), tuple(q for q in quad[1:] if q != quad[k])) for k in (1, 2, 3)]
+        sums = [[bound.get(Cord(taxa[p], taxa[q])) for p, q in pairing] for pairing in pairings]
+        sums = [s if None not in s else None for s in sums]
+        banned = set()
+        for low, high in itertools.permutations(range(3), 2):
+            if sums[low] and sums[high] and _surely_below(sums[low], sums[high]):
+                banned.update({0, 1, 2} - {low})
+        for k in sorted(banned):
+            forbidden.setdefault(quad[3], []).append(tuple((1 << p) | (1 << q) for p, q in pairings[k]))
+    return forbidden
 
 
 def topological_lasso_oracle(
@@ -603,16 +684,29 @@ def topological_lasso_oracle(
 ) -> XTree | None:
     """Search for a different tree fitting the induced distances on L.
 
-    Enumerates every alternative fully-resolved topology and asks, by linear
-    feasibility, whether some weighting with non-negative pendant edges and
-    non-negative interior edges reproduces the L-distances of the input
-    tree.  Interior edges are allowed to hit zero: such a fit is returned
-    with the zero edges contracted, i.e. the witness may be multifurcating
-    (a properly weighted tree metrically identical to the degenerate fit).
-    Returns the first witness in enumeration order, with its fitted weights,
-    or None when no alternative fits -- in which case L is a topological
-    lasso for this weighting ("generically topological": other weightings of
-    the input tree are not examined).
+    Goes through every alternative fully-resolved topology and asks, by
+    linear feasibility, whether some weighting with non-negative pendant
+    edges and non-negative interior edges reproduces the L-distances of the
+    input tree.  Interior edges are allowed to hit zero: such a fit is
+    returned with the zero edges contracted, i.e. the witness may be
+    multifurcating (a properly weighted tree metrically identical to the
+    degenerate fit).  Returns the first witness in enumeration order, with
+    its fitted weights, or None when no alternative fits -- in which case L
+    is a topological lasso for this weighting ("generically topological":
+    other weightings of the input tree are not examined).
+
+    The search is exact, with pruning.  A fit is accepted only when its
+    residual on every cord is at most 2*fit_tol, so every accepted metric
+    lies within 2*fit_tol (plus rounding) of the input on each given cord.
+    Derived cords carry the summed bounds of the three cords their value
+    comes from, and count only when their quartet's sum gap exceeds the
+    bounds' slack.  When one pairing of a 4-taxon set has a four-point sum
+    surely below another's, every accepted fit displays that pairing (the
+    displayed pairing's sum is the smallest, the other two are equal), so
+    the enumeration drops every partial tree displaying another pairing of
+    the set, before any LP.  A dropped candidate could not have passed the
+    residual check and the survivors keep their order, so the witness is
+    the one the exhaustive search returns.
     """
     from scipy.optimize import linprog
 
@@ -632,9 +726,10 @@ def topological_lasso_oracle(
 
     b = np.array([tree.distance(c.a, c.b) for c in cords])
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
+    accept = 2 * fit_tol
     own_splits = tree.splits()
 
-    for candidate in all_topologies(taxa):
+    for candidate in _topologies(taxa, _forbidden_pairings(taxa, cords, b, accept)):
         if candidate.splits() == own_splits:
             continue
         edges = candidate.edges()
@@ -660,7 +755,7 @@ def topological_lasso_oracle(
         if not res.success:
             continue
         weights = np.maximum(res.x, 0.0)
-        if np.max(np.abs(a_mat @ weights - b)) > 2 * fit_tol:
+        if np.max(np.abs(a_mat @ weights - b)) > accept:
             continue
         return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
     return None

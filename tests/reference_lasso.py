@@ -1,17 +1,27 @@
 """Test-only reference engines: the lexicographic-rescan closure and the
 count-based shellability saturation that the dense fixpoint engine in
-treelasso.lasso replaced, with the scalar tolerance helpers they used.  The
-differential tests compare the two on seeded sweeps; nothing in the library
-imports this module.
+treelasso.lasso replaced, with the scalar tolerance helpers they used, and
+the exhaustive topological oracle (one LP per alternative topology) that the
+pruned oracle replaced.  The differential tests compare each pair on seeded
+sweeps; nothing in the library imports this module.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
 
-from treelasso import Cord, InconsistentDistanceError, PartialDistance, all_cords
+import numpy as np
+
+from treelasso import Cord, InconsistentDistanceError, PartialDistance, XTree, all_cords
 from treelasso.cords import cord_taxa
-from treelasso.lasso import ClosureStep, ClosureTrace, ShellingResult, ShellingStep
+from treelasso.lasso import (
+    MAX_ORACLE_TAXA,
+    ClosureStep,
+    ClosureTrace,
+    ShellingResult,
+    ShellingStep,
+    _contract_tiny_interior,
+)
 from treelasso.tolerance import DEFAULT_EPSILON
 from treelasso.tree import TreeError
 
@@ -164,3 +174,81 @@ def counting_is_shellable(tree, cords, rng=None):
 
     missing = all_cords(taxa) - present
     return ShellingResult(tuple(steps), frozenset(missing))
+
+
+def insertion_topologies(taxa):
+    """Every fully-resolved topology on the taxa by stepwise leaf insertion,
+    depth first, with nothing pruned."""
+    taxa = sorted(taxa)
+    if len(taxa) < 3:
+        raise ValueError("topology enumeration needs at least 3 taxa")
+
+    def expand(edges, leaf_of, next_id, i):
+        if i == len(taxa):
+            yield XTree([(u, v, 1.0) for u, v in edges], dict(leaf_of))
+            return
+        leaf, mid = next_id, next_id + 1
+        for k in range(len(edges)):
+            u, v = edges[k]
+            new_edges = edges[:k] + edges[k + 1 :] + [(u, mid), (mid, v), (mid, leaf)]
+            new_leaf_of = dict(leaf_of)
+            new_leaf_of[leaf] = taxa[i]
+            yield from expand(new_edges, new_leaf_of, next_id + 2, i + 1)
+
+    center = 3
+    base_edges = [(0, center), (1, center), (2, center)]
+    base_leaves = {0: taxa[0], 1: taxa[1], 2: taxa[2]}
+    yield from expand(base_edges, base_leaves, 4, 3)
+
+
+def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
+    """One LP per alternative topology, in insertion order; the first fit
+    within twice the LP's tolerance on every cord is the witness."""
+    from scipy.optimize import linprog
+
+    taxa = sorted(tree.taxa)
+    if len(taxa) > MAX_ORACLE_TAXA:
+        raise ValueError(f"oracle supports at most {MAX_ORACLE_TAXA} taxa, got {len(taxa)}")
+    if not tree.is_fully_resolved():
+        raise TreeError("the oracle assumes a fully-resolved input tree")
+    if not tree.is_properly_weighted():
+        raise TreeError("the oracle needs a proper edge weighting")
+    cords = sorted(set(cords))
+    stray = cord_taxa(cords) - tree.taxa
+    if stray:
+        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
+    if not cords:
+        raise ValueError("oracle needs a non-empty cord set")
+
+    b = np.array([tree.distance(c.a, c.b) for c in cords])
+    fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
+    own_splits = tree.splits()
+
+    for candidate in insertion_topologies(taxa):
+        if candidate.splits() == own_splits:
+            continue
+        edges = candidate.edges()
+        a_mat = np.array(
+            [
+                [1 if e in path else 0 for e in ((u, v) for u, v, _ in edges)]
+                for path in (set(candidate.path_edges(c.a, c.b)) for c in cords)
+            ],
+            dtype=float,
+        )
+        interior = np.array(
+            [0.0 if candidate.is_leaf(u) or candidate.is_leaf(v) else 1.0 for u, v, _ in edges]
+        )
+        res = linprog(
+            c=interior,
+            A_ub=np.vstack([a_mat, -a_mat]),
+            b_ub=np.concatenate([b + fit_tol, -(b - fit_tol)]),
+            bounds=[(0, None)] * len(edges),
+            method="highs",
+        )
+        if not res.success:
+            continue
+        weights = np.maximum(res.x, 0.0)
+        if np.max(np.abs(a_mat @ weights - b)) > 2 * fit_tol:
+            continue
+        return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
+    return None

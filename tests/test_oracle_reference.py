@@ -1,0 +1,182 @@
+"""Differential tests: the pruned topological oracle against the exhaustive
+one it replaced (reference_lasso.py) on seeded sweeps, and LP counts that
+pin the pruning down."""
+
+import random
+
+import pytest
+import scipy.optimize
+
+from treelasso import (
+    Cord,
+    XTree,
+    all_cords,
+    all_topologies,
+    min_order_transversal,
+    random_tree,
+    topological_lasso_oracle,
+    triplet_cover,
+)
+from treelasso.tree import TreeError
+from reference_lasso import exhaustive_oracle, insertion_topologies
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the LPs the oracle solves (it imports linprog at call time)."""
+    calls = [0]
+    solve = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+def _outcome(oracle, tree, cords):
+    """The witness's weighted edges and leaf labels, None, or the type and
+    message of the exception raised."""
+    try:
+        witness = oracle(tree, cords)
+    except (ValueError, KeyError, TreeError) as exc:
+        return type(exc), str(exc)
+    if witness is None:
+        return None
+    return witness.edges(), {t: witness.leaf_vertex(t) for t in witness.taxa}
+
+
+def _short_interior(tree, rng):
+    """The same tree with one interior edge at 1e-8..1e-5 (log-uniform),
+    around the oracle's fit tolerance of 1e-7 times the largest distance."""
+    edges = tree.edges()
+    interior = [i for i, (u, v, _) in enumerate(edges) if not tree.is_leaf(u) and not tree.is_leaf(v)]
+    k = rng.choice(interior)
+    length = 10 ** rng.uniform(-8, -5)
+    weighted = [(u, v, length if i == k else w) for i, (u, v, w) in enumerate(edges)]
+    return XTree(weighted, {tree.leaf_vertex(t): t for t in tree.taxa})
+
+
+def _case(seed):
+    """A seeded (tree, cord set, has short edge) triple, n = 4..7: a stable
+    triplet cover, the cover minus one or two cords, plus one cord, or a
+    random subset of all cords; 30% of the trees have one short interior
+    edge.  n = 7 comes once in 16 seeds: the reference solves up to 944 LPs
+    there, about 2 s."""
+    rng = random.Random(seed)
+    n = 7 if seed % 16 == 1 else rng.choice((4, 5, 5, 6, 6))
+    tree = random_tree(n, seed=seed, weight_range=(0.1, 2.0))
+    short = rng.random() < 0.3
+    if short:
+        tree = _short_interior(tree, rng)
+    order = sorted(tree.taxa)
+    rng.shuffle(order)
+    cover = set(triplet_cover(tree, min_order_transversal(tree, order)))
+    pool = sorted(all_cords(tree.taxa) - cover)
+    mode = seed % 5
+    if mode == 1:
+        cords = cover - set(rng.sample(sorted(cover), 1))
+    elif mode == 2:
+        cords = cover - set(rng.sample(sorted(cover), 2))
+    elif mode == 3:
+        cords = cover | {rng.choice(pool)} if pool else cover
+    elif mode == 4:
+        everything = sorted(all_cords(tree.taxa))
+        cords = set(rng.sample(everything, rng.randrange(n, len(everything) + 1)))
+    else:
+        cords = cover
+    return tree, cords, short
+
+
+def test_witness_identical_to_exhaustive(lp_calls):
+    seen, pruned_lps, exhaustive_lps = set(), 0, 0
+    for seed in range(40):
+        tree, cords, short = _case(seed)
+        lp_calls[0] = 0
+        expected = _outcome(exhaustive_oracle, tree, cords)
+        exhaustive_lps += lp_calls[0]
+        lp_calls[0] = 0
+        got = _outcome(topological_lasso_oracle, tree, cords)
+        pruned_lps += lp_calls[0]
+        assert got == expected, f"seed {seed}"
+        seen.add((short, expected is None))
+    # short interior edges land on both sides: refuted and not refuted
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert pruned_lps * 10 < exhaustive_lps
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_witness_identical_near_prune_threshold(seed):
+    # Each interior edge in turn at 1.5 and 3 times the fit tolerance: the
+    # first still admits a fit across it, the second does not.  The quartets
+    # across the edge involve derived cords, whose summed error bounds decide
+    # whether a candidate is dropped.
+    base = random_tree(6, seed=seed, weight_range=(0.5, 1.5))
+    cover = sorted(triplet_cover(base, min_order_transversal(base)))
+    fit_tol = 1e-7 * max(base.distance(c.a, c.b) for c in cover)
+    edges = base.edges()
+    outcomes = set()
+    for k, (u, v, _) in enumerate(edges):
+        if base.is_leaf(u) or base.is_leaf(v):
+            continue
+        for factor in (1.5, 3.0):
+            weighted = [(p, q, factor * fit_tol if i == k else w) for i, (p, q, w) in enumerate(edges)]
+            tree = XTree(weighted, {base.leaf_vertex(t): t for t in base.taxa})
+            cords = triplet_cover(tree, min_order_transversal(tree))
+            expected = _outcome(exhaustive_oracle, tree, cords)
+            assert _outcome(topological_lasso_oracle, tree, cords) == expected, (k, factor)
+            outcomes.add((factor, expected is None))
+    assert outcomes == {(1.5, False), (3.0, True)}
+
+
+def test_errors_identical_to_exhaustive():
+    tree = random_tree(5, seed=3)
+    cases = [
+        (tree, set()),
+        (tree, {Cord("t01", "zz")}),
+        (random_tree(10, seed=0), all_cords(random_tree(10, seed=0).taxa)),
+        (XTree([(0, 4, 1.0), (1, 4, 1.0), (2, 5, 1.0), (3, 5, 1.0), (4, 5, 0.0)],
+               {0: "a", 1: "b", 2: "c", 3: "d"}), {Cord("a", "b")}),
+    ]
+    for t, cords in cases:
+        expected = _outcome(exhaustive_oracle, t, cords)
+        assert isinstance(expected[0], type)
+        assert _outcome(topological_lasso_oracle, t, cords) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_all_topologies_sequence_unchanged(n):
+    taxa = [f"x{i}" for i in range(n)]
+    got = [t.newick() for t in all_topologies(reversed(taxa))]
+    assert got == [t.newick() for t in insertion_topologies(taxa)]
+    assert len(set(got)) == len(got)
+
+
+def test_example3_cover_needs_no_lp(snowflake6, cover9, lp_calls):
+    assert topological_lasso_oracle(snowflake6, cover9) is None
+    assert lp_calls[0] == 0
+
+
+def test_full_cord_sets_need_no_lp(lp_calls):
+    for seed in range(3):
+        t = random_tree(5, seed=seed)
+        assert topological_lasso_oracle(t, all_cords(t.taxa)) is None
+    assert lp_calls[0] == 0
+
+
+def test_cover_minus_hub_cord_needs_no_lp(lp_calls):
+    # Every other cord of this cover touches t01 or t02, so without t01-t02
+    # nothing is derived.  Only the 4-cycles t01-x-t02-y bound two pairings
+    # of a 4-taxon set; the smaller sum forbids both other pairings.
+    t = random_tree(8, seed=0)
+    cover = set(triplet_cover(t, min_order_transversal(t)))
+    assert Cord("t01", "t02") in cover
+    assert topological_lasso_oracle(t, cover - {Cord("t01", "t02")}) is None
+    assert lp_calls[0] == 0
+
+
+def test_remark1_still_refuted(quartet_abcd, remark1_cords, lp_calls):
+    witness = topological_lasso_oracle(quartet_abcd, remark1_cords)
+    assert witness is not None and witness.splits() != quartet_abcd.splits()
+    assert lp_calls[0] >= 1
