@@ -315,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--oracle-topological",
         action="store_true",
-        help="also run the exhaustive topological oracle (n <= 9)",
+        help="also run the exact topological oracle (pruned, n <= 9)",
     )
     p.set_defaults(func=cmd_classify)
 
@@ -387,6 +387,7 @@ def _parse_range(raw: str) -> tuple[float, float]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # No RecursionError handler: the library never recurses on input size.
     try:
         return args.func(args)
     except (NewickError, CordFormatError, TreeError, ValueError) as exc:
@@ -397,10 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except KeyError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecursionError:
-        # is_2dtree's backtracking elimination recurses once per taxon.
-        print("error: input nests too deeply (Python recursion limit reached)", file=sys.stderr)
         return EXIT_INPUT
 
 

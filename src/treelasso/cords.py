@@ -186,6 +186,18 @@ def full_distance(tree: XTree) -> PartialDistance:
     return induced_distance(tree, all_cords(tree.taxa))
 
 
+def _adjacency(cords: set[Cord], taxa: Iterable[str]) -> dict[str, set[str]]:
+    """The graph (X, L) as neighbour sets; a taxon in no cord is isolated."""
+    adj: dict[str, set[str]] = {t: set() for t in taxa}
+    stray = cord_taxa(cords) - adj.keys()
+    if stray:
+        raise ValueError(f"cords mention taxa outside X: {sorted(stray)!r}")
+    for c in cords:
+        adj[c.a].add(c.b)
+        adj[c.b].add(c.a)
+    return adj
+
+
 class GraphChecks(NamedTuple):
     connected: bool
     all_components_non_bipartite: bool
@@ -197,21 +209,11 @@ def graph_necessary_checks(cords: Iterable[Cord], taxa: Iterable[str]) -> GraphC
     Both must hold for L to be a strong lasso of any tree on X; taxa missing
     from every cord count as isolated vertices.
     """
-    taxa = set(taxa)
-    cords = set(cords)
-    stray = cord_taxa(cords) - taxa
-    if stray:
-        raise ValueError(f"cords mention taxa outside X: {sorted(stray)!r}")
-
-    adj: dict[str, set[str]] = {t: set() for t in taxa}
-    for c in cords:
-        adj[c.a].add(c.b)
-        adj[c.b].add(c.a)
-
+    adj = _adjacency(set(cords), taxa)
     color: dict[str, int] = {}
     components = 0
     all_odd = True
-    for start in sorted(taxa):
+    for start in sorted(adj):
         if start in color:
             continue
         components += 1

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, all_cords, cord_taxa, induced_distance
+from .cords import Cord, PartialDistance, _adjacency, all_cords, cord_taxa, induced_distance
 from .tolerance import DEFAULT_EPSILON, approx_equal, definitely_less
 from .tree import TreeError, XTree
 
@@ -309,75 +309,74 @@ def verify_shelling(
 # ---------------------------------------------------------------------------
 
 
-def is_2dtree(
-    cords: Iterable[Cord],
-    taxa: Iterable[str] | None = None,
-    greedy: bool = False,
-) -> list[str] | None:
+def is_2dtree(cords: Iterable[Cord], taxa: Iterable[str] | None = None) -> list[str] | None:
     """An ordering witnessing that (X, L) is a 2d-tree, or None.
 
     A 2d-tree ordering starts with an edge and adds each later vertex with
-    exactly two earlier neighbours.  Recognition runs the definition in
-    reverse: repeatedly delete a vertex of current degree exactly 2.  The
-    definition does not require the two back-neighbours to be adjacent, so a
-    wrong deletion choice could in principle matter; the default therefore
-    backtracks over choices with memoisation on the remaining vertex set
-    (greedy=True takes the first choice only, as a fast path).  |L| = 2|X|-3
-    is a necessary edge count and rejects early.
+    exactly two earlier neighbours.  Recognition is one peel: while more
+    than two vertices remain, delete the smallest-label vertex of degree 2;
+    the answer is the last two, sorted, then the deletions reversed.
+    |L| = 2|X|-3 is a necessary edge count, checked first.  As each deletion
+    takes two cords, the last two vertices share the last cord, and a degree
+    below 2 with three or more vertices left means no 2d-tree remains.
+
+    The peel is exact: deleting a degree-2 vertex v from a 2d-tree G with at
+    least 3 vertices leaves a 2d-tree.  If v is third or later in an
+    ordering, no later vertex is adjacent to v, so the rest of the ordering
+    stands.  If v is first or second, the third vertex v3 is adjacent to
+    both first vertices, so v's neighbours are v3 and the other first vertex
+    u, and (u, v3, v4, ...) orders G-v.  The last vertex of an ordering has
+    degree 2, so the peel never gets stuck on a 2d-tree.
     """
     cords = set(cords)
-    taxa = set(taxa) if taxa is not None else set(cord_taxa(cords))
-    stray = cord_taxa(cords) - taxa
-    if stray:
-        raise ValueError(f"cords mention taxa outside X: {sorted(stray)!r}")
-    n = len(taxa)
+    adj = _adjacency(cords, cord_taxa(cords) if taxa is None else taxa)
+    n = len(adj)
     if n < 2 or len(cords) != 2 * n - 3:
         return None
 
-    adj: dict[str, set[str]] = {t: set() for t in taxa}
-    for c in cords:
-        adj[c.a].add(c.b)
-        adj[c.b].add(c.a)
-
-    dead: set[frozenset] = set()
-
-    def eliminate(remaining: frozenset) -> list[str] | None:
-        if len(remaining) == 2:
-            a, b = sorted(remaining)
-            return [a, b] if b in adj[a] else None
-        key = remaining
-        if key in dead:
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    ready = [v for v, d in degree.items() if d == 2]
+    heapq.heapify(ready)
+    peeled: list[str] = []
+    while len(degree) > 2:
+        if not ready:
             return None
-        degree = {v: len(adj[v] & remaining) for v in remaining}
-        if min(degree.values()) < 2:
-            dead.add(key)
-            return None  # a vertex below degree 2 can never be eliminated
-        candidates = sorted(v for v in remaining if degree[v] == 2)
-        if greedy:
-            candidates = candidates[:1]
-        for v in candidates:
-            rest = eliminate(remaining - {v})
-            if rest is not None:
-                rest.append(v)
-                return rest
-        dead.add(key)
-        return None
+        # Degrees only fall, so a vertex enters the heap once, at degree 2.
+        v = heapq.heappop(ready)
+        if degree.pop(v) != 2:
+            return None
+        peeled.append(v)
+        for u in adj[v]:
+            if u in degree:
+                degree[u] -= 1
+                if degree[u] == 2:
+                    heapq.heappush(ready, u)
+    return [*sorted(degree), *reversed(peeled)]
 
-    return eliminate(frozenset(taxa))
+
+def _back_neighbours(cords: set[Cord], ordering: Sequence[str]) -> list[tuple[str, str]] | None:
+    """The two earlier neighbours of each vertex after the first two, in
+    ordering position, when *ordering* is a 2d-tree ordering of the cord set;
+    otherwise None."""
+    if len(ordering) < 2:
+        return None
+    # A repeated label leaves its earlier position with no cords, so the
+    # back-neighbour counts below reject it.
+    position = {t: i for i, t in enumerate(ordering)}
+    back: list[list[int]] = [[] for _ in ordering]
+    for c in cords:
+        i, j = position.get(c.a), position.get(c.b)
+        if i is None or j is None:
+            return None
+        back[max(i, j)].append(min(i, j))
+    if back[1] != [0] or any(len(b) != 2 for b in back[2:]):
+        return None
+    return [(ordering[min(b)], ordering[max(b)]) for b in back[2:]]
 
 
 def verify_2dtree_ordering(cords: Iterable[Cord], ordering: Sequence[str]) -> bool:
     """Check a specific vertex ordering against the 2d-tree definition."""
-    cords = set(cords)
-    if len(ordering) != len(set(ordering)) or set(ordering) != set(cord_taxa(cords)):
-        return False
-    if len(ordering) < 2 or Cord(ordering[0], ordering[1]) not in cords:
-        return False
-    for i in range(2, len(ordering)):
-        back = sum(1 for j in range(i) if Cord(ordering[i], ordering[j]) in cords)
-        if back != 2:
-            return False
-    return True
+    return _back_neighbours(set(cords), ordering) is not None
 
 
 def tree_from_2dtree(
@@ -399,7 +398,8 @@ def tree_from_2dtree(
     """
     cords = set(cords)
     ordering = list(ordering)
-    if not verify_2dtree_ordering(cords, ordering):
+    back = _back_neighbours(cords, ordering)
+    if back is None:
         raise ValueError("ordering is not a valid 2d-tree ordering of the cord set")
 
     counter = itertools.count()
@@ -412,9 +412,7 @@ def tree_from_2dtree(
 
     connect(leaf_of[ordering[0]], leaf_of[ordering[1]], 1.0)
 
-    for i in range(2, len(ordering)):
-        label = ordering[i]
-        xj, xk = [t for t in ordering[:i] if Cord(label, t) in cords]
+    for label, (xj, xk) in zip(ordering[2:], back):
         path = _vertex_path(adj, leaf_of[xj], leaf_of[xk])
         edge, offset = _edge_nearest_path_midpoint(adj, path)
         u, v = edge

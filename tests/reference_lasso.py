@@ -2,8 +2,9 @@
 count-based shellability saturation that the dense fixpoint engine in
 treelasso.lasso replaced, with the scalar tolerance helpers they used, and
 the exhaustive topological oracle (one LP per alternative topology) that the
-pruned oracle replaced.  The differential tests compare each pair on seeded
-sweeps; nothing in the library imports this module.
+pruned oracle replaced, and the memoised backtracking 2d-tree recognition
+that the greedy peel replaced.  The differential tests compare each pair on
+seeded sweeps; nothing in the library imports this module.
 """
 
 import itertools
@@ -252,3 +253,48 @@ def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
             continue
         return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
     return None
+
+
+def backtracking_is_2dtree(cords, taxa=None, greedy=False):
+    """Delete a vertex of current degree 2, trying the candidates in label
+    order and backtracking, with memoisation on the remaining vertex set;
+    greedy=True tries the first candidate only."""
+    cords = set(cords)
+    taxa = set(taxa) if taxa is not None else set(cord_taxa(cords))
+    stray = cord_taxa(cords) - taxa
+    if stray:
+        raise ValueError(f"cords mention taxa outside X: {sorted(stray)!r}")
+    n = len(taxa)
+    if n < 2 or len(cords) != 2 * n - 3:
+        return None
+
+    adj = {t: set() for t in taxa}
+    for c in cords:
+        adj[c.a].add(c.b)
+        adj[c.b].add(c.a)
+
+    dead = set()
+
+    def eliminate(remaining):
+        if len(remaining) == 2:
+            a, b = sorted(remaining)
+            return [a, b] if b in adj[a] else None
+        key = remaining
+        if key in dead:
+            return None
+        degree = {v: len(adj[v] & remaining) for v in remaining}
+        if min(degree.values()) < 2:
+            dead.add(key)
+            return None  # a vertex below degree 2 can never be eliminated
+        candidates = sorted(v for v in remaining if degree[v] == 2)
+        if greedy:
+            candidates = candidates[:1]
+        for v in candidates:
+            rest = eliminate(remaining - {v})
+            if rest is not None:
+                rest.append(v)
+                return rest
+        dead.add(key)
+        return None
+
+    return eliminate(frozenset(taxa))

@@ -304,3 +304,22 @@ def test_deeply_nested_tree_classifies_without_traceback(tmp_path):
         "2d-tree\tno",
         "edge-weight-lasso\tno\trank-target=2997",
     ]
+
+
+def test_treefrom2d_on_a_1200_vertex_ladder(tmp_path):
+    # Vertex i is adjacent to i-1 and i-2: a 2d-tree with more vertices than
+    # the interpreter's default recursion limit.
+    cords = tmp_path / "ladder.tsv"
+    cords.write_text(
+        "".join(f"v{i:04d}\tv{i - k:04d}\n" for i in range(1200) for k in (1, 2) if i >= k)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelasso", "treefrom2d", str(cords)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(";")
+    assert parse_newick(lines[0]).taxa == {f"v{i:04d}" for i in range(1200)}

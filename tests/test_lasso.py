@@ -238,11 +238,29 @@ class Test2dTree:
         for seed in range(10):
             t = random_tree(8, seed=seed)
             cover = triplet_cover(t, min_order_transversal(t))
-            assert is_2dtree(cover, t.taxa, greedy=True) is not None
+            assert is_2dtree(cover, t.taxa) is not None
+
+    def test_5000_vertex_ladder(self):
+        # Vertex i is adjacent to i-1 and i-2: the peel deletes one end of
+        # the ladder after the other, far past the interpreter's recursion
+        # limit.
+        ladder = cords_of(
+            [(f"v{i:04d}", f"v{i - k:04d}") for i in range(5000) for k in (1, 2) if i >= k]
+        )
+        ordering = is_2dtree(ladder)
+        assert ordering is not None
+        assert verify_2dtree_ordering(ladder, ordering)
 
     def test_verify_rejects_bad_orderings(self, cover9):
         assert not verify_2dtree_ordering(cover9, ["a", "bp", "c", "ap", "b", "cp"])
         assert not verify_2dtree_ordering(cover9, ["a", "b", "c"])
+
+    def test_verify_rejects_malformed_orderings(self, cover9):
+        assert not verify_2dtree_ordering(cover9, ["a", "b", "c", "ap", "bp", "cp", "a"])
+        assert not verify_2dtree_ordering([], [])
+        assert not verify_2dtree_ordering([], ["a"])
+        # c has its two back-neighbours, but the first two are not adjacent.
+        assert not verify_2dtree_ordering(cords_of([("a", "c"), ("b", "c")]), ["a", "b", "c"])
 
 
 class TestTreeFrom2dTree:
@@ -270,6 +288,13 @@ class TestTreeFrom2dTree:
         built = tree_from_2dtree(triangle, ["a", "b", "c"])
         assert built.taxa == {"a", "b", "c"}
         assert len(built.interior_vertices()) == 1
+
+    def test_midpoint_tie_goes_towards_the_earlier_back_neighbour(self):
+        # d's back-neighbours a, b sit at the ends of two half-unit edges,
+        # equally near the path midpoint: d goes on a's edge.
+        cords = cords_of([("a", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")])
+        built = tree_from_2dtree(cords, ["a", "b", "c", "d"])
+        assert built.distance("a", "d") < built.distance("b", "d")
 
     def test_remark1_both_directions(self, quartet_abcd, remark1_cords):
         ordering = is_2dtree(remark1_cords)
