@@ -10,6 +10,7 @@ variable overrides the comparison tolerance (default 1e-9).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -67,8 +68,8 @@ def _epsilon() -> float:
         eps = float(raw)
     except ValueError:
         raise CordFormatError(f"LASSO_EPSILON is not a number: {raw!r}")
-    if eps < 0:
-        raise CordFormatError(f"LASSO_EPSILON must be >= 0, got {raw!r}")
+    if not math.isfinite(eps) or eps < 0:
+        raise CordFormatError(f"LASSO_EPSILON must be finite and >= 0, got {raw!r}")
     return eps
 
 

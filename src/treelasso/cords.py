@@ -186,6 +186,15 @@ def full_distance(tree: XTree) -> PartialDistance:
     return induced_distance(tree, all_cords(tree.taxa))
 
 
+def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:
+    """The cords as a set; KeyError when one names a taxon outside the tree."""
+    cords = set(cords)
+    stray = cord_taxa(cords) - tree.taxa
+    if stray:
+        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
+    return cords
+
+
 def _adjacency(cords: set[Cord], taxa: Iterable[str]) -> dict[str, set[str]]:
     """The graph (X, L) as neighbour sets; a taxon in no cord is isolated."""
     adj: dict[str, set[str]] = {t: set() for t in taxa}

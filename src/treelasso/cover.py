@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .cords import Cord
+from .cords import Cord, _cords_over
 from .tolerance import DEFAULT_EPSILON
 from .tree import TreeError, XTree
 
@@ -183,14 +183,6 @@ def is_triplet_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
         if not _has_rainbow_triangle(cords, where, components):
             return False
     return True
-
-
-def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:
-    cords = set(cords)
-    stray = {t for c in cords for t in (c.a, c.b)} - tree.taxa
-    if stray:
-        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
-    return cords
 
 
 def _has_rainbow_triangle(cords, where, components) -> bool:

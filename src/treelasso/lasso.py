@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _adjacency, all_cords, cord_taxa, induced_distance
+from .cords import Cord, PartialDistance, _adjacency, _cords_over, all_cords, cord_taxa, induced_distance
 from .tolerance import DEFAULT_EPSILON, approx_equal, definitely_less
 from .tree import TreeError, XTree
 
@@ -80,7 +79,8 @@ class ClosureTrace:
 
     @property
     def is_complete(self) -> bool:
-        return not self.missing
+        n = len(self.final.taxa)
+        return len(self.final) == n * (n - 1) // 2
 
     def lines(self) -> list[str]:
         return [s.line() for s in self.steps]
@@ -253,10 +253,7 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
     taxa = sorted(tree.taxa)
-    present = set(cords)
-    stray = cord_taxa(present) - tree.taxa
-    if stray:
-        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
+    present = _cords_over(cords, tree)
     if rng is not None:
         rng.shuffle(taxa)
     hops = {c: tree._hops(c.a, c.b) for c in present}
@@ -395,6 +392,16 @@ def tree_from_2dtree(
     is split at its own midpoint, ties resolved towards x_j.  With
     certify=True the unit-pendant weighting is checked: the closure of the
     induced distances on L must reach every cord.
+
+    The growing tree is kept as parent pointers, rooted at the leaf of
+    ordering[0], with each vertex's weight to its parent.  The x_j-x_k path
+    is found by climbing from both ends in turn, one step each: the first
+    vertex one climb reaches on the other's trail is the lowest common
+    ancestor, since a lower common ancestor would have been on both trails
+    earlier.  Either climb overshoots the ancestor by at most the other's
+    remaining steps, and splitting an edge re-points two parents, so the
+    whole construction costs O(sum of path lengths), not a search over the
+    growing tree per vertex.
     """
     cords = set(cords)
     ordering = list(ordering)
@@ -402,31 +409,25 @@ def tree_from_2dtree(
     if back is None:
         raise ValueError("ordering is not a valid 2d-tree ordering of the cord set")
 
-    counter = itertools.count()
-    leaf_of = {ordering[0]: next(counter), ordering[1]: next(counter)}
-    adj: dict[int, dict[int, float]] = {}
-
-    def connect(u: int, v: int, w: float) -> None:
-        adj.setdefault(u, {})[v] = w
-        adj.setdefault(v, {})[u] = w
-
-    connect(leaf_of[ordering[0]], leaf_of[ordering[1]], 1.0)
-
+    # Vertex ids count up: the first two leaves, then a subdivision vertex
+    # and its leaf per later taxon.
+    leaf_of = {ordering[0]: 0, ordering[1]: 1}
+    parent: list[int | None] = [None, 0]
+    weight = [0.0, 1.0]  # to the parent; unused at the root
     for label, (xj, xk) in zip(ordering[2:], back):
-        path = _vertex_path(adj, leaf_of[xj], leaf_of[xk])
-        edge, offset = _edge_nearest_path_midpoint(adj, path)
-        u, v = edge
-        w = adj[u][v]
-        del adj[u][v], adj[v][u]
-        mid = next(counter)
-        connect(u, mid, w / 2.0)
-        connect(mid, v, w / 2.0)
-        leaf = next(counter)
-        leaf_of[label] = leaf
-        connect(mid, leaf, 1.0)
+        lower = _path_edges(parent, leaf_of[xj], leaf_of[xk])
+        target = sum(weight[v] for v in lower) / 2.0
+        starts = itertools.accumulate((weight[v] for v in lower), initial=0.0)
+        # min keeps the first of equal scores: ties go towards x_j.
+        v = min(zip(lower, starts), key=lambda e: abs(e[1] + weight[e[0]] / 2.0 - target))[0]
+        mid, half = len(parent), weight[v] / 2.0
+        parent += [parent[v], mid]
+        weight += [half, 1.0]
+        parent[v], weight[v] = mid, half
+        leaf_of[label] = mid + 1
 
     tree = XTree(
-        [(u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v],
+        sorted((min(v, p), max(v, p), w) for v, (p, w) in enumerate(zip(parent, weight)) if p is not None),
         {vid: lab for lab, vid in leaf_of.items()},
     )
     if certify:
@@ -439,36 +440,23 @@ def tree_from_2dtree(
     return tree
 
 
-def _vertex_path(adj, src: int, dst: int) -> list[int]:
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            break
-        for nb in adj[v]:
-            if nb not in parent:
-                parent[nb] = v
-                queue.append(nb)
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _edge_nearest_path_midpoint(adj, path: list[int]) -> tuple[tuple[int, int], float]:
-    total = sum(adj[a][b] for a, b in zip(path, path[1:]))
-    target = total / 2.0
-    best = None
-    prefix = 0.0
-    for a, b in zip(path, path[1:]):
-        w = adj[a][b]
-        score = abs(prefix + w / 2.0 - target)
-        if best is None or score < best[0]:
-            best = (score, (a, b), prefix)
-        prefix += w
-    return best[1], best[2]
+def _path_edges(parent: list[int | None], a: int, b: int) -> list[int]:
+    """The edges on the path from a to b, in path order, each as its lower
+    end: the climbs from a and b, each stopped below the lowest common
+    ancestor, the second reversed."""
+    trails = ([a], [b])
+    owner = {a: 0, b: 1}
+    side = 0
+    while True:
+        up = parent[trails[side][-1]]
+        if up is not None:
+            if owner.setdefault(up, side) != side:
+                break
+            trails[side].append(up)
+        side ^= 1
+    other = trails[1 - side]
+    del other[other.index(up) :]
+    return trails[0] + trails[1][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +703,7 @@ def topological_lasso_oracle(
         raise TreeError("the oracle assumes a fully-resolved input tree")
     if not tree.is_properly_weighted():
         raise TreeError("the oracle needs a proper edge weighting")
-    cords = sorted(set(cords))
-    stray = cord_taxa(cords) - tree.taxa
-    if stray:
-        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
+    cords = sorted(_cords_over(cords, tree))
     if not cords:
         raise ValueError("oracle needs a non-empty cord set")
 

@@ -21,7 +21,8 @@ Conventions
 
 Rooted index
 ------------
-Path, side and hop queries read one lazily built index per tree: the tree
+Path, side and hop queries read one index per tree, built by the walk with
+which the constructor checks that the edges form a single tree: the tree
 rooted next to its smallest taxon, with each vertex's parent, hop depth and
 the bitset (a Python int, bit i for the i-th sorted taxon) of the leaves at
 or below it.  A leaf path climbs parent pointers to the lowest common
@@ -40,7 +41,6 @@ import math
 import random
 import re
 from collections import deque
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.\-]+\Z")
@@ -120,7 +120,7 @@ class XTree:
         if len(adj) < 2:
             raise TreeError("a tree needs at least two leaves")
         n_edges = sum(len(nb) for nb in adj.values()) // 2
-        if n_edges != len(adj) - 1 or not self._connected(adj):
+        if n_edges != len(adj) - 1:
             raise TreeError("edges do not form a single tree")
 
         leaf_map: dict[str, int] = {}
@@ -144,19 +144,7 @@ class XTree:
         self._adj = adj
         self._leaf_by_label = leaf_map
         self._label_by_leaf = {v: lab for lab, v in leaf_map.items()}
-
-    @staticmethod
-    def _connected(adj: dict[int, dict[int, float]]) -> bool:
-        start = next(iter(adj))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for nb in adj[v]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(adj)
+        self._index = self._rooted_index()
 
     # -- basic accessors ------------------------------------------------
 
@@ -226,8 +214,9 @@ class XTree:
         path = self._path(self.leaf_vertex(x), self.leaf_vertex(y))
         return math.fsum(self._adj[a][b] for a, b in zip(path, path[1:]))
 
-    @cached_property
-    def _index(self) -> _RootedIndex:
+    def _rooted_index(self) -> _RootedIndex:
+        # With |V| - 1 edges, the graph is a tree exactly when it is
+        # connected, so this walk is also the constructor's last check.
         taxa = sorted(self._leaf_by_label)
         (root,) = self._adj[self._leaf_by_label[taxa[0]]]
         parent: dict[int, int | None] = {root: None}
@@ -239,6 +228,8 @@ class XTree:
                     parent[nb] = v
                     depth[nb] = depth[v] + 1
                     order.append(nb)
+        if len(order) != len(self._adj):
+            raise TreeError("edges do not form a single tree")
         below = dict.fromkeys(order, 0)
         for i, label in enumerate(taxa):
             below[self._leaf_by_label[label]] = 1 << i

@@ -2,9 +2,11 @@
 count-based shellability saturation that the dense fixpoint engine in
 treelasso.lasso replaced, with the scalar tolerance helpers they used, and
 the exhaustive topological oracle (one LP per alternative topology) that the
-pruned oracle replaced, and the memoised backtracking 2d-tree recognition
-that the greedy peel replaced.  The differential tests compare each pair on
-seeded sweeps; nothing in the library imports this module.
+pruned oracle replaced, the memoised backtracking 2d-tree recognition
+that the greedy peel replaced, and the tree_from_2dtree construction with a
+breadth-first path search per inserted vertex that the parent-pointer climb
+replaced.  The differential tests compare each pair on seeded sweeps;
+nothing in the library imports this module.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from treelasso.lasso import (
     ClosureTrace,
     ShellingResult,
     ShellingStep,
+    _back_neighbours,
     _contract_tiny_interior,
 )
 from treelasso.tolerance import DEFAULT_EPSILON
@@ -298,3 +301,74 @@ def backtracking_is_2dtree(cords, taxa=None, greedy=False):
         return None
 
     return eliminate(frozenset(taxa))
+
+
+def bfs_tree_from_2dtree(cords, ordering):
+    """tree_from_2dtree without certify, finding each back-neighbour path by
+    a breadth-first search over the whole growing tree."""
+    cords = set(cords)
+    ordering = list(ordering)
+    back = _back_neighbours(cords, ordering)
+    if back is None:
+        raise ValueError("ordering is not a valid 2d-tree ordering of the cord set")
+
+    counter = itertools.count()
+    leaf_of = {ordering[0]: next(counter), ordering[1]: next(counter)}
+    adj = {}
+
+    def connect(u, v, w):
+        adj.setdefault(u, {})[v] = w
+        adj.setdefault(v, {})[u] = w
+
+    connect(leaf_of[ordering[0]], leaf_of[ordering[1]], 1.0)
+
+    for label, (xj, xk) in zip(ordering[2:], back):
+        path = _vertex_path(adj, leaf_of[xj], leaf_of[xk])
+        u, v = _edge_nearest_path_midpoint(adj, path)
+        w = adj[u][v]
+        del adj[u][v], adj[v][u]
+        mid = next(counter)
+        connect(u, mid, w / 2.0)
+        connect(mid, v, w / 2.0)
+        leaf = next(counter)
+        leaf_of[label] = leaf
+        connect(mid, leaf, 1.0)
+
+    return XTree(
+        [(u, v, w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v],
+        {vid: lab for lab, vid in leaf_of.items()},
+    )
+
+
+def _vertex_path(adj, src, dst):
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        if v == dst:
+            break
+        for nb in adj[v]:
+            if nb not in parent:
+                parent[nb] = v
+                queue.append(nb)
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def _edge_nearest_path_midpoint(adj, path):
+    """The path edge, in path order, whose midpoint is first nearest to the
+    path's midpoint."""
+    total = sum(adj[a][b] for a, b in zip(path, path[1:]))
+    target = total / 2.0
+    best = None
+    prefix = 0.0
+    for a, b in zip(path, path[1:]):
+        w = adj[a][b]
+        score = abs(prefix + w / 2.0 - target)
+        if best is None or score < best[0]:
+            best = (score, (a, b))
+        prefix += w
+    return best[1]

@@ -1,6 +1,8 @@
 """Differential tests: the greedy peel behind is_2dtree against the memoised
 backtracking it replaced (reference_lasso.py), on a seeded sweep of graphs,
-and the peel lemma: deleting any degree-2 vertex of a 2d-tree leaves one."""
+and the peel lemma: deleting any degree-2 vertex of a 2d-tree leaves one.
+Also tree_from_2dtree against the breadth-first construction it replaced,
+which must build the same tree."""
 
 import itertools
 import random
@@ -11,10 +13,11 @@ from treelasso import (
     is_2dtree,
     min_order_transversal,
     random_tree,
+    tree_from_2dtree,
     triplet_cover,
 )
 from treelasso.cords import cord_taxa
-from reference_lasso import backtracking_is_2dtree
+from reference_lasso import backtracking_is_2dtree, bfs_tree_from_2dtree
 
 #: Labels of mixed length, so that label order and insertion order differ.
 LABELS = [*"abcdefgh", "aa", "ab", "ba", "b1", "t01", "t10", "t2", "x", "xy", "z9"]
@@ -31,7 +34,10 @@ def _outcome(fn, cords, taxa):
 def _two_d_tree(rng, labels):
     """A random 2d-tree by the definition: an edge, then each vertex joined
     to two earlier ones."""
-    order = rng.sample(labels, len(labels))
+    return _two_d_tree_in_order(rng, rng.sample(labels, len(labels)))
+
+
+def _two_d_tree_in_order(rng, order):
     cords = {Cord(order[0], order[1])}
     for i in range(2, len(order)):
         cords.update(Cord(order[i], t) for t in rng.sample(order[:i], 2))
@@ -132,3 +138,43 @@ def test_deleting_any_degree_two_vertex_keeps_a_2dtree():
             assert backtracking_is_2dtree(rest, vertices - {v}) is not None, (sorted(cords), v)
             checked += 1
     assert checked >= 1000
+
+
+def _same_tree(cords, ordering):
+    built, expected = tree_from_2dtree(cords, ordering), bfs_tree_from_2dtree(cords, ordering)
+    assert built.edges() == expected.edges(), ordering
+    leaves = {built.leaf_vertex(t): t for t in built.taxa}
+    assert leaves == {expected.leaf_vertex(t): t for t in expected.taxa}
+    assert built.newick() == expected.newick()
+
+
+def test_construction_identical_to_breadth_first_search():
+    checked = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        if seed % 10 == 0:  # stable covers, with their is_2dtree ordering
+            tree = random_tree(3 + seed // 20 % 98, seed=seed)
+            if seed // 10 % 2:
+                transversal = closest_leaf_transversal(tree)
+            else:
+                order = sorted(tree.taxa)
+                rng.shuffle(order)
+                transversal = min_order_transversal(tree, order)
+            cords = triplet_cover(tree, transversal)
+            orderings = [is_2dtree(cords, tree.taxa)]
+        else:  # 2d-trees by the definition, with both orderings
+            labels = [f"x{i}" for i in range(rng.randrange(3, 31))]
+            order = rng.sample(labels, len(labels))
+            cords = _two_d_tree_in_order(rng, order)
+            orderings = [order, is_2dtree(cords)]
+        for ordering in orderings:
+            _same_tree(cords, ordering)
+            checked += 1
+    assert checked >= 3800
+
+
+def test_construction_on_a_ladder_identical_to_breadth_first_search():
+    # Vertex i is adjacent to i-1 and i-2, so each path runs down the
+    # growing tree's spine.
+    ladder = [Cord(f"v{i:03d}", f"v{i - k:03d}") for i in range(400) for k in (1, 2) if i >= k]
+    _same_tree(ladder, is_2dtree(ladder))

@@ -261,9 +261,10 @@ class TestEpsilonOverride:
     def test_invalid_epsilon(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "d.tsv"
         path.write_text("a\tb\t1.0\na\tc\t1.0\nb\tc\t1.0\n")
-        monkeypatch.setenv("LASSO_EPSILON", "banana")
-        code, _, err = run(capsys, "closure", str(path))
-        assert code == 1
+        for raw in ("banana", "nan", "inf"):
+            monkeypatch.setenv("LASSO_EPSILON", raw)
+            code, _, err = run(capsys, "closure", str(path))
+            assert code == 1, raw
 
 
 def test_module_entry_point(tmp_path):

@@ -85,6 +85,20 @@ class TestParseNewick:
         assert t.n_leaves == 4
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("star_taxa", ["abc", "xyz"])
+    def test_edge_count_of_a_tree_but_disconnected(self, star_taxa):
+        # A star plus a triangle with a pendant leaf at each corner: one edge
+        # fewer than vertices, every degree 1 or 3, every leaf labelled.
+        star = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
+        triangle = [(10, 11, 1.0), (11, 12, 1.0), (10, 12, 1.0)]
+        pendants = [(10, 13, 1.0), (11, 14, 1.0), (12, 15, 1.0)]
+        other = "xyz" if star_taxa == "abc" else "abc"
+        labels = dict(zip([1, 2, 3, 13, 14, 15], star_taxa + other))
+        with pytest.raises(TreeError, match="^edges do not form a single tree$"):
+            XTree(star + triangle + pendants, labels)
+
+
 class TestWriteNewick:
     def test_canonical_quartet(self, quartet_abcd):
         # By hand: root at the interior vertex next to 'a'; children sorted
