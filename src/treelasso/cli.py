@@ -97,13 +97,12 @@ def _yes(flag: bool) -> str:
 
 
 def cmd_reconstruct(args) -> int:
-    eps = _epsilon()
-    distances = parse_cord_distances(_read(args.distances), eps=eps)
+    distances = parse_cord_distances(_read(args.distances), eps=args.eps)
     if len(distances.taxa) < 3:
         raise CordFormatError(
             f"need at least 3 taxa, the file mentions {len(distances.taxa)}"
         )
-    result = reconstruct(distances, eps=eps, exact_rational=args.exact_rational)
+    result = reconstruct(distances, eps=args.eps, exact_rational=args.exact_rational)
     if args.trace:
         _write(args.trace, "".join(line + "\n" for line in result.trace.lines()))
     if not result.ok:
@@ -116,7 +115,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    eps = _epsilon()
     tree = parse_newick(_read(args.tree))
     cords = parse_cord_set(_read(args.cords))
     if not tree.is_fully_resolved():
@@ -142,7 +140,7 @@ def cmd_classify(args) -> int:
     n_edges = len(tree.edges())
     print(f"edge-weight-lasso\t{_yes(edge_weight_lasso_certificate(tree, cords))}\trank-target={n_edges}")
     if args.oracle_topological:
-        witness = topological_lasso_oracle(tree, cords, eps=eps)
+        witness = topological_lasso_oracle(tree, cords, eps=args.eps)
         if witness is None:
             print("topological-oracle\tgenerically-topological")
         else:
@@ -158,7 +156,6 @@ def _newick_or_splits(tree) -> str:
 
 
 def cmd_gencover(args) -> int:
-    eps = _epsilon()
     tree = parse_newick(_read(args.tree))
     if not tree.is_fully_resolved():
         raise TreeError("gencover needs a fully-resolved tree")
@@ -175,7 +172,7 @@ def cmd_gencover(args) -> int:
     elif args.transversal == "min":
         f = min_order_transversal(tree, order)
     else:
-        f = closest_leaf_transversal(tree, mode=args.transversal, tiebreak=order, eps=eps)
+        f = closest_leaf_transversal(tree, mode=args.transversal, tiebreak=order, eps=args.eps)
 
     cords = triplet_cover(tree, f)
     expected = 2 * tree.n_leaves - 3
@@ -209,7 +206,6 @@ def _parse_assignment(text: str, tree, order):
 
 
 def cmd_treefrom2d(args) -> int:
-    eps = _epsilon()
     cords = parse_cord_set(_read(args.cords))
     taxa = {t for c in cords for t in (c.a, c.b)}
     if len(taxa) < 3:
@@ -217,16 +213,15 @@ def cmd_treefrom2d(args) -> int:
     ordering = is_2dtree(cords)
     if ordering is None:
         raise CordFormatError("the cord set is not a 2d-tree")
-    tree = tree_from_2dtree(cords, ordering, certify=args.certify, eps=eps)
+    tree = tree_from_2dtree(cords, ordering, certify=args.certify)
     print(f"ordering: {','.join(ordering)}", file=sys.stderr)
     _write(args.out, tree.newick() + "\n")
     return EXIT_OK
 
 
 def cmd_closure(args) -> int:
-    eps = _epsilon()
-    distances = parse_cord_distances(_read(args.distances), eps=eps)
-    trace = closure(distances, eps=eps, exact_rational=args.exact_rational)
+    distances = parse_cord_distances(_read(args.distances), eps=args.eps)
+    trace = closure(distances, eps=args.eps, exact_rational=args.exact_rational)
     if args.trace:
         _write(args.trace, "".join(line + "\n" for line in trace.lines()))
     _write(args.out, format_cord_distances(trace.final))
@@ -237,7 +232,6 @@ def cmd_closure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    eps = _epsilon()
     if args.n < 3:
         raise CordFormatError("--n must be at least 3")
     if args.trials < 1:
@@ -270,7 +264,7 @@ def cmd_simulate(args) -> int:
         recovered = False
         steps = 0
         if kept:
-            result = reconstruct(induced_distance(tree, kept), eps=eps)
+            result = reconstruct(induced_distance(tree, kept), eps=args.eps)
             steps = len(result.trace.steps)
             recovered = (
                 result.ok
@@ -365,7 +359,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("treefrom2d", help="build a tree lassoed by a 2d-tree cord set")
     p.add_argument("cords", help="cord-set file")
     p.add_argument("-o", "--out", default=None, help="output Newick path (default stdout)")
-    p.add_argument("--certify", action="store_true", help="check closure completeness of the result")
+    p.add_argument(
+        "--certify", action="store_true", help="check that the cords are a shellable lasso of the result"
+    )
     p.set_defaults(func=cmd_treefrom2d)
 
     p = sub.add_parser("closure", help="run the raw distance-extension fixpoint")
@@ -390,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # No RecursionError handler: the library never recurses on input size.
     try:
+        args.eps = _epsilon()
         return args.func(args)
     except (NewickError, CordFormatError, TreeError, ValueError) as exc:
         if isinstance(exc, (InconsistentDistanceError, NonAdditiveError)):

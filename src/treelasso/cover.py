@@ -111,11 +111,11 @@ def closest_leaf_transversal(
         raise TreeError("closest/furthest transversals need a proper edge weighting")
     rank = _rank_of(tiebreak if tiebreak is not None else sorted(tree.taxa), tree)
 
-    f: Transversal = {}
-    for u, v, _ in tree.edges():
-        for near, far in ((u, v), (v, u)):
+    f: Transversal = {frozenset((t,)): t for t in tree.taxa}  # a leaf's own cluster
+    for near in tree.interior_vertices():
+        dist = tree.vertex_distances(near)  # one search for all its clusters
+        for far in tree.neighbors(near):
             cluster = tree.side_leaves(near, far)
-            dist = tree.vertex_distances(near)
             scores = {leaf: dist[tree.leaf_vertex(leaf)] for leaf in cluster}
             best = min(scores.values()) if mode == "closest" else max(scores.values())
             tol = eps * max(1.0, abs(best))

@@ -13,9 +13,20 @@ Tree B ("snowflake6") is the 6-taxon tree with three cherries {a,a'},
 cp) because apostrophes are outside the taxon-label alphabet.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
+import treelasso
 from treelasso import Cord, parse_newick
+
+# The tests that run `python -m treelasso` in a subprocess need the package
+# this suite imports, also when it comes from pyproject.toml's pytest
+# pythonpath rather than from an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(treelasso.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 CATERPILLAR7_NEWICK = "(a:1,b:1,(c:1,(d:1,(e:1,(f:1,g:1):1):1):1):1);"
 SNOWFLAKE6_NEWICK = "(a:1,ap:1,((b:1,bp:1):1,(c:1,cp:1):1):1);"
