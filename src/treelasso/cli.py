@@ -123,6 +123,9 @@ def cmd_classify(args) -> int:
     if stray:
         raise CordFormatError(f"cords mention taxa not in the tree: {sorted(stray)!r}")
 
+    # The oracle runs first: when it rejects the input, nothing is printed.
+    if args.oracle_topological:
+        witness = topological_lasso_oracle(tree, cords, eps=args.eps)
     checks = graph_necessary_checks(cords, tree.taxa)
     print(f"connected\t{_yes(checks.connected)}")
     print(f"non-bipartite\t{_yes(checks.all_components_non_bipartite)}")
@@ -140,19 +143,11 @@ def cmd_classify(args) -> int:
     n_edges = len(tree.edges())
     print(f"edge-weight-lasso\t{_yes(edge_weight_lasso_certificate(tree, cords))}\trank-target={n_edges}")
     if args.oracle_topological:
-        witness = topological_lasso_oracle(tree, cords, eps=args.eps)
         if witness is None:
             print("topological-oracle\tgenerically-topological")
         else:
-            print(f"topological-oracle\trefuted\t{_newick_or_splits(witness)}")
+            print(f"topological-oracle\trefuted\t{witness.newick()}")
     return EXIT_OK
-
-
-def _newick_or_splits(tree) -> str:
-    try:
-        return tree.newick()
-    except TreeError:
-        return repr(tree)
 
 
 def cmd_gencover(args) -> int:

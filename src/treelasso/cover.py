@@ -12,7 +12,7 @@ builds and checks the combinatorial objects.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cords import Cord, _cords_over
 from .tolerance import DEFAULT_EPSILON
@@ -41,35 +41,23 @@ def is_transversal(f: Mapping[frozenset, str], tree: XTree) -> bool:
 def stability_violation(
     f: Mapping[frozenset, str], tree: XTree
 ) -> tuple[frozenset, frozenset] | None:
-    """A witnessing cluster pair (A, B) with f(A) in B ⊆ A but f(A) != f(B).
+    """A witnessing cluster pair (A, B) with f(A) in B ⊊ A but f(A) != f(B).
 
-    Returns None when no pair violates stability.  Pairs are scanned in a
-    deterministic order so the witness is reproducible.
-
-    A first pass compares each cluster A, the side of an edge, only with its
-    child clusters: the sides of the next edges away from A's edge.  That
-    decides stability in O(n) lookups.  A cluster B ⊊ A is the side of an
-    edge inside A, so a chain of child clusters leads from A down to B; if
-    f(A) ∈ B, every cluster on the chain contains f(A), and agreement with
-    each child carries f(A) down to B.  Only when some child disagrees does
-    the scan for the witness run.
+    Returns None when no pair violates stability.  Each cluster A, the side
+    of an edge, is compared only with its child clusters, the sides of the
+    next edges away from A's edge.  That decides stability in O(n) lookups:
+    a chain of child clusters leads from A down to any B ⊊ A, and if f(A) ∈ B
+    agreement along it carries f(A) down to B.  The witness is the first
+    disagreeing pair in ``tree.edges()`` order, so B is a child cluster of A.
     """
     side = {}
     for u, v, _ in tree.edges():
         side[u, v], side[v, u] = tree.side_leaves(u, v), tree.side_leaves(v, u)
-    clusters = _require_total(f, frozenset(side.values()))
-    if all(
-        f[side[w, u]] == f[a]
-        for (u, v), a in side.items()
-        for w in tree.neighbors(u)
-        if w != v and f[a] in side[w, u]
-    ):
-        return None
-    clusters = sorted(clusters, key=lambda c: (len(c), sorted(c)))
-    for b, a in itertools.combinations(clusters, 2):
-        # sorted by size, so b can only be the subset of the pair
-        if f[a] in b and b < a and f[a] != f[b]:
-            return (a, b)
+    _require_total(f, frozenset(side.values()))
+    for (u, v), a in side.items():
+        for b in (side[w, u] for w in tree.neighbors(u) if w != v):
+            if f[a] in b and f[b] != f[a]:
+                return (a, b)
     return None
 
 
@@ -154,44 +142,66 @@ def triplet_cover(tree: XTree, f: Mapping[frozenset, str], force: bool = False) 
 
 
 def is_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
-    """Does L hit every pair of components at every interior vertex?"""
+    """Does L hit every pair of components at every interior vertex?  Each
+    pair holds a child side c, and is joined when ``reach[c]``, the OR of the
+    partner bitsets of the taxa below c, meets the other side."""
     if not tree.is_fully_resolved():
         raise TreeError("covers are defined for fully-resolved trees")
-    cords = _cords_over(cords, tree)
-    for v in tree.interior_vertices():
-        components = tree.components(v)
-        where = {t: i for i, comp in enumerate(components) for t in comp}
-        hit = set()
-        for c in cords:
-            ia, ib = where[c.a], where[c.b]
-            if ia != ib:
-                hit.add(frozenset((ia, ib)))
-        if len(hit) < 3:
-            return False
-    return True
+    index = tree._index
+    partners = _partner_bits(cords, tree)
+    reach = dict.fromkeys(index.order, 0)
+    reach.update((tree.leaf_vertex(t), bits) for t, bits in zip(index.taxa, partners))
+    for v in reversed(index.order[1:]):
+        reach[index.parent[v]] |= reach[v]
+    return all(
+        reach[c] & other
+        for children, sides in _sides(tree)
+        for i, c in enumerate(children)
+        for other in sides[i + 1 :]
+    )
 
 
 def is_triplet_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
     """Does L contain, at every interior vertex, a full triangle with one
-    corner in each of the three components?"""
+    corner in each of the three components?  With v's sides smallest first:
+    a taxon a of the first, a partner of a in the second, and a common
+    partner in the third; only the smallest sides, O(n log n), are walked."""
     if not tree.is_fully_resolved():
         raise TreeError("triplet covers are defined for fully-resolved trees")
-    cords = _cords_over(cords, tree)
-    for v in tree.interior_vertices():
-        components = tree.components(v)
-        where = {t: i for i, comp in enumerate(components) for t in comp}
-        if not _has_rainbow_triangle(cords, where, components):
+    partners = _partner_bits(cords, tree)
+    for _, sides in _sides(tree):
+        first, second, third = sorted(sides, key=int.bit_count)
+        if not any(
+            partners[a] & partners[b] & third
+            for a in _bit_indices(first)
+            for b in _bit_indices(partners[a] & second)
+        ):
             return False
     return True
 
 
-def _has_rainbow_triangle(cords, where, components) -> bool:
-    for c in cords:
-        ia, ib = where[c.a], where[c.b]
-        if ia == ib:
-            continue
-        (ic,) = {0, 1, 2} - {ia, ib}
-        for t in components[ic]:
-            if Cord(c.a, t) in cords and Cord(c.b, t) in cords:
-                return True
-    return False
+def _partner_bits(cords: Iterable[Cord], tree: XTree) -> list[int]:
+    """Per taxon i, the bitset of its cord partners, bits as in ``below``."""
+    bit = {label: i for i, label in enumerate(tree._index.taxa)}
+    partners = [0] * len(bit)
+    for c in _cords_over(cords, tree):
+        partners[bit[c.a]] |= 1 << bit[c.b]
+        partners[bit[c.b]] |= 1 << bit[c.a]
+    return partners
+
+
+def _sides(tree: XTree) -> Iterator[tuple[list[int], list[int]]]:
+    """Per interior vertex: its children, and its sides' bitsets, theirs first."""
+    index = tree._index
+    for v in tree.interior_vertices():
+        children = [w for w in tree.neighbors(v) if index.parent[w] == v]
+        up = [] if index.parent[v] is None else [index.full ^ index.below[v]]
+        yield children, [index.below[w] for w in children] + up
+
+
+def _bit_indices(bits: int) -> Iterator[int]:
+    """Positions of the set bits, lowest first, computed as they are read."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low

@@ -291,25 +291,18 @@ class XTree:
 
     def clusters(self) -> frozenset[frozenset[str]]:
         """Both sides of every edge-induced split (the clusters of the tree)."""
-        out = set()
-        for u, v, _ in self.edges():
-            out.add(self.side_leaves(u, v))
-            out.add(self.side_leaves(v, u))
-        return frozenset(out)
+        return frozenset().union(*self.splits())
 
     def splits(self) -> frozenset[Split]:
         """Every edge-induced bipartition of the taxon set."""
-        out = set()
-        for u, v, _ in self.edges():
-            out.add(frozenset({self.side_leaves(u, v), self.side_leaves(v, u)}))
-        return frozenset(out)
+        return frozenset(self.split_weights())
 
     def split_weights(self) -> dict[Split, float]:
-        """Map each edge-induced split to its edge weight."""
-        out = {}
-        for u, v, w in self.edges():
-            out[frozenset({self.side_leaves(u, v), self.side_leaves(v, u)})] = w
-        return out
+        """Map each edge-induced split (one per edge: no degree 2) to its weight."""
+        return {
+            frozenset({self.side_leaves(u, v), self.side_leaves(v, u)}): w
+            for u, v, w in self.edges()
+        }
 
     def cherries(self) -> list[tuple[str, str]]:
         """All leaf pairs sharing a neighbour, each pair sorted, list sorted."""

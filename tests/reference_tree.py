@@ -1,8 +1,10 @@
 """Test-only reference tree queries: the per-query breadth-first searches
 that XTree's rooted index replaced, and the all-pairs stability scan that
-cover.stability_violation now runs only after its local pass finds a fault.
-The differential tests compare them with the library on seeded trees;
-nothing in the library imports this module.
+cover.stability_violation once ran for its witness.  The scan is now only a
+reference: the library's witness is the first pair its local pass rejects,
+so the stability test compares verdicts, not witnesses.  The differential
+tests compare the rest with the library on seeded trees; nothing in the
+library imports this module.
 """
 
 import itertools

@@ -116,6 +116,30 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", snowflake_nwk, str(cords_path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "n, cords, message",
+        [(10, "cover", "oracle supports at most 9 taxa, got 10"), (5, "", "oracle needs a non-empty cord set")],
+        ids=["ten-taxa", "no-cords"],
+    )
+    def test_oracle_rejection_prints_no_verdicts(self, capsys, tmp_path, n, cords, message):
+        # The oracle runs before the first verdict line, so an input it
+        # rejects leaves stdout empty rather than a partial report.
+        from treelasso import format_cord_set, min_order_transversal, random_tree, triplet_cover
+
+        tree = random_tree(n, seed=1)
+        tree_path = tmp_path / "tree.nwk"
+        tree_path.write_text(tree.newick() + "\n")
+        cords_path = tmp_path / "cords.tsv"
+        if cords:
+            cords = format_cord_set(triplet_cover(tree, min_order_transversal(tree)))
+        cords_path.write_text(cords)
+        code, out, err = run(
+            capsys, "classify", str(tree_path), str(cords_path), "--oracle-topological"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestGencoverCommand:
     def test_example3_assignment_file(self, capsys, tmp_path, snowflake_nwk, cover9):
@@ -169,6 +193,27 @@ class TestGencoverCommand:
         code, out, _ = run(capsys, "gencover", str(tree_path))
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_unstable_assignment_exit_1(self, capsys, tmp_path):
+        # Re-pick one cherry cluster of the min-rule transversal to its
+        # larger taxon, where some larger cluster still picks the smaller.
+        from treelasso import min_order_transversal, random_tree, stability_violation
+
+        tree = random_tree(400, seed=1)
+        f = min_order_transversal(tree)
+        for x, y in tree.cherries():
+            unstable = dict(f)
+            unstable[frozenset({x, y})] = y
+            if stability_violation(unstable, tree) is not None:
+                break
+        tree_path = tmp_path / "tree.nwk"
+        tree_path.write_text(tree.newick() + "\n")
+        assignment = tmp_path / "assignment.tsv"
+        assignment.write_text(f"{x},{y}\t{y}\n")
+        code, out, err = run(capsys, "gencover", str(tree_path), "--assignment", str(assignment))
+        assert code == 1
+        assert out == ""
+        assert "transversal is not stable" in err
 
     def test_closest_and_furthest_modes(self, capsys, tmp_path, snowflake_nwk):
         for mode in ("closest", "furthest"):
