@@ -181,8 +181,7 @@ def cmd_gencover(args) -> int:
 def _parse_assignment(text: str, tree, order):
     """Transversal file: per line 'taxon1,taxon2,...<TAB>image-taxon'.
     Clusters not listed fall back to the min rule under *order*."""
-    f = min_order_transversal(tree, order)
-    clusters = tree.clusters()
+    f = min_order_transversal(tree, order)  # its keys are the clusters of the tree
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -192,7 +191,7 @@ def _parse_assignment(text: str, tree, order):
             raise CordFormatError("expected 'taxa,...<TAB>image'", lineno)
         cluster = frozenset(t.strip() for t in fields[0].split(","))
         image = fields[1].strip()
-        if cluster not in clusters:
+        if cluster not in f:
             raise CordFormatError(f"{{{fields[0]}}} is not a cluster of the tree", lineno)
         if image not in cluster:
             raise CordFormatError(f"image {image!r} is outside the cluster", lineno)

@@ -11,7 +11,6 @@ builds and checks the combinatorial objects.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cords import Cord, _cords_over
@@ -22,20 +21,25 @@ from .tree import TreeError, XTree
 Transversal = dict
 
 
-def _require_total(f: Mapping[frozenset, str], clusters: frozenset) -> frozenset:
-    missing = [c for c in clusters if c not in f]
-    if missing:
-        shown = ",".join(sorted(min(missing, key=min)))
-        raise ValueError(
-            f"transversal is missing {len(missing)} cluster(s), e.g. {{{shown}}}"
-        )
-    return clusters
+def _checked(f: Mapping[frozenset, str], tree: XTree) -> tuple[dict, tuple | None]:
+    """The tree's side table, once f is checked to map every cluster in it,
+    and the first pair in it that breaks stability (see stability_violation)."""
+    side = tree._side_table()
+    missing = [c for c in side.values() if c not in f]
+    if missing:  # the first in table order, whatever the string hash
+        shown = ",".join(sorted(missing[0]))
+        raise ValueError(f"transversal is missing {len(missing)} cluster(s), e.g. {{{shown}}}")
+    for (u, v), a in side.items():
+        for b in (side[w, u] for w in tree.neighbors(u) if w != v):
+            if f[a] in b and f[b] != f[a]:
+                return side, (a, b)
+    return side, None
 
 
 def is_transversal(f: Mapping[frozenset, str], tree: XTree) -> bool:
     """f picks a member of every cluster of the tree."""
-    clusters = _require_total(f, tree.clusters())
-    return all(f[c] in c for c in clusters)
+    side, _ = _checked(f, tree)
+    return all(f[c] in c for c in side.values())
 
 
 def stability_violation(
@@ -50,22 +54,13 @@ def stability_violation(
     agreement along it carries f(A) down to B.  The witness is the first
     disagreeing pair in ``tree.edges()`` order, so B is a child cluster of A.
     """
-    side = {}
-    for u, v, _ in tree.edges():
-        side[u, v], side[v, u] = tree.side_leaves(u, v), tree.side_leaves(v, u)
-    _require_total(f, frozenset(side.values()))
-    for (u, v), a in side.items():
-        for b in (side[w, u] for w in tree.neighbors(u) if w != v):
-            if f[a] in b and f[b] != f[a]:
-                return (a, b)
-    return None
+    return _checked(f, tree)[1]
 
 
 def is_stable(f: Mapping[frozenset, str], tree: XTree) -> bool:
     """Transversality plus stability over all nested cluster pairs."""
-    if not is_transversal(f, tree):
-        return False
-    return stability_violation(f, tree) is None
+    side, witness = _checked(f, tree)
+    return witness is None and all(f[c] in c for c in side.values())
 
 
 def min_order_transversal(tree: XTree, order: Sequence[str] | None = None) -> Transversal:
@@ -74,10 +69,8 @@ def min_order_transversal(tree: XTree, order: Sequence[str] | None = None) -> Tr
     *order* is a permutation of the taxa (default: sorted labels).  Stability
     is automatic: if min A lands in B ⊆ A then min B = min A.
     """
-    if order is None:
-        order = sorted(tree.taxa)
     rank = _rank_of(order, tree)
-    return {c: min(c, key=rank.__getitem__) for c in tree.clusters()}
+    return {c: min(c, key=rank.__getitem__) for c in tree._side_table().values()}
 
 
 def closest_leaf_transversal(
@@ -97,13 +90,14 @@ def closest_leaf_transversal(
         raise ValueError(f"mode must be 'closest' or 'furthest', got {mode!r}")
     if not tree.is_properly_weighted():
         raise TreeError("closest/furthest transversals need a proper edge weighting")
-    rank = _rank_of(tiebreak if tiebreak is not None else sorted(tree.taxa), tree)
+    rank = _rank_of(tiebreak, tree)
 
+    side = tree._side_table()
     f: Transversal = {frozenset((t,)): t for t in tree.taxa}  # a leaf's own cluster
     for near in tree.interior_vertices():
         dist = tree.vertex_distances(near)  # one search for all its clusters
         for far in tree.neighbors(near):
-            cluster = tree.side_leaves(near, far)
+            cluster = side[near, far]
             scores = {leaf: dist[tree.leaf_vertex(leaf)] for leaf in cluster}
             best = min(scores.values()) if mode == "closest" else max(scores.values())
             tol = eps * max(1.0, abs(best))
@@ -112,7 +106,8 @@ def closest_leaf_transversal(
     return f
 
 
-def _rank_of(order: Sequence[str], tree: XTree) -> dict[str, int]:
+def _rank_of(order: Sequence[str] | None, tree: XTree) -> dict[str, int]:
+    order = sorted(tree.taxa) if order is None else order
     if set(order) != tree.taxa or len(order) != tree.n_leaves:
         raise ValueError("order must be a permutation of the taxon set")
     return {label: i for i, label in enumerate(order)}
@@ -128,16 +123,18 @@ def triplet_cover(tree: XTree, f: Mapping[frozenset, str], force: bool = False) 
     """
     if not tree.is_fully_resolved():
         raise TreeError("triplet covers are defined for fully-resolved trees")
-    if not is_transversal(f, tree):
+    side, witness = _checked(f, tree)
+    if not all(f[c] in c for c in side.values()):
         raise ValueError("f is not a transversal: some f(A) is outside A")
-    if not force and stability_violation(f, tree) is not None:
-        raise ValueError(
-            "transversal is not stable (pass force=True for a plain triplet cover)"
-        )
+    if witness and not force:
+        a, b = witness
+        shown = ",".join(sorted(b)[:10]) + (",…" if len(b) > 10 else "")
+        raise ValueError(f"transversal is not stable: f(A) = {f[a]} lies in B but f(B) = {f[b]}, "
+                         f"with |A| = {len(a)}, |B| = {len(b)}, B = {{{shown}}}")
     cords = set()
     for v in tree.interior_vertices():
-        images = [f[component] for component in tree.components(v)]
-        cords.update(Cord(x, y) for x, y in itertools.combinations(images, 2))
+        x, y, z = (f[side[w, v]] for w in tree.neighbors(v))
+        cords.update((Cord(x, y), Cord(x, z), Cord(y, z)))
     return frozenset(cords)
 
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -216,10 +217,49 @@ class ShellingStep:
         return f"{self.cord.a} {self.cord.b} | pivots {self.pivots[0]} {self.pivots[1]}"
 
 
+class _MissingCords(AbstractSet):
+    """Read-only set of the cords that a known-mask over *taxa* leaves out.
+
+    It keeps the n x n mask, not one Cord per missing pair; a Cord is built
+    only when the set is iterated.  Equal to the frozenset of the same cords.
+    """
+
+    def __init__(self, taxa: Sequence[str], known: np.ndarray):
+        self._taxa, self._known = list(taxa), known
+        self._index = {t: i for i, t in enumerate(self._taxa)}
+
+    def __contains__(self, cord) -> bool:
+        try:
+            return not self._known[self._index[cord.a], self._index[cord.b]]
+        except (AttributeError, KeyError):  # not a Cord, or not over these taxa
+            return False
+
+    def __iter__(self) -> Iterator[Cord]:
+        for i, a in enumerate(self._taxa):  # row by row: no n^2 index arrays
+            for j in (np.flatnonzero(~self._known[i, i + 1 :]) + i + 1).tolist():
+                yield Cord(a, self._taxa[j])
+
+    def __len__(self) -> int:  # the mask is symmetric with a False diagonal
+        n = len(self._taxa)
+        return n * (n - 1) // 2 - int(np.count_nonzero(self._known)) // 2
+
+    __hash__ = AbstractSet._hash
+
+    @classmethod
+    def _from_iterable(cls, cords):  # what set operators such as - return
+        return frozenset(cords)
+
+
 @dataclass(frozen=True)
 class ShellingResult:
+    """The shelling steps found, and the cords they leave underived.
+
+    is_shellable gives *missing* as a lazy read-only view over the engine's
+    known-mask; any set of Cords, such as a frozenset, may be passed in.
+    """
+
     steps: tuple[ShellingStep, ...]
-    missing: frozenset[Cord]
+    missing: AbstractSet[Cord]
 
     @property
     def is_complete(self) -> bool:
@@ -259,12 +299,7 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     hops = {c: tree._hops(c.a, c.b) for c in present}
     derivations, known = _extend(taxa, hops, 0.0, cross_check=False)
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
-    missing = frozenset(  # row by row: no n^2 index arrays or all_cords
-        Cord(taxa[i], taxa[j])
-        for i in range(len(taxa))
-        for j in (np.flatnonzero(~known[i, i + 1 :]) + i + 1).tolist()
-    )
-    return ShellingResult(steps, missing)
+    return ShellingResult(steps, _MissingCords(taxa, known))
 
 
 def verify_shelling(

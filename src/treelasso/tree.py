@@ -284,6 +284,10 @@ class XTree:
             return index.members(index.below[u])
         return index.members(index.full ^ index.below[v])
 
+    def _side_table(self) -> dict[tuple[int, int], frozenset[str]]:
+        """u's side of each edge {u, v}, keyed (u, v): ``edges()`` order, u's side first."""
+        return {p: self.side_leaves(*p) for u, v, _ in self.edges() for p in ((u, v), (v, u))}
+
     def components(self, v: int) -> tuple[frozenset[str], ...]:
         """Leaf sets of the components of T - v, sorted by smallest label."""
         comps = [self.side_leaves(nb, v) for nb in self._adj[v]]
@@ -291,7 +295,7 @@ class XTree:
 
     def clusters(self) -> frozenset[frozenset[str]]:
         """Both sides of every edge-induced split (the clusters of the tree)."""
-        return frozenset().union(*self.splits())
+        return frozenset(self._side_table().values())
 
     def splits(self) -> frozenset[Split]:
         """Every edge-induced bipartition of the taxon set."""
@@ -299,10 +303,8 @@ class XTree:
 
     def split_weights(self) -> dict[Split, float]:
         """Map each edge-induced split (one per edge: no degree 2) to its weight."""
-        return {
-            frozenset({self.side_leaves(u, v), self.side_leaves(v, u)}): w
-            for u, v, w in self.edges()
-        }
+        side = self._side_table()
+        return {frozenset({side[u, v], side[v, u]}): w for u, v, w in self.edges()}
 
     def cherries(self) -> list[tuple[str, str]]:
         """All leaf pairs sharing a neighbour, each pair sorted, list sorted."""

@@ -1,15 +1,20 @@
 """Test-only references for the cover module, each as it was before a
 rewrite: closest_leaf_transversal before each interior vertex's distance
 search was shared by its clusters (it searches the whole tree once per
-oriented edge), and is_cover and is_triplet_cover before they read partner
+oriented edge); is_cover and is_triplet_cover before they read partner
 bitsets off the rooted index (they map every taxon to its component at each
-interior vertex and scan every cord).  The differential tests compare them
-with the library on seeded sweeps; nothing in the library imports this
-module.
+interior vertex and scan every cord); and is_transversal,
+stability_violation and triplet_cover before they shared one side table
+(each builds its own cluster label sets, through clusters(), side_leaves()
+and components()).  The differential tests compare them with the library on
+seeded sweeps; nothing in the library imports this module.
 """
+
+import itertools
 
 from treelasso.cords import Cord
 from treelasso.tolerance import DEFAULT_EPSILON
+from treelasso.tree import TreeError
 
 
 def per_edge_closest_leaf_transversal(tree, mode="closest", tiebreak=None, eps=DEFAULT_EPSILON):
@@ -68,3 +73,47 @@ def _has_rainbow_triangle(cords, where, components):
             if Cord(c.a, t) in cords and Cord(c.b, t) in cords:
                 return True
     return False
+
+
+def _require_total(f, clusters):
+    missing = [c for c in clusters if c not in f]
+    if missing:
+        shown = ",".join(sorted(min(missing, key=min)))
+        raise ValueError(f"transversal is missing {len(missing)} cluster(s), e.g. {{{shown}}}")
+    return clusters
+
+
+def is_transversal(f, tree):
+    """is_transversal as it was before the side table, on tree.clusters()."""
+    clusters = _require_total(f, tree.clusters())
+    return all(f[c] in c for c in clusters)
+
+
+def stability_violation(f, tree):
+    """stability_violation as it was before the side table: its own side
+    dict, one side_leaves() call per oriented edge."""
+    side = {}
+    for u, v, _ in tree.edges():
+        side[u, v], side[v, u] = tree.side_leaves(u, v), tree.side_leaves(v, u)
+    _require_total(f, frozenset(side.values()))
+    for (u, v), a in side.items():
+        for b in (side[w, u] for w in tree.neighbors(u) if w != v):
+            if f[a] in b and f[b] != f[a]:
+                return (a, b)
+    return None
+
+
+def triplet_cover(tree, f, force=False):
+    """triplet_cover as it was before the side table: is_transversal,
+    stability_violation and components() each rebuild the clusters."""
+    if not tree.is_fully_resolved():
+        raise TreeError("triplet covers are defined for fully-resolved trees")
+    if not is_transversal(f, tree):
+        raise ValueError("f is not a transversal: some f(A) is outside A")
+    if not force and stability_violation(f, tree) is not None:
+        raise ValueError("transversal is not stable (pass force=True for a plain triplet cover)")
+    cords = set()
+    for v in tree.interior_vertices():
+        images = [f[component] for component in tree.components(v)]
+        cords.update(Cord(x, y) for x, y in itertools.combinations(images, 2))
+    return frozenset(cords)

@@ -204,7 +204,8 @@ class TestGencoverCommand:
         for x, y in tree.cherries():
             unstable = dict(f)
             unstable[frozenset({x, y})] = y
-            if stability_violation(unstable, tree) is not None:
+            witness = stability_violation(unstable, tree)
+            if witness is not None:
                 break
         tree_path = tmp_path / "tree.nwk"
         tree_path.write_text(tree.newick() + "\n")
@@ -214,6 +215,11 @@ class TestGencoverCommand:
         assert code == 1
         assert out == ""
         assert "transversal is not stable" in err
+        # The message names the witness's two picks, and no library-only option.
+        a, b = witness
+        assert f"f(A) = {unstable[a]} " in err and f"f(B) = {unstable[b]}," in err
+        assert f"|A| = {len(a)}, |B| = {len(b)}, B = {{{','.join(sorted(b))}}}" in err
+        assert "force=True" not in err
 
     def test_closest_and_furthest_modes(self, capsys, tmp_path, snowflake_nwk):
         for mode in ("closest", "furthest"):

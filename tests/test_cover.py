@@ -129,10 +129,30 @@ class TestTripletCover:
     def test_rejects_non_stable_without_force(self, snowflake6, example3_transversal):
         f = dict(example3_transversal)
         f[frozenset({"b", "bp"})] = "bp"
-        with pytest.raises(ValueError, match="not stable"):
+        with pytest.raises(ValueError, match="not stable") as raised:
             triplet_cover(snowflake6, f)
+        assert str(raised.value) == (
+            "transversal is not stable: f(A) = b lies in B but f(B) = bp,"
+            " with |A| = 4, |B| = 2, B = {b,bp}"
+        )
         forced = triplet_cover(snowflake6, f, force=True)
         assert is_triplet_cover(snowflake6, forced)
+
+    def test_unstable_message_lists_ten_labels_of_b(self):
+        tree = random_tree(60, seed=2)
+        f = min_order_transversal(tree)
+        for cluster in sorted((c for c in f if len(c) > 11), key=sorted):
+            unstable = {**f, cluster: max(cluster)}
+            witness = stability_violation(unstable, tree)
+            if witness is not None and len(witness[1]) > 10:
+                break
+        else:
+            pytest.fail("no re-pick gives a witness B with more than 10 taxa")
+        a, b = witness
+        with pytest.raises(ValueError) as raised:
+            triplet_cover(tree, unstable)
+        shown = ",".join(sorted(b)[:10])
+        assert str(raised.value).endswith(f"|A| = {len(a)}, |B| = {len(b)}, B = {{{shown},…}}")
 
     def test_rejects_non_transversal(self, snowflake6, example3_transversal):
         f = dict(example3_transversal)

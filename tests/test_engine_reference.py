@@ -2,11 +2,14 @@
 is_shellable against the rescan and counting engines it replaced
 (reference_lasso.py), on seeded sweeps."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from treelasso import (
+    Cord,
     InconsistentDistanceError,
     PartialDistance,
     XTree,
@@ -15,6 +18,7 @@ from treelasso import (
     induced_distance,
     is_shellable,
     min_order_transversal,
+    parse_newick,
     random_tree,
     triplet_cover,
     verify_shelling,
@@ -112,8 +116,35 @@ def test_shellability_matches_counting_reference():
         for rng in (None, random.Random(seed)):
             got = is_shellable(tree, cords, rng=rng)
             assert got.missing == expected.missing, f"seed {seed}"
+            # missing is a view over the engine's known-mask: it reads as the
+            # eager frozenset under len, in, iteration and bool too.
+            assert len(got.missing) == len(expected.missing)
+            assert frozenset(got.missing) == expected.missing
+            assert all(c in got.missing for c in expected.missing)
+            assert not any(c in got.missing for c in cords)
+            assert bool(got.missing) == bool(expected.missing) == (not got)
             verify_shelling(tree, cords, got.steps)
             assert len(got.steps) == len(expected.steps)
             for step in got.steps:  # pivots (x, y) orient as  a x || y b
                 a, b = step.cord.a, step.cord.b
                 assert frozenset({a, step.pivots[0]}) in tree.quartet_topology(a, b, *step.pivots)
+
+
+def test_shelling_result_keeps_the_mask_not_the_cords():
+    # A 1500-leaf caterpillar with one cord leaves 1,124,249 cords missing;
+    # as Cord objects they took 126 MiB, the known-mask takes 2.2 MiB.
+    newick = "t0001"
+    for i in range(2, 1501):
+        newick = f"({newick},t{i:04d})"
+    tree = parse_newick(newick + ";")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = is_shellable(tree, [Cord("t0001", "t0002")])
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 2**20
+    assert len(result.missing) == 1500 * 1499 // 2 - 1
+    assert Cord("t0001", "t0003") in result.missing and Cord("t0001", "t0002") not in result.missing
