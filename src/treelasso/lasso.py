@@ -26,12 +26,28 @@ unit-hop distances with eps=0, run by the same engine.  A derivable cord
 stays derivable (the available set only grows and the quartet shape is a
 property of T alone), so the reachable set is a closure and any maximal
 greedy run finds it; order influences the trace, never the verdict.
+
+Placement answers "yes" without the engine.  Take an ordering of X that
+starts with a cord of L and gives each later taxon z two earlier
+neighbours a, b in L, and let S be the taxa before z.  z places when it
+hangs off the a-b path of T restricted to S+{z}: when the component of T-m
+holding z, m the median of a, b and z, holds no taxon of S.  On the tree's
+rooted index that is a lowest-common-ancestor walk for m and one AND of
+that component's leaf bitset with the bitset of S.  If every z places, L is
+shellable.  By induction all cords within S are available, and for s in S
+other than a, b, s lies in the component of T-m holding a or the one
+holding b, say a's.  Then T restricted to {z, a, b, s} is sa||bz, since the
+a-s path stays in a's component and the b-z path runs through m, and its
+other five cords are available: za and zb in L, the rest within S.  So zs
+is derivable with pivots a, b.  The converse is not proved, so a failed
+placement leaves the verdict to the engine.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
@@ -254,8 +270,9 @@ class _MissingCords(AbstractSet):
 class ShellingResult:
     """The shelling steps found, and the cords they leave underived.
 
-    is_shellable gives *missing* as a lazy read-only view over the engine's
-    known-mask; any set of Cords, such as a frozenset, may be passed in.
+    When the engine answers, is_shellable gives *missing* as a lazy
+    read-only view over its known-mask, and after a placement an empty
+    frozenset; any set of Cords may be passed in.
     """
 
     steps: tuple[ShellingStep, ...]
@@ -273,16 +290,25 @@ class ShellingResult:
 
 
 def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult:
-    """Greedy saturation of derivable cords; complete iff L is a shellable
-    lasso for the tree.
+    """Whether L is a shellable lasso for the tree, with the shelling steps;
+    complete exactly when it is.
 
     A cord ab is derivable once pivots x,y exist with the restriction to
-    {a,b,x,y} equal to ax||yb and the other five cords available: exactly
-    when the extension rule fires on the unit-hop leaf distances with eps=0.
-    The closure engine saturates over the tree's taxa, so the steps come in
-    lexicographic-rescan order.  *rng* (a random.Random) permutes the taxon
-    order the scan runs over; the verdict is unaffected (saturation is a
-    monotone closure), which the test suite exercises.
+    {a,b,x,y} equal to ax||yb and the other five cords available.  Inputs
+    with at least 2n-3 cords first try placement (see the module docstring):
+    a 2d-tree in its is_2dtree ordering, a larger L through a spanning
+    2d-subgraph built greedily from its smallest cord in a triangle.  When
+    every taxon places, the answer is yes, and the steps derive, taxon by
+    taxon in placement order, each cord from the new taxon z to an earlier
+    taxon, pivoted on z's two earlier neighbours.  The quartet engine never
+    runs.
+
+    Otherwise the closure engine saturates over the tree's taxa: exactly the
+    extension rule on the unit-hop leaf distances with eps=0.  Its steps come
+    in lexicographic-rescan order, and *rng* (a random.Random) permutes the
+    taxon order that scan runs over; the verdict is unaffected (saturation is
+    a monotone closure), which the test suite exercises.  A failed placement
+    proves nothing, so every "no" comes from the engine.
 
     The engine's cross-check is skipped because it cannot fire here: every
     value is the tree's exact integer hop distance.  The given ones are, and
@@ -292,14 +318,113 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
-    taxa = sorted(tree.taxa)
     present = _cords_over(cords, tree)
+    placement = _placement(tree, present)
+    if placement is not None:
+        return ShellingResult(_placement_steps(tree, present, *placement), frozenset())
+    taxa = sorted(tree.taxa)
     if rng is not None:
         rng.shuffle(taxa)
     hops = {c: tree._hops(c.a, c.b) for c in present}
     derivations, known = _extend(taxa, hops, 0.0, cross_check=False)
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
     return ShellingResult(steps, _MissingCords(taxa, known))
+
+
+def _placement(tree: XTree, cords: set[Cord]):
+    """Every taxon placed by a spanning 2d-subgraph of L, or None.
+
+    Returns the two starting taxa and, for each later taxon z in placement
+    order, (z, a, b, a_side): z's two earlier neighbours a and b, and the
+    leaf bitset of the component of T-m holding a, m the median of a, b and
+    z.  z places when the component of T-m holding z has no earlier taxon.
+    With fewer than 2n-3 cords there is no spanning 2d-subgraph.  With 2n-3
+    the ordering is is_2dtree's.  With more, the greedy starts from the
+    smallest cord in a triangle of L, and a taxon joins once a pair of its
+    placed neighbours places it, each new neighbour tried with the earlier
+    ones as it arrives.  A pair that fails never places later, as the
+    prefix only grows, so each is tried once.  Nothing iterates a set, so
+    the result does not depend on the string hash.
+    """
+    index = tree._index
+    n = len(index.taxa)
+    if len(cords) < 2 * n - 3:
+        return None
+    vertex, parent, depth, below = tree._leaf_by_label, index.parent, index.depth, index.below
+
+    def lca(u, v):
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return u
+
+    def side(m, x):  # leaf bitset of the component of T-m holding x
+        if not below[m] & below[x]:
+            return index.full ^ below[m]
+        while parent[x] != m:
+            x = parent[x]
+        return below[x]
+
+    placed, prefix = [], 0
+
+    def place(z, a, b) -> bool:
+        nonlocal prefix
+        va, vb, vz = vertex[a], vertex[b], vertex[z]
+        m = max(lca(va, vb), lca(va, vz), lca(vb, vz), key=depth.__getitem__)
+        if side(m, vz) & prefix:
+            return False
+        placed.append((z, a, b, side(m, va)))
+        prefix |= below[vz]
+        return True
+
+    if len(cords) == 2 * n - 3:
+        ordering = is_2dtree(cords, index.taxa)
+        if ordering is None:
+            return None
+        prefix = below[vertex[ordering[0]]] | below[vertex[ordering[1]]]
+        back = _back_neighbours(cords, ordering)
+        if all(place(z, a, b) for z, (a, b) in zip(ordering[2:], back)):
+            return ordering[:2], placed
+        return None
+
+    adj = _adjacency(cords, index.taxa)
+    start = next((c for c in sorted(cords) if not adj[c.a].isdisjoint(adj[c.b])), None)
+    if start is None:  # no triangle: nothing places
+        return None
+    neighbours = {t: sorted(adj[t]) for t in index.taxa}
+    heard: dict[str, list[str]] = {t: [] for t in index.taxa}  # placed neighbours, in order
+    prefix = below[vertex[start.a]] | below[vertex[start.b]]
+    queue = deque((start.a, start.b))
+    while queue:
+        v = queue.popleft()
+        for z in neighbours[v]:
+            if below[vertex[z]] & prefix:
+                continue
+            if any(place(z, a, v) for a in heard[z]):
+                queue.append(z)
+            else:
+                heard[z].append(v)
+    return ((start.a, start.b), placed) if prefix == index.full else None
+
+
+def _placement_steps(tree: XTree, cords: set[Cord], start, placed) -> tuple[ShellingStep, ...]:
+    """The shelling a placement certifies: for each later taxon z, pivots a
+    and b, each cord zs to an earlier taxon s not already in L, with s
+    paired with a when it lies in a's component of T-m."""
+    bit = {t: 1 << i for i, t in enumerate(tree._index.taxa)}
+    prefix = list(start)
+    steps = []
+    for z, a, b, a_side in placed:
+        for s in prefix:
+            cord = Cord(z, s)
+            if cord not in cords:
+                x, y = (a, b) if bit[s] & a_side else (b, a)  # quartet  s x || y z
+                steps.append(ShellingStep(cord, (x, y) if cord.a == s else (y, x)))
+        prefix.append(z)
+    return tuple(steps)
 
 
 def verify_shelling(
@@ -431,9 +556,12 @@ def tree_from_2dtree(
     and an earlier s branches off that path at an older vertex, so the
     quartet on {z, x_j, x_k, s} derives zs from five available cords: zx_j
     and zx_k are in L, the rest by induction, as z keeps the prefix quartets.
-    A shellable lasso is a strong lasso for every proper weighting.  The
-    float closure this replaces failed on fans: each split halves a weight,
-    to 2^-32 at 35 taxa, inside the 1e-9 tolerance.
+    A shellable lasso is a strong lasso for every proper weighting.  That
+    induction is placement (see the module docstring), so is_shellable
+    answers from the tree's index, without the quartet engine, in the
+    is_2dtree ordering.  The float closure this replaces failed on fans:
+    each split halves a weight, to 2^-32 at 35 taxa, inside the 1e-9
+    tolerance.
 
     The growing tree is kept as parent pointers, rooted at the leaf of
     ordering[0], with each vertex's weight to its parent.  The x_j-x_k path
@@ -583,13 +711,22 @@ def path_incidence_matrix(tree: XTree, cords: Iterable[Cord]) -> list[list[int]]
 
 def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     """True iff the distances on the cords determine the edge weights
-    uniquely: the path-incidence matrix has full column rank 2n-3."""
+    uniquely: the path-incidence matrix has full column rank 2n-3.
+
+    When L places (see is_shellable), the answer is True with no
+    elimination.  Each shelling step's four-point identity d(x,z) =
+    d(x,u)+d(y,z)-d(y,u) holds for every weighting of T, so it is a linear
+    identity between rows, and the rows of L span the row of every pair,
+    whose matrix has full column rank on a tree without degree-2 vertices.
+    """
     if not tree.is_fully_resolved():
         raise TreeError("the rank certificate assumes a fully-resolved tree")
-    cords = set(cords)
+    cords = _cords_over(cords, tree)
     n_edges = len(tree.edges())
     if len(cords) < n_edges:
         return False
+    if _placement(tree, cords) is not None:
+        return True
     return integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
 
 

@@ -364,6 +364,13 @@ class TestEdgeWeightLassoCertificate:
             t = random_tree(7, seed=seed)
             assert edge_weight_lasso_certificate(t, all_cords(t.taxa))
 
+    @pytest.mark.parametrize("extra", [0, 4])
+    def test_stray_taxa_raise_at_any_cord_count(self, quartet_abcd, extra):
+        # One stray cord sits below the size check, five reach the rank.
+        cords = {Cord("a", "z")} | set(sorted(all_cords("abcd"))[:extra])
+        with pytest.raises(KeyError, match=r"cords mention taxa outside the tree: \['z'\]"):
+            edge_weight_lasso_certificate(quartet_abcd, cords)
+
     def test_remark1_cords_fail_on_quartet(self, quartet_abcd, remark1_cords):
         # 5 cords, 5 edges, but the incidence matrix has rank 4: the two
         # wing rows ac-bc and ad-bd express the same difference a-b.
