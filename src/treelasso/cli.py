@@ -19,6 +19,7 @@ import time
 from .cords import (
     CordFormatError,
     all_cords,
+    cord_taxa,
     format_cord_distances,
     format_cord_set,
     graph_necessary_checks,
@@ -119,7 +120,7 @@ def cmd_classify(args) -> int:
     cords = parse_cord_set(_read(args.cords))
     if not tree.is_fully_resolved():
         raise TreeError("classify needs a fully-resolved tree")
-    stray = {t for c in cords for t in (c.a, c.b)} - tree.taxa
+    stray = cord_taxa(cords) - tree.taxa
     if stray:
         raise CordFormatError(f"cords mention taxa not in the tree: {sorted(stray)!r}")
 
@@ -140,8 +141,8 @@ def cmd_classify(args) -> int:
         print("2d-tree\tno")
     else:
         print(f"2d-tree\tyes\t{','.join(ordering)}")
-    n_edges = len(tree.edges())
-    print(f"edge-weight-lasso\t{_yes(edge_weight_lasso_certificate(tree, cords))}\trank-target={n_edges}")
+    lasso = shelling.is_complete or edge_weight_lasso_certificate(tree, cords)  # shellable => lasso
+    print(f"edge-weight-lasso\t{_yes(lasso)}\trank-target={len(tree.edges())}")
     if args.oracle_topological:
         if witness is None:
             print("topological-oracle\tgenerically-topological")
@@ -201,7 +202,7 @@ def _parse_assignment(text: str, tree, order):
 
 def cmd_treefrom2d(args) -> int:
     cords = parse_cord_set(_read(args.cords))
-    taxa = {t for c in cords for t in (c.a, c.b)}
+    taxa = cord_taxa(cords)
     if len(taxa) < 3:
         raise CordFormatError(f"need at least 3 taxa, the file mentions {len(taxa)}")
     ordering = is_2dtree(cords)

@@ -1,6 +1,7 @@
 """Cords (unordered taxon pairs), cord sets, and partial distance maps.
 
-A cord set L can be read as the graph (X, L) on the taxon set; a partial
+A Cord equals its sorted 2-tuple, hash included.  A cord set L can be read
+as the graph (X, L) on the taxon set, one partner bitset per taxon; a partial
 distance map assigns a non-negative value to each cord of its domain.  The
 file formats are line oriented: ``taxonA<TAB>taxonB`` for cord sets and
 ``taxonA<TAB>taxonB<TAB>decimal`` for distances, with '#' comments and blank
@@ -11,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from collections import namedtuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tolerance import DEFAULT_EPSILON, approx_equal
 from .tree import LABEL_PATTERN, XTree
@@ -29,24 +29,23 @@ class CordFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, order=True)
-class Cord:
-    """An unordered pair of distinct taxa; Cord('b','a') == Cord('a','b')."""
+class Cord(namedtuple("Cord", "a b")):
+    """An unordered pair of distinct taxa, kept sorted: Cord('b','a') == Cord('a','b') == ('a','b')."""
 
-    a: str
-    b: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"self-cord {self.a!r}")
-        if self.a > self.b:
-            first, second = self.b, self.a
-            object.__setattr__(self, "a", first)
-            object.__setattr__(self, "b", second)
+    def __new__(cls, a: str, b: str):
+        if a == b:
+            raise ValueError(f"self-cord {a!r}")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own skips __new__; _replace goes through it
+        return cls(*iterable)
 
     @property
     def taxa(self) -> frozenset[str]:
-        return frozenset((self.a, self.b))
+        return frozenset(self)
 
     def other(self, taxon: str) -> str:
         if taxon == self.a:
@@ -61,11 +60,11 @@ class Cord:
 
 def all_cords(taxa: Iterable[str]) -> frozenset[Cord]:
     """Every cord over the given taxa."""
-    return frozenset(Cord(a, b) for a, b in itertools.combinations(sorted(set(taxa)), 2))
+    return frozenset(itertools.starmap(Cord, itertools.combinations(sorted(set(taxa)), 2)))
 
 
 def cord_taxa(cords: Iterable[Cord]) -> frozenset[str]:
-    return frozenset(t for c in cords for t in (c.a, c.b))
+    return frozenset(itertools.chain.from_iterable(cords))
 
 
 class PartialDistance(Mapping):
@@ -195,16 +194,27 @@ def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:
     return cords
 
 
-def _adjacency(cords: set[Cord], taxa: Iterable[str]) -> dict[str, set[str]]:
-    """The graph (X, L) as neighbour sets; a taxon in no cord is isolated."""
-    adj: dict[str, set[str]] = {t: set() for t in taxa}
-    stray = cord_taxa(cords) - adj.keys()
+def _partner_bits(cords: Collection[Cord], taxa: Sequence[str]) -> list[int]:
+    """The graph (X, L) as one bitset per taxon: entry i holds bit j when
+    taxa[i] and taxa[j] share a cord.  Callers pass X sorted, so bit order is
+    label order; a taxon in no cord is isolated."""
+    bit = {t: i for i, t in enumerate(taxa)}
+    stray = cord_taxa(cords) - bit.keys()
     if stray:
         raise ValueError(f"cords mention taxa outside X: {sorted(stray)!r}")
-    for c in cords:
-        adj[c.a].add(c.b)
-        adj[c.b].add(c.a)
-    return adj
+    partners = [0] * len(taxa)
+    for a, b in cords:
+        partners[bit[a]] |= 1 << bit[b]
+        partners[bit[b]] |= 1 << bit[a]
+    return partners
+
+
+def _bit_indices(bits: int) -> Iterator[int]:
+    """Positions of the set bits, lowest first, computed as they are read."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class GraphChecks(NamedTuple):
@@ -216,27 +226,24 @@ def graph_necessary_checks(cords: Iterable[Cord], taxa: Iterable[str]) -> GraphC
     """Connectivity and per-component non-bipartiteness of the graph (X, L).
 
     Both must hold for L to be a strong lasso of any tree on X; taxa missing
-    from every cord count as isolated vertices.
+    from every cord count as isolated vertices.  From the lowest unreached
+    taxon, walks[p] gathers the taxa reached by walks of parity p: a search
+    of the bipartite double cover, one frontier at a time.  The component
+    has an odd cycle exactly when some taxon is in both walks[0] and walks[1].
     """
-    adj = _adjacency(set(cords), taxa)
-    color: dict[str, int] = {}
-    components = 0
-    all_odd = True
-    for start in sorted(adj):
-        if start in color:
-            continue
-        components += 1
-        component_has_odd_cycle = False
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for nb in adj[v]:
-                if nb not in color:
-                    color[nb] = 1 - color[v]
-                    queue.append(nb)
-                elif color[nb] == color[v]:
-                    component_has_odd_cycle = True
-        if not component_has_odd_cycle:
-            all_odd = False
-    return GraphChecks(components <= 1, all_odd)
+    partners = _partner_bits(set(cords), sorted(set(taxa)))
+    unreached = (1 << len(partners)) - 1
+    odd: list[bool] = []  # per component: does it hold an odd cycle?
+    while unreached:
+        walks = [unreached & -unreached, 0]
+        frontier, parity = walks[0], 0
+        while frontier:
+            parity ^= 1
+            reach = 0
+            for v in _bit_indices(frontier):
+                reach |= partners[v]
+            frontier = reach & ~walks[parity]
+            walks[parity] |= frontier
+        unreached &= ~(walks[0] | walks[1])
+        odd.append(bool(walks[0] & walks[1]))
+    return GraphChecks(len(odd) <= 1, all(odd))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cords import Cord, _cords_over
+from .cords import Cord, _bit_indices, _cords_over, _partner_bits
 from .tolerance import DEFAULT_EPSILON
 from .tree import TreeError, XTree
 
@@ -145,7 +145,7 @@ def is_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
     if not tree.is_fully_resolved():
         raise TreeError("covers are defined for fully-resolved trees")
     index = tree._index
-    partners = _partner_bits(cords, tree)
+    partners = _partner_bits(_cords_over(cords, tree), index.taxa)
     reach = dict.fromkeys(index.order, 0)
     reach.update((tree.leaf_vertex(t), bits) for t, bits in zip(index.taxa, partners))
     for v in reversed(index.order[1:]):
@@ -165,7 +165,7 @@ def is_triplet_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
     partner in the third; only the smallest sides, O(n log n), are walked."""
     if not tree.is_fully_resolved():
         raise TreeError("triplet covers are defined for fully-resolved trees")
-    partners = _partner_bits(cords, tree)
+    partners = _partner_bits(_cords_over(cords, tree), tree._index.taxa)
     for _, sides in _sides(tree):
         first, second, third = sorted(sides, key=int.bit_count)
         if not any(
@@ -177,16 +177,6 @@ def is_triplet_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
     return True
 
 
-def _partner_bits(cords: Iterable[Cord], tree: XTree) -> list[int]:
-    """Per taxon i, the bitset of its cord partners, bits as in ``below``."""
-    bit = {label: i for i, label in enumerate(tree._index.taxa)}
-    partners = [0] * len(bit)
-    for c in _cords_over(cords, tree):
-        partners[bit[c.a]] |= 1 << bit[c.b]
-        partners[bit[c.b]] |= 1 << bit[c.a]
-    return partners
-
-
 def _sides(tree: XTree) -> Iterator[tuple[list[int], list[int]]]:
     """Per interior vertex: its children, and its sides' bitsets, theirs first."""
     index = tree._index
@@ -195,10 +185,3 @@ def _sides(tree: XTree) -> Iterator[tuple[list[int], list[int]]]:
         up = [] if index.parent[v] is None else [index.full ^ index.below[v]]
         yield children, [index.below[w] for w in children] + up
 
-
-def _bit_indices(bits: int) -> Iterator[int]:
-    """Positions of the set bits, lowest first, computed as they are read."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low

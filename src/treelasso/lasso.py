@@ -52,11 +52,11 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _adjacency, _cords_over, all_cords, cord_taxa
+from .cords import Cord, PartialDistance, _bit_indices, _cords_over, _partner_bits, all_cords, cord_taxa
 from .tolerance import DEFAULT_EPSILON, approx_equal, definitely_less
 from .tree import TreeError, XTree
 
@@ -71,8 +71,7 @@ class InconsistentDistanceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureStep:
+class ClosureStep(NamedTuple):
     cord: Cord
     quadruple: tuple[str, str, str, str]  # (x, y, u, z) with cord == xz
     value: float
@@ -224,8 +223,7 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShellingStep:
+class ShellingStep(NamedTuple):
     cord: Cord
     pivots: tuple[str, str]  # (x, y): quartet is  cord.a x || y cord.b
 
@@ -245,9 +243,10 @@ class _MissingCords(AbstractSet):
         self._index = {t: i for i, t in enumerate(self._taxa)}
 
     def __contains__(self, cord) -> bool:
-        try:
-            return not self._known[self._index[cord.a], self._index[cord.b]]
-        except (AttributeError, KeyError):  # not a Cord, or not over these taxa
+        try:  # a Cord equals its sorted pair and nothing else, so only that pair is in
+            a, b = cord
+            return isinstance(cord, tuple) and a < b and not self._known[self._index[a], self._index[b]]
+        except (TypeError, ValueError, KeyError):  # not a pair, or not over these taxa
             return False
 
     def __iter__(self) -> Iterator[Cord]:
@@ -321,7 +320,7 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     present = _cords_over(cords, tree)
     placement = _placement(tree, present)
     if placement is not None:
-        return ShellingResult(_placement_steps(tree, present, *placement), frozenset())
+        return ShellingResult(_placement_steps(tree, *placement), frozenset())
     taxa = sorted(tree.taxa)
     if rng is not None:
         rng.shuffle(taxa)
@@ -334,23 +333,26 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
 def _placement(tree: XTree, cords: set[Cord]):
     """Every taxon placed by a spanning 2d-subgraph of L, or None.
 
-    Returns the two starting taxa and, for each later taxon z in placement
-    order, (z, a, b, a_side): z's two earlier neighbours a and b, and the
-    leaf bitset of the component of T-m holding a, m the median of a, b and
-    z.  z places when the component of T-m holding z has no earlier taxon.
-    With fewer than 2n-3 cords there is no spanning 2d-subgraph.  With 2n-3
-    the ordering is is_2dtree's.  With more, the greedy starts from the
-    smallest cord in a triangle of L, and a taxon joins once a pair of its
-    placed neighbours places it, each new neighbour tried with the earlier
-    ones as it arrives.  A pair that fails never places later, as the
-    prefix only grows, so each is tried once.  Nothing iterates a set, so
-    the result does not depend on the string hash.
+    Taxa are bit positions, as in the tree's leaf bitsets.  Returns the two
+    starting taxa; for each later taxon z in placement order, (z, a, b,
+    a_side): z's two earlier neighbours a and b, and the leaf bitset of the
+    component of T-m holding a, m the median of a, b and z; and L's partner
+    bitsets.  z places when the component of T-m holding z has no earlier
+    taxon.  With fewer than 2n-3 cords there is no spanning 2d-subgraph.
+    With 2n-3 the ordering is is_2dtree's, a before b.  With more, the
+    greedy starts from the smallest cord in a triangle of L, and a taxon
+    joins once a pair of its placed neighbours places it, each new neighbour
+    tried with the earlier ones as it arrives.  A pair that fails never
+    places later, as the prefix only grows, so each is tried once.  Nothing
+    iterates a set, so the result does not depend on the string hash.
     """
     index = tree._index
     n = len(index.taxa)
     if len(cords) < 2 * n - 3:
         return None
-    vertex, parent, depth, below = tree._leaf_by_label, index.parent, index.depth, index.below
+    parent, depth, below = index.parent, index.depth, index.below
+    leaf = [tree._leaf_by_label[t] for t in index.taxa]  # below[leaf[i]] == 1 << i
+    partners = _partner_bits(cords, index.taxa)
 
     def lca(u, v):
         while depth[u] > depth[v]:
@@ -372,57 +374,57 @@ def _placement(tree: XTree, cords: set[Cord]):
 
     def place(z, a, b) -> bool:
         nonlocal prefix
-        va, vb, vz = vertex[a], vertex[b], vertex[z]
+        va, vb, vz = leaf[a], leaf[b], leaf[z]
         m = max(lca(va, vb), lca(va, vz), lca(vb, vz), key=depth.__getitem__)
         if side(m, vz) & prefix:
             return False
         placed.append((z, a, b, side(m, va)))
-        prefix |= below[vz]
+        prefix |= 1 << z
         return True
 
     if len(cords) == 2 * n - 3:
-        ordering = is_2dtree(cords, index.taxa)
+        ordering = _peel(partners)
         if ordering is None:
             return None
-        prefix = below[vertex[ordering[0]]] | below[vertex[ordering[1]]]
-        back = _back_neighbours(cords, ordering)
-        if all(place(z, a, b) for z, (a, b) in zip(ordering[2:], back)):
-            return ordering[:2], placed
-        return None
+        position = {v: k for k, v in enumerate(ordering)}
+        prefix = 1 << ordering[0] | 1 << ordering[1]
+        for z in ordering[2:]:  # a 2d-tree ordering: two earlier neighbours each
+            if not place(z, *sorted(_bit_indices(partners[z] & prefix), key=position.__getitem__)):
+                return None
+        return ordering[:2], placed, partners
 
-    adj = _adjacency(cords, index.taxa)
-    start = next((c for c in sorted(cords) if not adj[c.a].isdisjoint(adj[c.b])), None)
+    start = next(
+        ((i, j) for i in range(n) for j in _bit_indices(partners[i]) if i < j and partners[i] & partners[j]),
+        None,
+    )
     if start is None:  # no triangle: nothing places
         return None
-    neighbours = {t: sorted(adj[t]) for t in index.taxa}
-    heard: dict[str, list[str]] = {t: [] for t in index.taxa}  # placed neighbours, in order
-    prefix = below[vertex[start.a]] | below[vertex[start.b]]
-    queue = deque((start.a, start.b))
+    heard: list[list[int]] = [[] for _ in range(n)]  # placed neighbours, in order
+    prefix = 1 << start[0] | 1 << start[1]
+    queue = deque(start)
     while queue:
         v = queue.popleft()
-        for z in neighbours[v]:
-            if below[vertex[z]] & prefix:
-                continue
+        for z in _bit_indices(partners[v] & ~prefix):  # placing z changes only z's bit
             if any(place(z, a, v) for a in heard[z]):
                 queue.append(z)
             else:
                 heard[z].append(v)
-    return ((start.a, start.b), placed) if prefix == index.full else None
+    return (start, placed, partners) if prefix == index.full else None
 
 
-def _placement_steps(tree: XTree, cords: set[Cord], start, placed) -> tuple[ShellingStep, ...]:
+def _placement_steps(tree: XTree, start, placed, partners) -> tuple[ShellingStep, ...]:
     """The shelling a placement certifies: for each later taxon z, pivots a
     and b, each cord zs to an earlier taxon s not already in L, with s
     paired with a when it lies in a's component of T-m."""
-    bit = {t: 1 << i for i, t in enumerate(tree._index.taxa)}
+    taxa = tree._index.taxa
     prefix = list(start)
     steps = []
     for z, a, b, a_side in placed:
+        joined = set(_bit_indices(partners[z]))
         for s in prefix:
-            cord = Cord(z, s)
-            if cord not in cords:
-                x, y = (a, b) if bit[s] & a_side else (b, a)  # quartet  s x || y z
-                steps.append(ShellingStep(cord, (x, y) if cord.a == s else (y, x)))
+            if s not in joined:
+                x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # s a || b z, lower end first
+                steps.append(ShellingStep(Cord(taxa[s], taxa[z]), (taxa[x], taxa[y])))
         prefix.append(z)
     return tuple(steps)
 
@@ -430,7 +432,7 @@ def _placement_steps(tree: XTree, cords: set[Cord], start, placed) -> tuple[Shel
 def verify_shelling(
     tree: XTree,
     cords: Iterable[Cord],
-    steps: Sequence[tuple[Cord, tuple[str, str]] | ShellingStep],
+    steps: Sequence[tuple[Cord, tuple[str, str]]],
     require_complete: bool = False,
 ) -> None:
     """Validate an explicit shelling ordering step by step.
@@ -442,16 +444,17 @@ def verify_shelling(
     the first failing step.
     """
     available = set(cords)
-    for i, step in enumerate(steps, start=1):
-        cord, (x, y) = (step.cord, step.pivots) if isinstance(step, ShellingStep) else step
+    for i, (cord, (x, y)) in enumerate(steps, start=1):
+        if len({*cord, x, y}) != 4:
+            raise ValueError(f"step {i}: cord {cord} and pivots {x}, {y} are not four distinct taxa")
         if cord in available:
             raise ValueError(f"step {i}: cord {cord} is already available")
-        companions = [Cord(p, q) for p, q in itertools.combinations((cord.a, cord.b, x, y), 2)]
+        companions = itertools.starmap(Cord, itertools.combinations((*cord, x, y), 2))
         absent = [c for c in companions if c != cord and c not in available]
         if absent:
             raise ValueError(f"step {i}: companion cord {absent[0]} not yet available")
         split = tree.quartet_topology(cord.a, cord.b, x, y)
-        if split is None or frozenset({cord.a, cord.b}) in split:
+        if split is None or cord.taxa in split:
             raise ValueError(
                 f"step {i}: quartet on {{{cord.a},{cord.b},{x},{y}}} does not "
                 f"separate {cord.a} from {cord.b}"
@@ -486,49 +489,50 @@ def is_2dtree(cords: Iterable[Cord], taxa: Iterable[str] | None = None) -> list[
     degree 2, so the peel never gets stuck on a 2d-tree.
     """
     cords = set(cords)
-    adj = _adjacency(cords, cord_taxa(cords) if taxa is None else taxa)
-    n = len(adj)
-    if n < 2 or len(cords) != 2 * n - 3:
-        return None
+    labels = sorted(cord_taxa(cords) if taxa is None else set(taxa))
+    ordering = _peel(_partner_bits(cords, labels))
+    return None if ordering is None else [labels[v] for v in ordering]
 
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    ready = [v for v, d in degree.items() if d == 2]
-    heapq.heapify(ready)
-    peeled: list[str] = []
-    while len(degree) > 2:
+
+def _peel(partners: list[int]) -> list[int] | None:
+    """is_2dtree's answer over taxon indices, smallest index first among the
+    degree-2 vertices, with its count check."""
+    degree = [p.bit_count() for p in partners]
+    if len(partners) < 2 or sum(degree) != 2 * (2 * len(partners) - 3):
+        return None
+    ready = [v for v, d in enumerate(degree) if d == 2]  # ascending, so a heap
+    alive = (1 << len(partners)) - 1
+    peeled: list[int] = []
+    for _ in range(len(partners) - 2):
         if not ready:
             return None
         # Degrees only fall, so a vertex enters the heap once, at degree 2.
         v = heapq.heappop(ready)
-        if degree.pop(v) != 2:
+        if degree[v] != 2:
             return None
+        alive ^= 1 << v
         peeled.append(v)
-        for u in adj[v]:
-            if u in degree:
-                degree[u] -= 1
-                if degree[u] == 2:
-                    heapq.heappush(ready, u)
-    return [*sorted(degree), *reversed(peeled)]
+        for u in _bit_indices(partners[v] & alive):
+            degree[u] -= 1
+            if degree[u] == 2:
+                heapq.heappush(ready, u)
+    return [*_bit_indices(alive), *reversed(peeled)]
 
 
 def _back_neighbours(cords: set[Cord], ordering: Sequence[str]) -> list[tuple[str, str]] | None:
     """The two earlier neighbours of each vertex after the first two, in
     ordering position, when *ordering* is a 2d-tree ordering of the cord set;
     otherwise None."""
-    if len(ordering) < 2:
-        return None
     # A repeated label leaves its earlier position with no cords, so the
     # back-neighbour counts below reject it.
-    position = {t: i for i, t in enumerate(ordering)}
-    back: list[list[int]] = [[] for _ in ordering]
-    for c in cords:
-        i, j = position.get(c.a), position.get(c.b)
-        if i is None or j is None:
-            return None
-        back[max(i, j)].append(min(i, j))
-    if back[1] != [0] or any(len(b) != 2 for b in back[2:]):
+    try:
+        partners = _partner_bits(cords, ordering)  # bits in ordering position
+    except ValueError:  # a cord off the ordering
         return None
-    return [(ordering[min(b)], ordering[max(b)]) for b in back[2:]]
+    back = [list(_bit_indices(p & (1 << k) - 1)) for k, p in enumerate(partners)]
+    if len(back) < 2 or back[1] != [0] or any(len(b) != 2 for b in back[2:]):
+        return None
+    return [(ordering[i], ordering[j]) for i, j in back[2:]]
 
 
 def verify_2dtree_ordering(cords: Iterable[Cord], ordering: Sequence[str]) -> bool:
@@ -718,6 +722,7 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     d(x,u)+d(y,z)-d(y,u) holds for every weighting of T, so it is a linear
     identity between rows, and the rows of L span the row of every pair,
     whose matrix has full column rank on a tree without degree-2 vertices.
+    The argument holds for any complete shelling, placed or not.
     """
     if not tree.is_fully_resolved():
         raise TreeError("the rank certificate assumes a fully-resolved tree")

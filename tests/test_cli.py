@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import treelasso.cli
 from treelasso import induced_distance, is_equivalent, parse_newick
 from treelasso.cli import main
 from conftest import REMARK1_PAIRS, SNOWFLAKE6_NEWICK
@@ -109,6 +110,22 @@ class TestClassifyCommand:
         assert report["shellable"] == "no"
         assert report["edge-weight-lasso"] == "no"
         assert report["topological-oracle"] == "refuted"
+
+    def test_complete_shelling_answers_the_rank_line(self, capsys, monkeypatch, tmp_path, snowflake_nwk, cover9):
+        cords_path = tmp_path / "cover.cords"
+        cords_path.write_text("".join(f"{c.a}\t{c.b}\n" for c in sorted(cover9)))
+        argv = ("classify", snowflake_nwk, str(cords_path), "--trace", "-")
+        expected = run(capsys, *argv)
+
+        def refuse(tree, cords):
+            raise AssertionError("the rank certificate ran on a shellable cord set")
+
+        monkeypatch.setattr(treelasso.cli, "edge_weight_lasso_certificate", refuse)
+        assert run(capsys, *argv) == expected
+        assert "edge-weight-lasso\tyes\trank-target=9\n" in expected[1]
+        cords_path.write_text("".join(f"{c.a}\t{c.b}\n" for c in sorted(cover9)[1:]))
+        with pytest.raises(AssertionError, match="rank certificate ran"):
+            main(list(argv))  # not shellable: the certificate answers
 
     def test_leaf_set_mismatch(self, capsys, tmp_path, snowflake_nwk):
         cords_path = tmp_path / "alien.cords"

@@ -37,6 +37,21 @@ class TestCord:
         cords = [Cord("b", "c"), Cord("a", "c"), Cord("a", "b")]
         assert sorted(cords) == [Cord("a", "b"), Cord("a", "c"), Cord("b", "c")]
 
+    def test_equals_its_sorted_pair(self):
+        cord = Cord("b", "a")
+        assert cord == ("a", "b") and hash(cord) == hash(("a", "b"))
+        assert cord != ("b", "a")
+        assert ("a", "b") in {cord} and cord in {("a", "b")}
+        assert repr(cord) == "Cord(a='a', b='b')"
+        assert str(cord) == "ab" and str(Cord("t10", "t02")) == "t02-t10"
+        assert cord.taxa == frozenset("ab") and cord.other("a") == "b"
+
+    def test_namedtuple_constructors_normalise(self):
+        assert Cord._make(("b", "a")) == ("a", "b")
+        assert Cord("a", "b")._replace(a="z") == ("b", "z")
+        with pytest.raises(ValueError, match="self-cord"):
+            Cord("a", "b")._replace(a="b")
+
 
 class TestParseCordDistances:
     def test_published_three_cord_file(self):

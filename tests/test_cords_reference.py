@@ -1,0 +1,65 @@
+"""Differential test against the colour-dict breadth-first search that
+graph_necessary_checks used before it read partner bitsets
+(reference_cords.py), on seeded random graphs built from isolated taxa,
+bipartite components and components with an odd cycle."""
+
+import random
+
+import pytest
+
+from reference_cords import bfs_graph_necessary_checks
+from treelasso import Cord
+from treelasso.cords import graph_necessary_checks
+
+
+def _component(rng, labels, kind):
+    """Cords making *labels* one connected component of the given kind."""
+    if kind == "isolated":
+        return set()
+    rng.shuffle(labels)
+    side = {labels[0]: 0}
+    cords = set()
+    for k, t in enumerate(labels[1:], start=1):  # a random spanning tree
+        u = rng.choice(labels[:k])
+        side[t] = 1 - side[u]
+        cords.add(Cord(t, u))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    for u, v in rng.sample(pairs, rng.randint(0, len(pairs) // 2)):
+        if side[u] != side[v]:  # extra cords across the two colour classes
+            cords.add(Cord(u, v))
+    if kind == "odd":
+        u, v = rng.choice([p for p in pairs if side[p[0]] == side[p[1]]])
+        cords.add(Cord(u, v))
+    return cords
+
+
+def _case(rng):
+    """A random graph, its taxa and the verdicts fixed by its construction."""
+    labels = [f"t{i:02d}" for i in range(rng.randint(1, 14))]
+    rng.shuffle(labels)
+    cords, kinds, start = set(), [], 0
+    while start < len(labels):
+        size = min(rng.randint(1, 6), len(labels) - start)
+        kind = "isolated" if size == 1 else rng.choice(["bipartite", "odd"] if size > 2 else ["bipartite"])
+        cords |= _component(rng, labels[start : start + size], kind)
+        kinds.append(kind)
+        start += size
+    return cords, set(labels), (len(kinds) <= 1, all(k == "odd" for k in kinds))
+
+
+def test_matches_breadth_first_search_on_seeded_graphs():
+    rng = random.Random(20121)
+    seen = set()
+    for case in range(2500):
+        cords, taxa, expected = _case(rng)
+        got = graph_necessary_checks(cords, taxa)
+        assert got == bfs_graph_necessary_checks(cords, taxa) == expected, f"case {case}"
+        seen.add(got)
+    assert len(seen) == 4  # every combination of the two verdicts occurs
+
+
+def test_stray_taxa_raise_as_in_the_reference():
+    cords, taxa = {Cord("a", "b"), Cord("b", "z")}, {"a", "b"}
+    for checks in (graph_necessary_checks, bfs_graph_necessary_checks):
+        with pytest.raises(ValueError, match=r"outside X: \['z'\]"):
+            checks(cords, taxa)

@@ -174,6 +174,27 @@ class TestShellability:
         with pytest.raises(ValueError, match="companion"):
             verify_shelling(caterpillar7, lasso11, bad)
 
+    @pytest.mark.parametrize(
+        "pivots", [("c", "a"), ("a", "d"), ("a", "a")], ids=["pivot-is-first-end", "pivot-is-second-end", "equal-pivots"]
+    )
+    def test_verify_names_a_step_whose_taxa_repeat(self, pivots):
+        tree = parse_newick("((a:1,b:1):1,(c:1,d:1):1,e:1);")
+        cords = all_cords(tree.taxa) - {Cord("c", "d")}
+        with pytest.raises(ValueError, match=r"^step 1: .* not four distinct taxa"):
+            verify_shelling(tree, cords, [(Cord("c", "d"), pivots)])
+
+    def test_steps_equal_their_field_tuples(self, caterpillar7, lasso11):
+        result = is_shellable(caterpillar7, lasso11)
+        assert all(step == (step.cord, step.pivots) for step in result.steps)
+        verify_shelling(caterpillar7, lasso11, [tuple(step) for step in result.steps], require_complete=True)
+
+    def test_missing_cords_hold_what_their_frozenset_holds(self, quartet_abcd, remark1_cords):
+        missing = is_shellable(quartet_abcd, remark1_cords).missing
+        eager = frozenset(missing)
+        for probe in [("c", "d"), Cord("d", "c"), ("d", "c"), ("c", "c"), ("a", "b"), ("c", "z"), "cd", ("c",), 7]:
+            assert (probe in missing) == (probe in eager), probe
+        assert ("c", "d") in missing
+
     def test_non_fully_resolved_rejected(self):
         star = parse_newick("(a,b,c,d);")
         with pytest.raises(Exception):
