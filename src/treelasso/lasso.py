@@ -22,13 +22,13 @@ A cord set L is a shellable lasso for a tree T when the missing cords admit
 an ordering in which each cord ab has "pivots" x,y: T restricted to
 {a,b,x,y} is the quartet ax||yb and the other five cords of the quartet are
 already available: on a fully-resolved tree, the extension rule on T's
-unit-hop distances with eps=0, run by the same engine.  A derivable cord
-stays derivable (the available set only grows and the quartet shape is a
-property of T alone), so the reachable set is a closure and any maximal
-greedy run finds it; order influences the trace, never the verdict.
+unit-hop distances with eps=0.  A derivable cord stays derivable (the
+available set only grows and the quartet shape is a property of T alone),
+so the reachable set is a closure and any maximal greedy run finds it;
+order influences the trace, never the verdict.
 
-Placement answers "yes" without the engine.  Take an ordering of X that
-starts with a cord of L and gives each later taxon z two earlier
+Placement answers "yes" from the tree's index alone.  Take an ordering of
+X that starts with a cord of L and gives each later taxon z two earlier
 neighbours a, b in L, and let S be the taxa before z.  z places when it
 hangs off the a-b path of T restricted to S+{z}: when the component of T-m
 holding z, m the median of a, b and z, holds no taxon of S.  On the tree's
@@ -39,8 +39,26 @@ other than a, b, s lies in the component of T-m holding a or the one
 holding b, say a's.  Then T restricted to {z, a, b, s} is sa||bz, since the
 a-s path stays in a's component and the b-z path runs through m, and its
 other five cords are available: za and zb in L, the rest within S.  So zs
-is derivable with pivots a, b.  The converse is not proved, so a failed
-placement leaves the verdict to the engine.
+is derivable with pivots a, b.  The induction never looks outside S, so
+a placement that starts from an available cord and stops short of X (a
+"block") still derives every pair within the taxa it places.
+
+A failed placement answers by an exact closure on the same index, with no
+quartet engine.  Take distinct taxa p, q, r, s of T and let m be the median
+of p, q and r.  T restricted to {p, q, r, s} is pq||rs exactly when s lies
+in the component of T-m holding r.  That component avoids the p-q path, so
+the r-s path inside it misses the p-q path, which gives pq||rs; any other s
+is reached from r through m, which lies on the p-q path, so the two paths
+meet and the quartet is not pq||rs.  Hence a missing cord pq is derivable
+from the known cords K exactly when some r, s in C = K(p) & K(q) with rs
+in K has s outside r's component.  As T is fully resolved, each interior
+vertex of the p-q path has one branch off the path, and the components in
+question are these branches; the test reads "r and s hang off different
+vertices of the p-q path".  Read from the other side, a known cord rs
+derives pq exactly when the p-q and r-s paths meet, so each known cord is
+examined once, when it becomes known, as the cord that may complete the
+quartets: with the off-path branches of its own path as bitsets, every cord
+it completes is a few bitset operations away (see _hop_closure).
 """
 
 from __future__ import annotations
@@ -232,31 +250,35 @@ class ShellingStep(NamedTuple):
 
 
 class _MissingCords(AbstractSet):
-    """Read-only set of the cords that a known-mask over *taxa* leaves out.
+    """Read-only set of the cords that partner bitsets over *taxa* leave out.
 
-    It keeps the n x n mask, not one Cord per missing pair; a Cord is built
+    It keeps one bitset per taxon, bit j of entry i set when taxa[i] and
+    taxa[j] share a known cord, not one Cord per missing pair; a Cord is built
     only when the set is iterated.  Equal to the frozenset of the same cords.
     """
 
-    def __init__(self, taxa: Sequence[str], known: np.ndarray):
-        self._taxa, self._known = list(taxa), known
+    def __init__(self, taxa: Sequence[str], known: Sequence[int]):
+        self._taxa, self._known = list(taxa), list(known)
         self._index = {t: i for i, t in enumerate(self._taxa)}
 
     def __contains__(self, cord) -> bool:
-        try:  # a Cord equals its sorted pair and nothing else, so only that pair is in
+        try:
             a, b = cord
-            return isinstance(cord, tuple) and a < b and not self._known[self._index[a], self._index[b]]
+            i, j = self._index[a], self._index[b]
         except (TypeError, ValueError, KeyError):  # not a pair, or not over these taxa
             return False
+        # A Cord equals its sorted pair and nothing else, so only that pair is in.
+        return isinstance(cord, tuple) and a < b and not self._known[i] >> j & 1
 
     def __iter__(self) -> Iterator[Cord]:
-        for i, a in enumerate(self._taxa):  # row by row: no n^2 index arrays
-            for j in (np.flatnonzero(~self._known[i, i + 1 :]) + i + 1).tolist():
+        everyone = (1 << len(self._taxa)) - 1
+        for i, a in enumerate(self._taxa):
+            for j in _bit_indices(everyone >> (i + 1) << (i + 1) & ~self._known[i]):
                 yield Cord(a, self._taxa[j])
 
-    def __len__(self) -> int:  # the mask is symmetric with a False diagonal
+    def __len__(self) -> int:  # each known cord sets two bits, none on the diagonal
         n = len(self._taxa)
-        return n * (n - 1) // 2 - int(np.count_nonzero(self._known)) // 2
+        return n * (n - 1) // 2 - sum(k.bit_count() for k in self._known) // 2
 
     __hash__ = AbstractSet._hash
 
@@ -269,9 +291,9 @@ class _MissingCords(AbstractSet):
 class ShellingResult:
     """The shelling steps found, and the cords they leave underived.
 
-    When the engine answers, is_shellable gives *missing* as a lazy
-    read-only view over its known-mask, and after a placement an empty
-    frozenset; any set of Cords may be passed in.
+    is_shellable gives *missing* as a lazy read-only view over its closure's
+    partner bitsets, and after a placement an empty frozenset; any set of
+    Cords may be passed in.
     """
 
     steps: tuple[ShellingStep, ...]
@@ -299,21 +321,15 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     2d-subgraph built greedily from its smallest cord in a triangle.  When
     every taxon places, the answer is yes, and the steps derive, taxon by
     taxon in placement order, each cord from the new taxon z to an earlier
-    taxon, pivoted on z's two earlier neighbours.  The quartet engine never
-    runs.
+    taxon, pivoted on z's two earlier neighbours.
 
-    Otherwise the closure engine saturates over the tree's taxa: exactly the
-    extension rule on the unit-hop leaf distances with eps=0.  Its steps come
-    in lexicographic-rescan order, and *rng* (a random.Random) permutes the
-    taxon order that scan runs over; the verdict is unaffected (saturation is
-    a monotone closure), which the test suite exercises.  A failed placement
-    proves nothing, so every "no" comes from the engine.
-
-    The engine's cross-check is skipped because it cannot fire here: every
-    value is the tree's exact integer hop distance.  The given ones are, and
-    when d(x,y)+d(u,z) < d(x,u)+d(y,z) the four-point condition makes
-    d(x,u)+d(y,z) = d(x,z)+d(y,u), so every derivation of xz yields the true
-    d(x,z) and all derivations of it agree.
+    Otherwise _hop_closure computes the closure exactly: its steps derive
+    first the pairs within each placed block, then the cords the examined
+    known cords complete, and *missing* holds the rest.  *rng* (a
+    random.Random) permutes the taxon order in which that closure grows its
+    blocks and takes up its pending cords; the steps change with it, the
+    verdict and *missing* do not (the closure is monotone), which the test
+    suite exercises.  No input reaches the quartet engine.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
@@ -321,40 +337,23 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     placement = _placement(tree, present)
     if placement is not None:
         return ShellingResult(_placement_steps(tree, *placement), frozenset())
-    taxa = sorted(tree.taxa)
-    if rng is not None:
-        rng.shuffle(taxa)
-    hops = {c: tree._hops(c.a, c.b) for c in present}
-    derivations, known = _extend(taxa, hops, 0.0, cross_check=False)
-    steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
-    return ShellingResult(steps, _MissingCords(taxa, known))
+    steps, known = _hop_closure(tree, present, rng)
+    return ShellingResult(steps, _MissingCords(tree._index.taxa, known))
 
 
-def _placement(tree: XTree, cords: set[Cord]):
-    """Every taxon placed by a spanning 2d-subgraph of L, or None.
+class _Placer:
+    """Placement on the tree's rooted index, taxa as bit positions as in its
+    leaf bitsets.  A placement lists, for each taxon z after the first two,
+    (z, a, b, a_side): z's two earlier neighbours a and b, and the leaf
+    bitset of the component of T-m holding a, m the median of a, b and z."""
 
-    Taxa are bit positions, as in the tree's leaf bitsets.  Returns the two
-    starting taxa; for each later taxon z in placement order, (z, a, b,
-    a_side): z's two earlier neighbours a and b, and the leaf bitset of the
-    component of T-m holding a, m the median of a, b and z; and L's partner
-    bitsets.  z places when the component of T-m holding z has no earlier
-    taxon.  With fewer than 2n-3 cords there is no spanning 2d-subgraph.
-    With 2n-3 the ordering is is_2dtree's, a before b.  With more, the
-    greedy starts from the smallest cord in a triangle of L, and a taxon
-    joins once a pair of its placed neighbours places it, each new neighbour
-    tried with the earlier ones as it arrives.  A pair that fails never
-    places later, as the prefix only grows, so each is tried once.  Nothing
-    iterates a set, so the result does not depend on the string hash.
-    """
-    index = tree._index
-    n = len(index.taxa)
-    if len(cords) < 2 * n - 3:
-        return None
-    parent, depth, below = index.parent, index.depth, index.below
-    leaf = [tree._leaf_by_label[t] for t in index.taxa]  # below[leaf[i]] == 1 << i
-    partners = _partner_bits(cords, index.taxa)
+    def __init__(self, tree: XTree):
+        index = tree._index
+        self.parent, self.depth, self.below, self.full = index.parent, index.depth, index.below, index.full
+        self.leaf = [tree._leaf_by_label[t] for t in index.taxa]  # below[leaf[i]] == 1 << i
 
-    def lca(u, v):
+    def lca(self, u, v):
+        parent, depth = self.parent, self.depth
         while depth[u] > depth[v]:
             u = parent[u]
         while depth[v] > depth[u]:
@@ -363,59 +362,246 @@ def _placement(tree: XTree, cords: set[Cord]):
             u, v = parent[u], parent[v]
         return u
 
-    def side(m, x):  # leaf bitset of the component of T-m holding x
-        if not below[m] & below[x]:
-            return index.full ^ below[m]
-        while parent[x] != m:
-            x = parent[x]
-        return below[x]
+    def side(self, m, x):
+        """Leaf bitset of the component of T-m holding x."""
+        if not self.below[m] & self.below[x]:
+            return self.full ^ self.below[m]
+        while self.parent[x] != m:
+            x = self.parent[x]
+        return self.below[x]
 
-    placed, prefix = [], 0
-
-    def place(z, a, b) -> bool:
-        nonlocal prefix
-        va, vb, vz = leaf[a], leaf[b], leaf[z]
-        m = max(lca(va, vb), lca(va, vz), lca(vb, vz), key=depth.__getitem__)
-        if side(m, vz) & prefix:
+    def place(self, z, a, b, prefix, placed) -> bool:
+        """Whether z places on a and b after the taxa of *prefix*; if so, its
+        entry is appended to *placed*."""
+        va, vb, vz = self.leaf[a], self.leaf[b], self.leaf[z]
+        m = max(self.lca(va, vb), self.lca(va, vz), self.lca(vb, vz), key=self.depth.__getitem__)
+        if self.side(m, vz) & prefix:
             return False
-        placed.append((z, a, b, side(m, va)))
-        prefix |= 1 << z
+        placed.append((z, a, b, self.side(m, va)))
         return True
 
+    def grow(self, partners, start) -> tuple[list, int]:
+        """The greedy placement from the known cord *start* over the graph of
+        *partners*, and the bitset of the taxa it places.  A taxon z joins
+        once a pair of its placed neighbours places it.  In T restricted to
+        the placed taxa S plus z, z hangs off one edge of T restricted to S,
+        and a pair places z exactly when that edge separates the pair.  As S
+        grows, the edge shrinks to a piece of itself or moves into a branch
+        newly hung off it, so two taxa on one side of it stay on one side.
+        A neighbour that fails with z's first placed neighbour is thus on
+        the first's side for good, and each new neighbour need only be tried
+        with the first."""
+        placed, prefix = [], 1 << start[0] | 1 << start[1]
+        first: list[int | None] = [None] * len(partners)  # each taxon's first placed neighbour
+        queue = deque(start)
+        while queue:
+            v = queue.popleft()
+            for z in _bit_indices(partners[v] & ~prefix):  # placing z changes only z's bit
+                if first[z] is None:
+                    first[z] = v
+                elif self.place(z, first[z], v, prefix, placed):
+                    prefix |= 1 << z
+                    queue.append(z)
+        return placed, prefix
+
+
+def _placement(tree: XTree, cords: set[Cord]):
+    """Every taxon placed by a spanning 2d-subgraph of L, or None.
+
+    Returns the two starting taxa, the placement (see _Placer) and L's
+    partner bitsets.  With fewer than 2n-3 cords there is no spanning
+    2d-subgraph.  With 2n-3 the ordering is is_2dtree's, a before b.  With
+    more, the greedy (_Placer.grow) starts from the smallest cord in a
+    triangle of L.  Nothing iterates a set, so the result does not depend
+    on the string hash.
+    """
+    n = len(tree._index.taxa)
+    if len(cords) < 2 * n - 3:
+        return None
+    partners = _partner_bits(cords, tree._index.taxa)
+    placer = _Placer(tree)
     if len(cords) == 2 * n - 3:
         ordering = _peel(partners)
         if ordering is None:
             return None
         position = {v: k for k, v in enumerate(ordering)}
-        prefix = 1 << ordering[0] | 1 << ordering[1]
+        placed, prefix = [], 1 << ordering[0] | 1 << ordering[1]
         for z in ordering[2:]:  # a 2d-tree ordering: two earlier neighbours each
-            if not place(z, *sorted(_bit_indices(partners[z] & prefix), key=position.__getitem__)):
+            a, b = sorted(_bit_indices(partners[z] & prefix), key=position.__getitem__)
+            if not placer.place(z, a, b, prefix, placed):
                 return None
+            prefix |= 1 << z
         return ordering[:2], placed, partners
-
     start = next(
         ((i, j) for i in range(n) for j in _bit_indices(partners[i]) if i < j and partners[i] & partners[j]),
         None,
     )
     if start is None:  # no triangle: nothing places
         return None
-    heard: list[list[int]] = [[] for _ in range(n)]  # placed neighbours, in order
-    prefix = 1 << start[0] | 1 << start[1]
-    queue = deque(start)
-    while queue:
-        v = queue.popleft()
-        for z in _bit_indices(partners[v] & ~prefix):  # placing z changes only z's bit
-            if any(place(z, a, v) for a in heard[z]):
-                queue.append(z)
-            else:
-                heard[z].append(v)
-    return (start, placed, partners) if prefix == index.full else None
+    placed, prefix = placer.grow(partners, start)
+    return (start, placed, partners) if prefix == placer.full else None
+
+
+def _hop_closure(tree: XTree, cords: set[Cord], rng=None) -> tuple[tuple[ShellingStep, ...], list[int]]:
+    """The shelling closure of L on the tree: the steps that derive every
+    derivable cord, and the final partner bitsets of the known cords.
+
+    Blocks first.  For each taxon i in turn, each known cord ij not inside a
+    block and in a triangle of the known cords starts a greedy placement
+    over L (_Placer.grow), which need not reach all of X; the pairs within
+    the block it places become known, with _placement_steps' steps.
+
+    Then each known cord pq is examined once, as the cord that completes
+    quartets (see the module docstring).  Let W = K(p) & K(q) and cut the
+    taxa by the off-path branches of the p-q path, numbered from p's end.
+    A quartet with five known cords including pq, whose sixth cord is
+    missing, is of one of three kinds:
+    - pivots p and q, missing cord uv with u, v in W: derivable exactly
+      when u and v lie in different branches;
+    - pivots q and s, missing cord pt with s in W and t in K(q) & K(s):
+      derivable exactly when t's branch is not nearer p than s's;
+    - pivots p and s, missing cord qt, the same from q's end.
+    A missing pair with both ends in a block is impossible, so for pq inside
+    a block only u outside it is tried; t's branch test runs on the union of
+    the K(s) cut to the allowed branches, one OR per s in W.  Each derived
+    cord joins the pending ones, kept as one bitset per taxon (cord pq at
+    the end that comes first in the taxon order), and the closure ends when
+    none is pending.  A cord becomes derivable only when the last of its
+    quartet's five cords becomes known, and that cord is examined after it,
+    so nothing derivable is left.  Cords within a block whose ends have no
+    known partner outside it complete no quartet with a missing cord, and
+    are never pending.
+    """
+    placer = _Placer(tree)
+    parent, depth, below, full, leaf = placer.parent, placer.depth, placer.below, placer.full, placer.leaf
+    taxa = tree._index.taxa
+    n = len(taxa)
+    given = _partner_bits(cords, taxa)
+    known = list(given)
+    order = list(range(n))
+    if rng is not None:
+        rng.shuffle(order)
+    steps: list[ShellingStep] = []
+
+    home: list[list[int]] = [[] for _ in range(n)]  # the blocks holding each taxon
+    covered = [0] * n  # their union
+    for i in order:
+        untried = known[i]
+        while untried := untried & ~covered[i]:
+            j = _lowest(untried)
+            untried ^= 1 << j
+            if known[i] & known[j]:
+                placed, block = placer.grow(given, (i, j))
+                steps.extend(_placement_steps(tree, (i, j), placed, known))
+                for b in _bit_indices(block):
+                    known[b] |= block ^ 1 << b
+                    covered[b] |= block
+                    home[b].append(block)
+
+    rank = [0] * n  # position in the taxon order
+    for k, p in enumerate(order):
+        rank[p] = k
+    pending, due = [0] * n, 0  # due: bit rank[p] set while pending[p] is not empty
+
+    def note(u, v):
+        nonlocal due
+        if rank[u] > rank[v]:
+            u, v = v, u
+        pending[u] |= 1 << v
+        due |= 1 << rank[u]
+
+    def derive(u, v, x, y):  # x pairs with u, y with v
+        known[u] |= 1 << v
+        known[v] |= 1 << u
+        note(u, v)
+        if u > v:
+            u, v, x, y = v, u, y, x
+        steps.append(ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])))
+
+    quiet = 0  # taxa whose known partners are exactly one of their blocks
+    for b in range(n):
+        if (known[b] | 1 << b) in home[b]:
+            quiet |= 1 << b
+    for p in order:
+        for q in _bit_indices(known[p] & ~(quiet if quiet >> p & 1 else 0)):
+            if rank[p] < rank[q]:
+                note(p, q)
+
+    while due:
+        k = _lowest(due)
+        p = order[k]
+        batch, pending[p] = pending[p], 0
+        due ^= 1 << k
+        for q in _bit_indices(batch):
+            kp, kq = known[p], known[q]
+            w = kp & kq
+            if not w:
+                continue
+            outside = full ^ next((blk for blk in home[p] if blk >> q & 1), 0)
+            tp, tq, wz = kq & ~kp & ~(1 << p), kp & ~kq & ~(1 << q), w & outside
+            if not (tp or tq or wz):
+                continue
+            # The off-path branches of the p-q path, from p's end: climb from
+            # both leaves to their lowest common ancestor, which has the
+            # rest of the tree as its branch.
+            ca, a, cb, b = leaf[p], parent[leaf[p]], leaf[q], parent[leaf[q]]
+            branches, from_q = [], []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    branches.append(below[a] ^ below[ca])
+                    ca, a = a, parent[a]
+                else:
+                    from_q.append(below[b] ^ below[cb])
+                    cb, b = b, parent[b]
+            branches.append(full ^ below[ca] ^ below[cb])
+            branches.extend(reversed(from_q))
+            # Each u in W, in branch g: an end of the first kind, and as the
+            # pivot s of the other two, the taxa t its branch allows.  Only a
+            # partner of some t can be that pivot.
+            ends, pivots = tp | tq, full
+            if ends.bit_count() < w.bit_count():
+                pivots = 0
+                for t in _bit_indices(ends):
+                    pivots |= known[t]
+            before, reach_p, reach_q = 0, 0, 0  # before: the branches nearer p
+            for g in branches:
+                for u in _bit_indices(w & g & (pivots | outside)):
+                    ku = known[u]
+                    reach_p |= ku & ~before
+                    reach_q |= ku & (before | g)
+                    if outside >> u & 1:
+                        for v in _bit_indices(w & ~g & ~ku):
+                            x, y = (q, p) if before >> v & 1 else (p, q)  # v nearer p: v p || u q
+                            derive(u, v, x, y)
+                before |= g
+            tp &= reach_p
+            tq &= reach_q
+            if not tp | tq:
+                continue
+            before = 0
+            for g in branches:
+                for t in _bit_indices(tp & g):
+                    if not known[p] >> t & 1:
+                        s = _lowest(w & known[t] & (before | g))
+                        x, y = (s, q) if before >> s & 1 else (q, s)  # s nearer p: p s || t q
+                        derive(p, t, x, y)
+                for t in _bit_indices(tq & g):
+                    if not known[q] >> t & 1:
+                        s = _lowest(w & known[t] & ~before)
+                        x, y = (p, s) if g >> s & 1 else (s, p)  # s in t's branch: q p || t s
+                        derive(q, t, x, y)
+                before |= g
+    return tuple(steps), known
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def _placement_steps(tree: XTree, start, placed, partners) -> tuple[ShellingStep, ...]:
     """The shelling a placement certifies: for each later taxon z, pivots a
-    and b, each cord zs to an earlier taxon s not already in L, with s
-    paired with a when it lies in a's component of T-m."""
+    and b, each cord zs to an earlier taxon s not already in *partners*,
+    with s paired with a when it lies in a's component of T-m."""
     taxa = tree._index.taxa
     prefix = list(start)
     steps = []
@@ -439,21 +625,23 @@ def verify_shelling(
 
     Each step must name a cord absent so far whose five companion cords are
     available and whose quartet with the pivots separates the cord's ends.
-    The pivot pair is accepted in either orientation (the quartet shape
-    determines which pivot sits with which end).  Raises ValueError naming
-    the first failing step.
+    A cord may be a Cord or any pair of labels, in either order.  The pivot
+    pair is accepted in either orientation (the quartet shape determines
+    which pivot sits with which end).  Raises ValueError naming the first
+    failing step.
     """
-    available = set(cords)
-    for i, (cord, (x, y)) in enumerate(steps, start=1):
-        if len({*cord, x, y}) != 4:
-            raise ValueError(f"step {i}: cord {cord} and pivots {x}, {y} are not four distinct taxa")
+    available = set(itertools.starmap(Cord, cords))
+    for i, ((a, b), (x, y)) in enumerate(steps, start=1):
+        if len({a, b, x, y}) != 4:
+            raise ValueError(f"step {i}: cord {a} {b} and pivots {x}, {y} are not four distinct taxa")
+        cord = Cord(a, b)
         if cord in available:
             raise ValueError(f"step {i}: cord {cord} is already available")
-        companions = itertools.starmap(Cord, itertools.combinations((*cord, x, y), 2))
+        companions = itertools.starmap(Cord, itertools.combinations((a, b, x, y), 2))
         absent = [c for c in companions if c != cord and c not in available]
         if absent:
             raise ValueError(f"step {i}: companion cord {absent[0]} not yet available")
-        split = tree.quartet_topology(cord.a, cord.b, x, y)
+        split = tree.quartet_topology(a, b, x, y)
         if split is None or cord.taxa in split:
             raise ValueError(
                 f"step {i}: quartet on {{{cord.a},{cord.b},{x},{y}}} does not "

@@ -1,6 +1,8 @@
 """Test-only reference engines: the lexicographic-rescan closure and the
 count-based shellability saturation that the dense fixpoint engine in
-treelasso.lasso replaced, with the scalar tolerance helpers they used, and
+treelasso.lasso replaced, with the scalar tolerance helpers they used, the
+shellability answer of that engine on hop counts that the bitset closure
+of is_shellable replaced, and
 the exhaustive topological oracle (one LP per alternative topology) that the
 pruned oracle replaced, the memoised backtracking 2d-tree recognition
 that the greedy peel replaced, and the tree_from_2dtree construction with a
@@ -25,6 +27,7 @@ from treelasso.lasso import (
     ShellingStep,
     _back_neighbours,
     _contract_tiny_interior,
+    _extend,
 )
 from treelasso.tolerance import DEFAULT_EPSILON
 from treelasso.tree import TreeError
@@ -178,6 +181,27 @@ def counting_is_shellable(tree, cords, rng=None):
 
     missing = all_cords(taxa) - present
     return ShellingResult(tuple(steps), frozenset(missing))
+
+
+def engine_is_shellable(tree, cords, rng=None):
+    """The dense closure engine on the tree's unit-hop distances with eps=0,
+    steps in lexicographic-rescan order over the taxa, which *rng*
+    permutes.  The cross-check is off: every value is an exact hop count,
+    so all derivations of a cord agree."""
+    if not tree.is_fully_resolved():
+        raise TreeError("shellability is defined for fully-resolved trees")
+    present = set(cords)
+    stray = cord_taxa(present) - tree.taxa
+    if stray:
+        raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")
+    taxa = sorted(tree.taxa)
+    if rng is not None:
+        rng.shuffle(taxa)
+    hops = {c: tree._hops(c.a, c.b) for c in present}
+    derivations, known = _extend(taxa, hops, 0.0, cross_check=False)
+    steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
+    missing = frozenset(Cord(taxa[i], taxa[j]) for i, j in zip(*np.nonzero(np.triu(~known, 1))))
+    return ShellingResult(steps, missing)
 
 
 def insertion_topologies(taxa):

@@ -1,5 +1,5 @@
-"""Differential tests: the dense fixpoint engine behind closure and
-is_shellable against the rescan and counting engines it replaced
+"""Differential tests: the dense fixpoint engine behind closure against the
+rescan engine it replaced, and is_shellable against the counting engine
 (reference_lasso.py), on seeded sweeps."""
 
 import gc
@@ -112,7 +112,8 @@ def test_zero_interior_edge_ties_match_rescan():
 
 def test_shellability_matches_counting_reference(monkeypatch):
     # Placement answers most "yes" cases here; the second pass switches it
-    # off, so that the engine, scanning in shuffled orders too, meets them.
+    # off, so that the bitset closure, in shuffled taxon orders too, meets
+    # them.
     for placement in (treelasso.lasso._placement, lambda tree, cords: None):
         monkeypatch.setattr(treelasso.lasso, "_placement", placement)
         _match_counting_reference()
@@ -125,8 +126,8 @@ def _match_counting_reference():
         for rng in (None, random.Random(seed)):
             got = is_shellable(tree, cords, rng=rng)
             assert got.missing == expected.missing, f"seed {seed}"
-            # missing is a view over the engine's known-mask: it reads as the
-            # eager frozenset under len, in, iteration and bool too.
+            # missing is a view over the closure's partner bitsets: it reads as
+            # the eager frozenset under len, in, iteration and bool too.
             assert len(got.missing) == len(expected.missing)
             assert frozenset(got.missing) == expected.missing
             assert all(c in got.missing for c in expected.missing)
@@ -141,7 +142,7 @@ def _match_counting_reference():
 
 def test_shelling_result_keeps_the_mask_not_the_cords():
     # A 1500-leaf caterpillar with one cord leaves 1,124,249 cords missing;
-    # as Cord objects they took 126 MiB, the known-mask takes 2.2 MiB.
+    # as Cord objects they took 126 MiB, the partner bitsets take 0.1 MiB.
     newick = "t0001"
     for i in range(2, 1501):
         newick = f"({newick},t{i:04d})"

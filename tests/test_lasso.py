@@ -159,6 +159,14 @@ class TestShellability:
         for seed in range(6):
             shuffled = is_shellable(caterpillar7, lasso11, rng=random.Random(seed))
             assert shuffled.is_complete == baseline
+        # lasso11 places, so rng has nothing to permute; without bc the
+        # closure answers, in the taxon order rng draws.
+        cords = lasso11 - {Cord("b", "c")}
+        missing = is_shellable(caterpillar7, cords).missing
+        for seed in range(6):
+            shuffled = is_shellable(caterpillar7, cords, rng=random.Random(seed))
+            assert shuffled.missing == missing
+            verify_shelling(caterpillar7, cords, shuffled.steps)
 
     def test_verify_rejects_wrong_pivots(self, caterpillar7, lasso11):
         # cd with pivots (a,e): the quartet {c,d,a,e} has split ca|de?  No:
@@ -187,6 +195,23 @@ class TestShellability:
         result = is_shellable(caterpillar7, lasso11)
         assert all(step == (step.cord, step.pivots) for step in result.steps)
         verify_shelling(caterpillar7, lasso11, [tuple(step) for step in result.steps], require_complete=True)
+
+    def test_verify_takes_a_cord_spelled_as_a_plain_pair(self):
+        tree = parse_newick("((a:1,b:1):1,(c:1,d:1):1);")
+        cords = [Cord(*pair) for pair in ("ab", "ad", "bc", "bd", "cd")]
+        for cord in (("a", "c"), ("c", "a"), Cord("a", "c")):
+            verify_shelling(tree, cords, [(cord, ("b", "d"))], require_complete=True)
+        reversed_pairs = [pair[::-1] for pair in cords]
+        verify_shelling(tree, reversed_pairs, [(("c", "a"), ("d", "b"))], require_complete=True)
+        with pytest.raises(ValueError, match="already available"):
+            verify_shelling(tree, cords, [(("d", "a"), ("b", "c"))])
+
+    def test_closure_steps_verify_however_a_cord_is_spelled(self, caterpillar7, lasso11):
+        cords = lasso11 - {Cord("b", "c")}  # 6 of the 11 missing cords derive
+        result = is_shellable(caterpillar7, cords)
+        assert result.steps and not result.is_complete
+        flipped = [((step.cord.b, step.cord.a), step.pivots[::-1]) for step in result.steps]
+        verify_shelling(caterpillar7, cords, flipped)
 
     def test_missing_cords_hold_what_their_frozenset_holds(self, quartet_abcd, remark1_cords):
         missing = is_shellable(quartet_abcd, remark1_cords).missing

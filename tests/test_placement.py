@@ -1,6 +1,6 @@
 """Placement, the shellability certificate for cord sets with a spanning
-2d-subgraph, against the counting engine it short-cuts
-(reference_lasso.py), and the callers that must answer from it alone."""
+2d-subgraph, against the counting engine (reference_lasso.py), and the
+callers that must answer from it alone."""
 
 import os
 import random
@@ -98,8 +98,8 @@ def test_placement_agrees_with_the_counting_engine():
 
 @pytest.mark.parametrize("n", [33, 45, 60])
 def test_larger_stable_covers_place_as_the_engine_agrees(monkeypatch, n):
-    # The counting engine takes seconds here; the dense engine, checked
-    # against it in test_engine_reference.py, answers with placement off.
+    # The counting engine takes seconds here; with placement off the bitset
+    # closure answers, checked against the engines in test_hop_closure.py.
     tree = random_tree(n, seed=100 + n)
     covers = [_stable_cover(tree, random.Random(n), kind) for kind in ("min", "closest", "furthest")]
     for cords in covers:
@@ -109,15 +109,17 @@ def test_larger_stable_covers_place_as_the_engine_agrees(monkeypatch, n):
         assert is_shellable(tree, cords).is_complete
 
 
-def test_remark1_is_answered_by_the_engine(monkeypatch, quartet_abcd, remark1_cords):
+def test_remark1_is_answered_without_the_engine(monkeypatch, quartet_abcd, remark1_cords):
     # A 2d-tree whose last vertex c does not place: its back-neighbours a, b
-    # form a cherry, and the branch towards c already holds d.
+    # form a cherry, and the branch towards c already holds d.  The closure
+    # answers, and the quartet engine never runs.
     assert _placement(quartet_abcd, set(remark1_cords)) is None
-    calls = []
-    extend = treelasso.lasso._extend
-    monkeypatch.setattr(treelasso.lasso, "_extend", lambda *a, **k: calls.append(1) or extend(*a, **k))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(treelasso.lasso, "_extend", refuse)
     assert is_shellable(quartet_abcd, remark1_cords).missing == {Cord("c", "d")}
-    assert calls
 
 
 def _covers_and_plus_one():
