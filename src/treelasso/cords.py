@@ -186,8 +186,9 @@ def full_distance(tree: XTree) -> PartialDistance:
 
 
 def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:
-    """The cords as a set; KeyError when one names a taxon outside the tree."""
-    cords = set(cords)
+    """The cords as a set of Cords, each given as a Cord or as any pair of
+    labels; KeyError when one names a taxon outside the tree."""
+    cords = {c if type(c) is Cord else Cord(*c) for c in cords}
     stray = cord_taxa(cords) - tree.taxa
     if stray:
         raise KeyError(f"cords mention taxa outside the tree: {sorted(stray)!r}")

@@ -27,7 +27,7 @@ available set only grows and the quartet shape is a property of T alone),
 so the reachable set is a closure and any maximal greedy run finds it;
 order influences the trace, never the verdict.
 
-Placement answers "yes" from the tree's index alone.  Take an ordering of
+A placement answers "yes" from the tree's index alone.  Take an ordering of
 X that starts with a cord of L and gives each later taxon z two earlier
 neighbours a, b in L, and let S be the taxa before z.  z places when it
 hangs off the a-b path of T restricted to S+{z}: when the component of T-m
@@ -41,10 +41,13 @@ a-s path stays in a's component and the b-z path runs through m, and its
 other five cords are available: za and zb in L, the rest within S.  So zs
 is derivable with pivots a, b.  The induction never looks outside S, so
 a placement that starts from an available cord and stops short of X (a
-"block") still derives every pair within the taxa it places.
+"block") still derives every pair within the taxa it places.  The shelling
+closure (_hop_closure) grows its blocks greedily, the first from the
+smallest cord in a triangle of L; when that block spans X, the closure is
+done.
 
-A failed placement answers by an exact closure on the same index, with no
-quartet engine.  Take distinct taxa p, q, r, s of T and let m be the median
+Past the blocks the closure stays exact on the same index, with no quartet
+engine.  Take distinct taxa p, q, r, s of T and let m be the median
 of p, q and r.  T restricted to {p, q, r, s} is pq||rs exactly when s lies
 in the component of T-m holding r.  That component avoids the p-q path, so
 the r-s path inside it misses the p-q path, which gives pq||rs; any other s
@@ -70,7 +73,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,8 +295,7 @@ class ShellingResult:
     """The shelling steps found, and the cords they leave underived.
 
     is_shellable gives *missing* as a lazy read-only view over its closure's
-    partner bitsets, and after a placement an empty frozenset; any set of
-    Cords may be passed in.
+    partner bitsets; any set of Cords may be passed in.
     """
 
     steps: tuple[ShellingStep, ...]
@@ -315,30 +317,33 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     complete exactly when it is.
 
     A cord ab is derivable once pivots x,y exist with the restriction to
-    {a,b,x,y} equal to ax||yb and the other five cords available.  Inputs
-    with at least 2n-3 cords first try placement (see the module docstring):
-    a 2d-tree in its is_2dtree ordering, a larger L through a spanning
-    2d-subgraph built greedily from its smallest cord in a triangle.  When
-    every taxon places, the answer is yes, and the steps derive, taxon by
-    taxon in placement order, each cord from the new taxon z to an earlier
-    taxon, pivoted on z's two earlier neighbours.
-
-    Otherwise _hop_closure computes the closure exactly: its steps derive
-    first the pairs within each placed block, then the cords the examined
-    known cords complete, and *missing* holds the rest.  *rng* (a
-    random.Random) permutes the taxon order in which that closure grows its
-    blocks and takes up its pending cords; the steps change with it, the
-    verdict and *missing* do not (the closure is monotone), which the test
-    suite exercises.  No input reaches the quartet engine.
+    {a,b,x,y} equal to ax||yb and the other five cords available.
+    _hop_closure computes the closure exactly, with no quartet engine.  Its
+    first block is a placement grown greedily from the smallest cord in a
+    triangle of L; when it spans X the answer is yes, and the steps derive,
+    taxon by taxon in placement order, each cord from the new taxon z to an
+    earlier taxon, pivoted on z's two earlier neighbours.  Otherwise the
+    steps derive first the pairs within each block, then the cords the
+    examined known cords complete, and *missing* holds the rest, as a view
+    over the closure's partner bitsets.  *rng* (a random.Random) permutes
+    the taxon order in which the closure grows its blocks and takes up its
+    pending cords; the steps change with it, the verdict and *missing* do
+    not (the closure is monotone), which the test suite exercises.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
-    present = _cords_over(cords, tree)
-    placement = _placement(tree, present)
-    if placement is not None:
-        return ShellingResult(_placement_steps(tree, *placement), frozenset())
-    steps, known = _hop_closure(tree, present, rng)
-    return ShellingResult(steps, _MissingCords(tree._index.taxa, known))
+    known, blocks, derivations = _hop_closure(tree, _cords_over(cords, tree), rng)
+    taxa = tree._index.taxa
+    steps = [step for block in blocks for step in _placement_steps(tree, *block)]
+    steps += (ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, v, x, y in derivations)
+    return ShellingResult(tuple(steps), _MissingCords(taxa, known))
+
+
+def _shells(tree: XTree, cords: Collection[Cord]) -> bool:
+    """is_shellable's verdict without its steps: whether the closure of L
+    knows every pair."""
+    n = len(tree._index.taxa)
+    return all(k.bit_count() == n - 1 for k in _hop_closure(tree, cords)[0])
 
 
 class _Placer:
@@ -405,51 +410,22 @@ class _Placer:
         return placed, prefix
 
 
-def _placement(tree: XTree, cords: set[Cord]):
-    """Every taxon placed by a spanning 2d-subgraph of L, or None.
-
-    Returns the two starting taxa, the placement (see _Placer) and L's
-    partner bitsets.  With fewer than 2n-3 cords there is no spanning
-    2d-subgraph.  With 2n-3 the ordering is is_2dtree's, a before b.  With
-    more, the greedy (_Placer.grow) starts from the smallest cord in a
-    triangle of L.  Nothing iterates a set, so the result does not depend
-    on the string hash.
-    """
-    n = len(tree._index.taxa)
-    if len(cords) < 2 * n - 3:
-        return None
-    partners = _partner_bits(cords, tree._index.taxa)
-    placer = _Placer(tree)
-    if len(cords) == 2 * n - 3:
-        ordering = _peel(partners)
-        if ordering is None:
-            return None
-        position = {v: k for k, v in enumerate(ordering)}
-        placed, prefix = [], 1 << ordering[0] | 1 << ordering[1]
-        for z in ordering[2:]:  # a 2d-tree ordering: two earlier neighbours each
-            a, b = sorted(_bit_indices(partners[z] & prefix), key=position.__getitem__)
-            if not placer.place(z, a, b, prefix, placed):
-                return None
-            prefix |= 1 << z
-        return ordering[:2], placed, partners
-    start = next(
-        ((i, j) for i in range(n) for j in _bit_indices(partners[i]) if i < j and partners[i] & partners[j]),
-        None,
-    )
-    if start is None:  # no triangle: nothing places
-        return None
-    placed, prefix = placer.grow(partners, start)
-    return (start, placed, partners) if prefix == placer.full else None
-
-
-def _hop_closure(tree: XTree, cords: set[Cord], rng=None) -> tuple[tuple[ShellingStep, ...], list[int]]:
-    """The shelling closure of L on the tree: the steps that derive every
-    derivable cord, and the final partner bitsets of the known cords.
+def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
+    """The shelling closure of L on the tree, as (known, blocks,
+    derivations): the final partner bitsets of the known cords, and the
+    material of the steps that derive every derivable cord, which only
+    is_shellable turns into ShellingSteps.  Each block is (start,
+    placement, before), *before* mapping each placed taxon to its known
+    partners before the block was grown, the arguments of _placement_steps.
+    Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
+    pivots x, y, the quartet u x || y v.
 
     Blocks first.  For each taxon i in turn, each known cord ij not inside a
     block and in a triangle of the known cords starts a greedy placement
     over L (_Placer.grow), which need not reach all of X; the pairs within
-    the block it places become known, with _placement_steps' steps.
+    the block it places become known.  With no *rng* the first block starts
+    from the smallest cord in a triangle of L, and when it spans X nothing
+    is left to derive.
 
     Then each known cord pq is examined once, as the cord that completes
     quartets (see the module docstring).  Let W = K(p) & K(q) and cut the
@@ -481,8 +457,7 @@ def _hop_closure(tree: XTree, cords: set[Cord], rng=None) -> tuple[tuple[Shellin
     order = list(range(n))
     if rng is not None:
         rng.shuffle(order)
-    steps: list[ShellingStep] = []
-
+    blocks, derivations = [], []
     home: list[list[int]] = [[] for _ in range(n)]  # the blocks holding each taxon
     covered = [0] * n  # their union
     for i in order:
@@ -492,7 +467,9 @@ def _hop_closure(tree: XTree, cords: set[Cord], rng=None) -> tuple[tuple[Shellin
             untried ^= 1 << j
             if known[i] & known[j]:
                 placed, block = placer.grow(given, (i, j))
-                steps.extend(_placement_steps(tree, (i, j), placed, known))
+                blocks.append(((i, j), placed, {z: known[z] for z, _, _, _ in placed}))
+                if block == full:  # every pair is known: nothing left to derive
+                    return [full ^ 1 << b for b in range(n)], blocks, derivations
                 for b in _bit_indices(block):
                     known[b] |= block ^ 1 << b
                     covered[b] |= block
@@ -514,9 +491,7 @@ def _hop_closure(tree: XTree, cords: set[Cord], rng=None) -> tuple[tuple[Shellin
         known[u] |= 1 << v
         known[v] |= 1 << u
         note(u, v)
-        if u > v:
-            u, v, x, y = v, u, y, x
-        steps.append(ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])))
+        derivations.append((u, v, x, y) if u < v else (v, u, y, x))
 
     quiet = 0  # taxa whose known partners are exactly one of their blocks
     for b in range(n):
@@ -591,7 +566,7 @@ def _hop_closure(tree: XTree, cords: set[Cord], rng=None) -> tuple[tuple[Shellin
                         x, y = (p, s) if g >> s & 1 else (s, p)  # s in t's branch: q p || t s
                         derive(q, t, x, y)
                 before |= g
-    return tuple(steps), known
+    return known, blocks, derivations
 
 
 def _lowest(bits: int) -> int:
@@ -600,7 +575,7 @@ def _lowest(bits: int) -> int:
 
 def _placement_steps(tree: XTree, start, placed, partners) -> tuple[ShellingStep, ...]:
     """The shelling a placement certifies: for each later taxon z, pivots a
-    and b, each cord zs to an earlier taxon s not already in *partners*,
+    and b, each cord zs to an earlier taxon s not already in partners[z],
     with s paired with a when it lies in a's component of T-m."""
     taxa = tree._index.taxa
     prefix = list(start)
@@ -742,18 +717,19 @@ def tree_from_2dtree(
     for determinism the edge whose midpoint lies closest to the path midpoint
     is split at its own midpoint, ties resolved towards x_j.
 
-    certify=True asks is_shellable(tree, cords): exact on hop counts and
-    blind to the weights, so a no means a construction bug.  By induction on
-    the ordering, a later z sits strictly inside an edge of the x_j-x_k path
-    and an earlier s branches off that path at an older vertex, so the
-    quartet on {z, x_j, x_k, s} derives zs from five available cords: zx_j
-    and zx_k are in L, the rest by induction, as z keeps the prefix quartets.
-    A shellable lasso is a strong lasso for every proper weighting.  That
-    induction is placement (see the module docstring), so is_shellable
-    answers from the tree's index, without the quartet engine, in the
-    is_2dtree ordering.  The float closure this replaces failed on fans:
-    each split halves a weight, to 2^-32 at 35 taxa, inside the 1e-9
-    tolerance.
+    certify=True asks whether the cords are a shellable lasso of the built
+    tree, with the closure behind is_shellable and no steps built: exact on
+    hop counts and blind to the weights, so a no means a construction bug.
+    By induction on the ordering, a later z sits strictly inside an edge of
+    the x_j-x_k path and an earlier s branches off that path at an older
+    vertex, so the quartet on {z, x_j, x_k, s} derives zs from five
+    available cords: zx_j and zx_k are in L, the rest by induction, as z
+    keeps the prefix quartets.  A shellable lasso is a strong lasso for
+    every proper weighting.  That induction is a placement (see the module
+    docstring), and the closure answers from the tree's index, without the
+    quartet engine, whether or not its greedy first block follows it.  The
+    float closure it replaced failed on fans: each split halves a weight,
+    to 2^-32 at 35 taxa, inside the 1e-9 tolerance.
 
     The growing tree is kept as parent pointers, rooted at the leaf of
     ordering[0], with each vertex's weight to its parent.  The x_j-x_k path
@@ -792,7 +768,7 @@ def tree_from_2dtree(
         sorted((min(v, p), max(v, p), w) for v, (p, w) in enumerate(zip(parent, weight)) if p is not None),
         {vid: lab for lab, vid in leaf_of.items()},
     )
-    if certify and not is_shellable(tree, cords):
+    if certify and not _shells(tree, cords):
         raise AssertionError("constructed tree does not certify: cords not a shellable lasso of it")
     return tree
 
@@ -893,7 +869,7 @@ def path_incidence_matrix(tree: XTree, cords: Iterable[Cord]) -> list[list[int]]
     1 where the edge lies on the cord's leaf path."""
     edge_index = {(u, v): i for i, (u, v, _) in enumerate(tree.edges())}
     rows = []
-    for c in sorted(set(cords)):
+    for c in sorted(_cords_over(cords, tree)):
         row = [0] * len(edge_index)
         for e in tree.path_edges(c.a, c.b):
             row[edge_index[e]] = 1
@@ -905,12 +881,13 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     """True iff the distances on the cords determine the edge weights
     uniquely: the path-incidence matrix has full column rank 2n-3.
 
-    When L places (see is_shellable), the answer is True with no
-    elimination.  Each shelling step's four-point identity d(x,z) =
-    d(x,u)+d(y,z)-d(y,u) holds for every weighting of T, so it is a linear
-    identity between rows, and the rows of L span the row of every pair,
-    whose matrix has full column rank on a tree without degree-2 vertices.
-    The argument holds for any complete shelling, placed or not.
+    When L is shellable, the answer is True with no elimination: the
+    closure behind is_shellable answers, and no step is built.  Each
+    shelling step's four-point identity d(x,z) = d(x,u)+d(y,z)-d(y,u) holds
+    for every weighting of T, so it is a linear identity between rows, and
+    the rows of L span the row of every pair, whose matrix has full column
+    rank on a tree without degree-2 vertices.  The argument holds for any
+    complete shelling.  Otherwise the rank decides.
     """
     if not tree.is_fully_resolved():
         raise TreeError("the rank certificate assumes a fully-resolved tree")
@@ -918,7 +895,7 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     n_edges = len(tree.edges())
     if len(cords) < n_edges:
         return False
-    if _placement(tree, cords) is not None:
+    if _shells(tree, cords):
         return True
     return integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
 

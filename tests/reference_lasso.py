@@ -2,9 +2,11 @@
 count-based shellability saturation that the dense fixpoint engine in
 treelasso.lasso replaced, with the scalar tolerance helpers they used, the
 shellability answer of that engine on hop counts that the bitset closure
-of is_shellable replaced, and
-the exhaustive topological oracle (one LP per alternative topology) that the
-pruned oracle replaced, the memoised backtracking 2d-tree recognition
+of is_shellable replaced, the placement (a 2d-tree in its peel ordering, a
+larger cord set greedily) that answered is_shellable's "yes" before that
+closure did it alone, and the exhaustive topological oracle (one LP per
+alternative topology) that the pruned oracle replaced, the memoised
+backtracking 2d-tree recognition
 that the greedy peel replaced, and the tree_from_2dtree construction with a
 breadth-first path search per inserted vertex that the parent-pointer climb
 replaced.  The differential tests compare each pair on seeded sweeps;
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from treelasso import Cord, InconsistentDistanceError, PartialDistance, XTree, all_cords
-from treelasso.cords import cord_taxa
+from treelasso.cords import _bit_indices, _partner_bits, cord_taxa
 from treelasso.lasso import (
     MAX_ORACLE_TAXA,
     ClosureStep,
@@ -28,6 +30,9 @@ from treelasso.lasso import (
     _back_neighbours,
     _contract_tiny_interior,
     _extend,
+    _peel,
+    _placement_steps,
+    _Placer,
 )
 from treelasso.tolerance import DEFAULT_EPSILON
 from treelasso.tree import TreeError
@@ -202,6 +207,50 @@ def engine_is_shellable(tree, cords, rng=None):
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
     missing = frozenset(Cord(taxa[i], taxa[j]) for i, j in zip(*np.nonzero(np.triu(~known, 1))))
     return ShellingResult(steps, missing)
+
+
+def placement(tree, cords):
+    """Every taxon placed by a spanning 2d-subgraph of L, or None: the
+    placement that answered is_shellable's "yes" before the shelling
+    closure did it alone.
+
+    Returns the two starting taxa, the placement (see lasso._Placer) and
+    L's partner bitsets.  With fewer than 2n-3 cords there is no spanning
+    2d-subgraph.  With 2n-3 the ordering is is_2dtree's, a before b.  With
+    more, the greedy (_Placer.grow) starts from the smallest cord in a
+    triangle of L.
+    """
+    n = len(tree._index.taxa)
+    if len(cords) < 2 * n - 3:
+        return None
+    partners = _partner_bits(cords, tree._index.taxa)
+    placer = _Placer(tree)
+    if len(cords) == 2 * n - 3:
+        ordering = _peel(partners)
+        if ordering is None:
+            return None
+        position = {v: k for k, v in enumerate(ordering)}
+        placed, prefix = [], 1 << ordering[0] | 1 << ordering[1]
+        for z in ordering[2:]:  # a 2d-tree ordering: two earlier neighbours each
+            a, b = sorted(_bit_indices(partners[z] & prefix), key=position.__getitem__)
+            if not placer.place(z, a, b, prefix, placed):
+                return None
+            prefix |= 1 << z
+        return ordering[:2], placed, partners
+    start = next(
+        ((i, j) for i in range(n) for j in _bit_indices(partners[i]) if i < j and partners[i] & partners[j]),
+        None,
+    )
+    if start is None:  # no triangle: nothing places
+        return None
+    placed, prefix = placer.grow(partners, start)
+    return (start, placed, partners) if prefix == placer.full else None
+
+
+def placement_steps(tree, cords):
+    """The steps of placement's shelling, or None when it does not place."""
+    placed = placement(tree, cords)
+    return None if placed is None else _placement_steps(tree, *placed)
 
 
 def insertion_topologies(taxa):

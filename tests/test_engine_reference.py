@@ -8,7 +8,6 @@ import tracemalloc
 
 import pytest
 
-import treelasso.lasso
 from treelasso import (
     Cord,
     InconsistentDistanceError,
@@ -110,16 +109,8 @@ def test_zero_interior_edge_ties_match_rescan():
             assert got.missing or exact_rational
 
 
-def test_shellability_matches_counting_reference(monkeypatch):
-    # Placement answers most "yes" cases here; the second pass switches it
-    # off, so that the bitset closure, in shuffled taxon orders too, meets
-    # them.
-    for placement in (treelasso.lasso._placement, lambda tree, cords: None):
-        monkeypatch.setattr(treelasso.lasso, "_placement", placement)
-        _match_counting_reference()
-
-
-def _match_counting_reference():
+def test_shellability_matches_counting_reference():
+    # The bitset closure answers every case, in shuffled taxon orders too.
     for seed in range(80):
         _, tree, cords = _case(seed)
         expected = counting_is_shellable(tree, cords)

@@ -1,5 +1,5 @@
-"""The bitset closure that answers is_shellable when placement fails, against
-the quartet engine on hop counts and the counting engine it replaced
+"""The bitset closure that answers is_shellable, against the quartet engine
+on hop counts, the counting engine and the placement it replaced
 (reference_lasso.py), and the callers that must answer without the engine."""
 
 import random
@@ -10,17 +10,18 @@ import pytest
 import treelasso.lasso
 from treelasso import (
     Cord,
-    ShellingResult,
     all_cords,
     closest_leaf_transversal,
+    edge_weight_lasso_certificate,
+    integer_matrix_rank,
     is_shellable,
     min_order_transversal,
+    path_incidence_matrix,
     random_tree,
     triplet_cover,
     verify_shelling,
 )
-from treelasso.lasso import _hop_closure, _MissingCords, _placement
-from reference_lasso import counting_is_shellable, engine_is_shellable
+from reference_lasso import counting_is_shellable, engine_is_shellable, placement, placement_steps
 
 
 def _two_d_tree(rng, taxa, on_cords):
@@ -81,11 +82,11 @@ def _case(seed, n=None):
     return family, tree, cords
 
 
-def _check(tree, cords, got, expected_missing, oriented=True):
+def _check(tree, cords, got, expected_missing):
     assert got.missing == expected_missing
     assert len(got.missing) == len(expected_missing) and frozenset(got.missing) == expected_missing
     verify_shelling(tree, cords, got.steps, require_complete=got.is_complete)
-    for step in got.steps if oriented else ():  # pivots (x, y) orient as  a x || y b
+    for step in got.steps:  # pivots (x, y) orient as  a x || y b
         a, b = step.cord.a, step.cord.b
         assert frozenset({a, step.pivots[0]}) in tree.quartet_topology(a, b, *step.pivots)
 
@@ -97,15 +98,34 @@ def test_closure_matches_both_engines():
         expected = engine_is_shellable(tree, cords)
         assert expected.missing == counting_is_shellable(tree, cords).missing, (family, seed)
         _check(tree, cords, is_shellable(tree, cords), expected.missing)
-        # The closure alone, also where placement answers, in another taxon
-        # order.
-        steps, known = _hop_closure(tree, set(cords), random.Random(seed))
-        closed = ShellingResult(steps, _MissingCords(tree._index.taxa, known))
-        _check(tree, cords, closed, expected.missing, oriented=False)
+        # In another taxon order, which starts the first block elsewhere.
+        _check(tree, cords, is_shellable(tree, cords, random.Random(seed)), expected.missing)
         verdicts[family, bool(expected)] += 1
     for family in FAMILIES:
         assert verdicts[family, False] >= 100, family
     assert verdicts["cover+extras-k", True] and verdicts["2d-tree", True]
+
+
+def test_closure_answers_where_placement_did():
+    # The placement is_shellable tried first, before the closure answered
+    # alone, and the rank the certificate falls back on.
+    seen = Counter()
+    for seed in range(3000):
+        family, tree, cords = _case(seed)
+        got = is_shellable(tree, cords)
+        placed = placement_steps(tree, cords)
+        n = tree.n_leaves
+        if placed is not None:
+            assert got.is_complete, (family, seed)
+            if len(cords) > 2 * n - 3:  # both grow the smallest cord in a triangle
+                assert got.steps == placed, (family, seed)
+        if len(cords) >= 2 * n - 3:
+            full_rank = integer_matrix_rank(path_incidence_matrix(tree, cords)) == len(tree.edges())
+            assert edge_weight_lasso_certificate(tree, cords) == full_rank, (family, seed)
+            seen["rank", full_rank] += 1
+        seen["placed", placed is not None, len(cords) > 2 * n - 3] += 1
+    assert seen["placed", True, True] >= 100 and seen["placed", True, False] >= 100
+    assert seen["rank", True] >= 400 and seen["rank", False] >= 1000
 
 
 @pytest.mark.parametrize("n", [30, 45, 60])
@@ -139,6 +159,6 @@ def test_no_answers_never_enter_the_engine(monkeypatch, quartet_abcd, remark1_co
     for (tree, cords), missing in zip(cases, expected):
         got = is_shellable(tree, cords)
         _check(tree, cords, got, missing)
-        answered[_placement(tree, cords) is None, got.is_complete] += 1
+        answered[placement(tree, cords) is None, got.is_complete] += 1
     # Every cover less one cord is a "no"; so are most random 2d-trees.
     assert answered[True, False] >= 2 * 11 + 1 + 4

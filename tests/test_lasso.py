@@ -422,6 +422,22 @@ class TestEdgeWeightLassoCertificate:
         # wing rows ac-bc and ad-bd express the same difference a-b.
         assert not edge_weight_lasso_certificate(quartet_abcd, remark1_cords)
 
+    def test_cords_spelled_as_plain_pairs(self):
+        tree = random_tree(6, seed=1)
+        cover = sorted(triplet_cover(tree, min_order_transversal(tree)))
+        plain = [tuple(c) for c in cover]
+        assert path_incidence_matrix(tree, plain) == path_incidence_matrix(tree, cover)
+        assert path_incidence_matrix(tree, [c[::-1] for c in plain]) == path_incidence_matrix(tree, cover)
+        # A reversed duplicate is the same cord, so the count falls short.
+        assert not edge_weight_lasso_certificate(tree, plain[:-1] + [plain[0][::-1]])
+        assert edge_weight_lasso_certificate(tree, [c[::-1] for c in plain])
+        # A set that the rank decides: the cover less a cord plus another.
+        other = sorted(all_cords(tree.taxa) - set(cover))[0]
+        swapped = plain[1:] + [other[::-1]]
+        expected = integer_matrix_rank(path_incidence_matrix(tree, cover[1:] + [other])) == len(tree.edges())
+        assert edge_weight_lasso_certificate(tree, swapped) == expected
+        assert topological_lasso_oracle(tree, plain) == topological_lasso_oracle(tree, cover)
+
 
 class TestTopologicalOracle:
     def test_remark1_refuted(self, quartet_abcd, remark1_cords):

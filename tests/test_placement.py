@@ -1,6 +1,8 @@
 """Placement, the shellability certificate for cord sets with a spanning
-2d-subgraph, against the counting engine (reference_lasso.py), and the
-callers that must answer from it alone."""
+2d-subgraph: the shelling closure, whose first block is a placement,
+against the counting engine and the placement it absorbed
+(reference_lasso.py), and the callers that must answer without the quartet
+engine or the rank."""
 
 import os
 import random
@@ -26,8 +28,8 @@ from treelasso import (
     triplet_cover,
     verify_shelling,
 )
-from treelasso.lasso import _placement
-from reference_lasso import counting_is_shellable
+from treelasso.lasso import _hop_closure
+from reference_lasso import counting_is_shellable, placement
 
 
 def _two_d_tree(rng, taxa):
@@ -73,7 +75,7 @@ def test_placement_agrees_with_the_counting_engine():
     verdicts = Counter()
     for cls, tree, cords in _cases():
         expected = counting_is_shellable(tree, cords)
-        placed = _placement(tree, cords) is not None
+        placed = placement(tree, cords) is not None
         got = is_shellable(tree, cords)
         assert got.missing == expected.missing, (cls, tree.newick(), sorted(cords))
         if placed:
@@ -97,23 +99,22 @@ def test_placement_agrees_with_the_counting_engine():
 
 
 @pytest.mark.parametrize("n", [33, 45, 60])
-def test_larger_stable_covers_place_as_the_engine_agrees(monkeypatch, n):
-    # The counting engine takes seconds here; with placement off the bitset
-    # closure answers, checked against the engines in test_hop_closure.py.
+def test_larger_stable_covers_place_as_the_engine_agrees(n):
+    # The counting engine takes seconds here; the bitset closure answers,
+    # checked against the engines in test_hop_closure.py, and the
+    # reference's placement places these covers too.
     tree = random_tree(n, seed=100 + n)
-    covers = [_stable_cover(tree, random.Random(n), kind) for kind in ("min", "closest", "furthest")]
-    for cords in covers:
+    for kind in ("min", "closest", "furthest"):
+        cords = _stable_cover(tree, random.Random(n), kind)
         verify_shelling(tree, cords, is_shellable(tree, cords).steps, require_complete=True)
-    monkeypatch.setattr(treelasso.lasso, "_placement", lambda tree, cords: None)
-    for cords in covers:
-        assert is_shellable(tree, cords).is_complete
+        assert placement(tree, cords) is not None
 
 
 def test_remark1_is_answered_without_the_engine(monkeypatch, quartet_abcd, remark1_cords):
     # A 2d-tree whose last vertex c does not place: its back-neighbours a, b
     # form a cherry, and the branch towards c already holds d.  The closure
     # answers, and the quartet engine never runs.
-    assert _placement(quartet_abcd, set(remark1_cords)) is None
+    assert placement(quartet_abcd, set(remark1_cords)) is None
 
     def refuse(*args, **kwargs):
         raise AssertionError("the engine ran")
@@ -134,6 +135,20 @@ def _covers_and_plus_one():
                 yield tree, cover | {rng.choice(pool)}, False
 
 
+def _built_2d_trees():
+    """2d-trees by the definition, each later taxon joined to two random
+    earlier taxa, with the tree tree_from_2dtree builds for them: a
+    shellable lasso of it."""
+    for n in range(4, 61, 4):
+        for k in range(6):
+            rng = random.Random(100 * n + k)
+            ordering = rng.sample([f"t{i:02d}" for i in range(n)], n)
+            cords = {Cord(ordering[0], ordering[1])}
+            for i in range(2, n):
+                cords.update(Cord(ordering[i], t) for t in rng.sample(ordering[:i], 2))
+            yield tree_from_2dtree(cords, ordering), cords, ordering
+
+
 def test_yes_answers_never_enter_the_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the engine ran")
@@ -152,6 +167,35 @@ def test_yes_answers_never_enter_the_engine(monkeypatch):
             assert certified.newick() == tree_from_2dtree(cords, ordering).newick()
         checked[is_cover] += 1
     assert checked == {True: 58 * 3, False: 57 * 3}
+    # Built 2d-trees are shellable, yet the greedy first block often stops
+    # short of X; the rest of the closure answers them.
+    for tree, cords, ordering in _built_2d_trees():
+        result = is_shellable(tree, cords)
+        assert result and len(result.steps) == tree.n_leaves * (tree.n_leaves - 1) // 2 - len(cords)
+        verify_shelling(tree, cords, result.steps, require_complete=True)
+        assert edge_weight_lasso_certificate(tree, cords)
+        certified = tree_from_2dtree(cords, ordering, certify=True)
+        assert certified.newick() == tree_from_2dtree(cords, ordering).newick()
+        first_block = _hop_closure(tree, cords)[1][0]
+        checked["short", len(first_block[1]) < tree.n_leaves - 2] += 1
+    assert checked["short", True] >= 20 and checked["short", False] >= 20
+
+
+def test_certificate_and_certify_build_no_steps(monkeypatch):
+    tree = random_tree(40, seed=4)
+    cords = _stable_cover(tree, random.Random(4), "closest")
+    ordering = is_2dtree(cords, tree.taxa)
+    plain = tree_from_2dtree(cords, ordering).newick()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shelling steps were built")
+
+    monkeypatch.setattr(treelasso.lasso, "_placement_steps", refuse)
+    monkeypatch.setattr(treelasso.lasso, "integer_matrix_rank", refuse)
+    assert edge_weight_lasso_certificate(tree, cords)
+    assert tree_from_2dtree(cords, ordering, certify=True).newick() == plain
+    with pytest.raises(AssertionError, match="steps were built"):
+        is_shellable(tree, cords)
 
 
 #: Prints classify's report and shelling trace for a stable cover of a
