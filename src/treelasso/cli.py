@@ -36,8 +36,8 @@ from .cover import (
 )
 from .lasso import (
     InconsistentDistanceError,
+    _full_rank,
     closure,
-    edge_weight_lasso_certificate,
     is_2dtree,
     is_shellable,
     topological_lasso_oracle,
@@ -141,7 +141,9 @@ def cmd_classify(args) -> int:
         print("2d-tree\tno")
     else:
         print(f"2d-tree\tyes\t{','.join(ordering)}")
-    lasso = shelling.is_complete or edge_weight_lasso_certificate(tree, cords)  # shellable => lasso
+    # Shellable => lasso; otherwise the certificate's shelling shortcut
+    # would only rerun the closure behind is_shellable, so the rank decides.
+    lasso = shelling.is_complete or _full_rank(tree, cords)
     print(f"edge-weight-lasso\t{_yes(lasso)}\trank-target={len(tree.edges())}")
     if args.oracle_topological:
         if witness is None:
@@ -294,7 +296,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reconstruct", help="rebuild a tree from a cord-distance TSV")
     p.add_argument("distances", help="cord-distance TSV file")
     p.add_argument("-o", "--out", default=None, help="output Newick path (default stdout)")
-    p.add_argument("--trace", default=None, help="write the closure trace to this path")
+    p.add_argument(
+        "--trace",
+        default=None,
+        help="write how each missing distance was derived (placement or closure order) to this path",
+    )
     p.add_argument("--exact-rational", action="store_true", help="exact arithmetic in the closure")
     p.set_defaults(func=cmd_reconstruct)
 

@@ -385,29 +385,31 @@ class _Placer:
         placed.append((z, a, b, self.side(m, va)))
         return True
 
-    def grow(self, partners, start) -> tuple[list, int]:
-        """The greedy placement from the known cord *start* over the graph of
-        *partners*, and the bitset of the taxa it places.  A taxon z joins
-        once a pair of its placed neighbours places it.  In T restricted to
-        the placed taxa S plus z, z hangs off one edge of T restricted to S,
-        and a pair places z exactly when that edge separates the pair.  As S
-        grows, the edge shrinks to a piece of itself or moves into a branch
-        newly hung off it, so two taxa on one side of it stay on one side.
-        A neighbour that fails with z's first placed neighbour is thus on
-        the first's side for good, and each new neighbour need only be tried
-        with the first."""
-        placed, prefix = [], 1 << start[0] | 1 << start[1]
-        first: list[int | None] = [None] * len(partners)  # each taxon's first placed neighbour
-        queue = deque(start)
-        while queue:
-            v = queue.popleft()
-            for z in _bit_indices(partners[v] & ~prefix):  # placing z changes only z's bit
-                if first[z] is None:
-                    first[z] = v
-                elif self.place(z, first[z], v, prefix, placed):
-                    prefix |= 1 << z
-                    queue.append(z)
-        return placed, prefix
+
+def _grow(partners, start, place) -> tuple[list, int]:
+    """The greedy placement from the known cord *start* over the graph of
+    *partners*, and the bitset of the taxa it places.  *place* is the test,
+    with the signature of _Placer.place: on the tree's index there, on the
+    distances in reconstruct.  A taxon z joins once a pair of its placed
+    neighbours places it.  In T restricted to the placed taxa S plus z, z
+    hangs off one edge of T restricted to S, and a pair places z exactly
+    when that edge separates the pair.  As S grows, the edge shrinks to a
+    piece of itself or moves into a branch newly hung off it, so two taxa
+    on one side of it stay on one side.  A neighbour that fails with z's
+    first placed neighbour is thus on the first's side for good, and each
+    new neighbour need only be tried with the first."""
+    placed, prefix = [], 1 << start[0] | 1 << start[1]
+    first: list[int | None] = [None] * len(partners)  # each taxon's first placed neighbour
+    queue = deque(start)
+    while queue:
+        v = queue.popleft()
+        for z in _bit_indices(partners[v] & ~prefix):  # placing z changes only z's bit
+            if first[z] is None:
+                first[z] = v
+            elif place(z, first[z], v, prefix, placed):
+                prefix |= 1 << z
+                queue.append(z)
+    return placed, prefix
 
 
 def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
@@ -422,7 +424,7 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
 
     Blocks first.  For each taxon i in turn, each known cord ij not inside a
     block and in a triangle of the known cords starts a greedy placement
-    over L (_Placer.grow), which need not reach all of X; the pairs within
+    over L (_grow), which need not reach all of X; the pairs within
     the block it places become known.  With no *rng* the first block starts
     from the smallest cord in a triangle of L, and when it spans X nothing
     is left to derive.
@@ -466,7 +468,7 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
             j = _lowest(untried)
             untried ^= 1 << j
             if known[i] & known[j]:
-                placed, block = placer.grow(given, (i, j))
+                placed, block = _grow(given, (i, j), placer.place)
                 blocks.append(((i, j), placed, {z: known[z] for z, _, _, _ in placed}))
                 if block == full:  # every pair is known: nothing left to derive
                     return [full ^ 1 << b for b in range(n)], blocks, derivations
@@ -574,20 +576,26 @@ def _lowest(bits: int) -> int:
 
 
 def _placement_steps(tree: XTree, start, placed, partners) -> tuple[ShellingStep, ...]:
-    """The shelling a placement certifies: for each later taxon z, pivots a
-    and b, each cord zs to an earlier taxon s not already in partners[z],
-    with s paired with a when it lies in a's component of T-m."""
+    """The shelling a placement certifies, as ShellingSteps."""
     taxa = tree._index.taxa
+    quartets = _placement_quartets(start, placed, partners)
+    return tuple(ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, x, y, v in quartets)
+
+
+def _placement_quartets(start, placed, partners) -> Iterator[tuple[int, int, int, int]]:
+    """The derivations a placement certifies, in placement order: for each
+    later taxon z, pivots a and b, each cord zs to an earlier taxon s not
+    already in partners[z], with s paired with a when it lies in a's
+    component of T-m.  Each is (u, x, y, v), u < v: cord uv, quartet
+    u x || y v."""
     prefix = list(start)
-    steps = []
     for z, a, b, a_side in placed:
-        joined = set(_bit_indices(partners[z]))
+        joined = partners[z]
         for s in prefix:
-            if s not in joined:
+            if not joined >> s & 1:
                 x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # s a || b z, lower end first
-                steps.append(ShellingStep(Cord(taxa[s], taxa[z]), (taxa[x], taxa[y])))
+                yield (s, x, y, z) if s < z else (z, x, y, s)
         prefix.append(z)
-    return tuple(steps)
 
 
 def verify_shelling(
@@ -764,13 +772,19 @@ def tree_from_2dtree(
         parent[v], weight[v] = mid, half
         leaf_of[label] = mid + 1
 
-    tree = XTree(
-        sorted((min(v, p), max(v, p), w) for v, (p, w) in enumerate(zip(parent, weight)) if p is not None),
-        {vid: lab for lab, vid in leaf_of.items()},
-    )
+    tree = _parent_tree(parent, weight, leaf_of)
     if certify and not _shells(tree, cords):
         raise AssertionError("constructed tree does not certify: cords not a shellable lasso of it")
     return tree
+
+
+def _parent_tree(parent: list[int | None], weight: list[float], leaf_of: Mapping[str, int]) -> XTree:
+    """The XTree of a tree kept as parent pointers, with each vertex's
+    weight to its parent and each taxon's leaf."""
+    return XTree(
+        sorted((min(v, p), max(v, p), w) for v, (p, w) in enumerate(zip(parent, weight)) if p is not None),
+        {vid: lab for lab, vid in leaf_of.items()},
+    )
 
 
 def _path_edges(parent: list[int | None], a: int, b: int) -> list[int]:
@@ -892,12 +906,17 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     if not tree.is_fully_resolved():
         raise TreeError("the rank certificate assumes a fully-resolved tree")
     cords = _cords_over(cords, tree)
-    n_edges = len(tree.edges())
-    if len(cords) < n_edges:
-        return False
-    if _shells(tree, cords):
+    if len(cords) >= len(tree.edges()) and _shells(tree, cords):
         return True
-    return integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
+    return _full_rank(tree, cords)
+
+
+def _full_rank(tree: XTree, cords: Collection[Cord]) -> bool:
+    """The certificate past its shelling shortcut: whether the path-incidence
+    matrix has full column rank, with no elimination when L has fewer cords
+    than T has edges."""
+    n_edges = len(tree.edges())
+    return len(cords) >= n_edges and integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
 
 
 # ---------------------------------------------------------------------------

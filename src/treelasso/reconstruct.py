@@ -1,21 +1,62 @@
-"""End-to-end reconstruction: close the partial distances, then rebuild the
-tree and its edge weights with Neighbor-Joining, and verify the result.
+"""End-to-end reconstruction: rebuild the tree and its edge weights from
+partial distances, and verify the result against every input distance.
 
-On additive (tree-metric) input NJ recovers the unique fully-resolved tree
-exactly, up to float accumulation; the pipeline therefore finishes by
-checking the output tree against every *input* distance, so corrupt or
-non-additive data cannot slip through the closure unnoticed.
+Two paths, and the input decides between them.
+
+Placement.  An incomplete input with at least 2n-3 cords is first grown
+into a tree one taxon at a time, by the greedy loop that places blocks for
+shellability (lasso._grow) with a distance test in place of the index
+test: the classical additive-tree insertion (Waterman, Smith, Singh & Beyer,
+"Additive evolutionary trees", 1977) along a spanning 2d-subgraph of the
+cords, the paper's polynomial-time reconstruction.  The growing tree is
+kept as parent pointers, as in tree_from_2dtree, starting from the edge of
+the smallest cord in a triangle of L.  A taxon z with placed neighbours a
+and b gets a pendant edge of length p = (d(z,a)+d(z,b)-D)/2, D the length
+of the a-b path of the tree built so far, attached at the point that lies
+d(z,a)-p from a on that path.  z places only when p and the attachment
+point's distance from every vertex of the path clear the definitely_less
+margin at eps; then the point splits an edge strictly inside.
+
+Soundness.  Let the values be the metric of a tree T, every edge of
+positive weight, and by induction let the tree built on the placed taxa S
+be T restricted to S with its weights.  Let m be the median of a, b and z
+in T.  Then m lies on the a-b path, d(z,a)-p from a, and p = d(z,m).  If
+the component of T-m holding z has no taxon of S, m has degree 2 in T
+restricted to S, so it lies strictly inside one of its edges, and hanging z
+there at distance p gives T restricted to S+{z}.  Otherwise m is a vertex
+of T restricted to S, the attachment point falls on it, and z does not
+place.  So, exactly, z places iff the component of T-m holding z has no
+earlier taxon, which is the index test of lasso's placement on T itself:
+the margin keeps that strict under floats, declining rather than guessing
+when the point lands within tolerance of a vertex.  When every taxon
+places, the tree is T, the cords are a shellable lasso of it, and the
+trace holds the shelling the placement certifies (lasso's module
+docstring), one ClosureStep per derived cord in placement order: cord zs,
+pivots a and b by s's side of m, value by the four-point formula over the
+values given or derived before it.  No quartet closure and no NJ run.
+
+Closure.  Every other input (fewer than 2n-3 cords, which cannot fix the
+2n-3 edge weights; a taxon that does not place; exact_rational=True; a
+complete input, where NJ is cheaper than placing) is closed under the
+extension rule, and a complete closure goes through Neighbor-Joining.  On
+additive (tree-metric) input NJ recovers the unique fully-resolved tree
+exactly, up to float accumulation.
+
+Either way the pipeline finishes by checking the output tree against every
+*input* distance, so corrupt or non-additive data cannot slip through
+unnoticed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .cords import Cord, PartialDistance
-from .lasso import ClosureTrace, closure
-from .tolerance import DEFAULT_EPSILON
+from .cords import Cord, PartialDistance, _bit_indices, _partner_bits
+from .lasso import ClosureStep, ClosureTrace, _grow, _parent_tree, _path_edges, _Placer, _placement_quartets, closure
+from .tolerance import DEFAULT_EPSILON, definitely_less
 from .tree import XTree
 
 #: Absolute tolerance for the final tree-against-input check; looser than the
@@ -98,8 +139,9 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Outcome of the pipeline: a tree on success, the closure trace always,
-    and the cords the closure could not reach (empty on success)."""
+    """Outcome of the pipeline: a tree on success, the trace of the derived
+    cords always (the placement's or the closure's), and the cords the
+    closure could not reach (empty on success)."""
 
     tree: XTree | None
     trace: ClosureTrace
@@ -116,22 +158,120 @@ def reconstruct(
     exact_rational: bool = False,
     verify_eps: float = VERIFY_EPSILON,
 ) -> Reconstruction:
-    """Close the distances under the extension rule, then run NJ and verify.
+    """Rebuild the tree from the distances and verify it.
 
-    Succeeds whenever the cord set contains a shellable lasso of the source
-    tree and the values are its induced metric.  An incomplete closure is a
-    structured result (the missing cords say which distances to measure
-    next), not an error.  Inconsistent or non-additive input raises
-    InconsistentDistanceError / NonAdditiveError.
+    An incomplete input with at least 2n-3 cords is placed taxon by taxon
+    first (see the module docstring); when every taxon places, that tree is
+    the answer and the trace lists its derivations in placement order.
+    Otherwise the distances are closed under the extension rule and a
+    complete closure goes through NJ.  Either way succeeds whenever the
+    cord set contains a shellable lasso of the source tree and the values
+    are its induced metric.  An incomplete closure is a structured result
+    (the missing cords say which distances to measure next), not an error.
+    Inconsistent or non-additive input raises InconsistentDistanceError /
+    NonAdditiveError; a tree that misses an input distance by more than
+    verify_eps raises NonAdditiveError.
     """
-    trace = closure(d, eps=eps, exact_rational=exact_rational)
-    if not trace.is_complete:
-        return Reconstruction(None, trace, trace.missing)
-    tree = neighbor_joining(trace.final, eps=eps)
+    placement = None if exact_rational else _place(d, eps)
+    if placement is None:
+        trace = closure(d, eps=eps, exact_rational=exact_rational)
+        if not trace.is_complete:
+            return Reconstruction(None, trace, trace.missing)
+        tree = neighbor_joining(trace.final, eps=eps)
+    else:
+        tree, placement_trace = placement
     for cord in d:
         reproduced = tree.distance(cord.a, cord.b)
         if abs(reproduced - d[cord]) > verify_eps:
             raise NonAdditiveError(
                 f"reconstructed tree gives {reproduced} for {cord}, input says {d[cord]}"
             )
+    if placement is not None:  # derived only now: corrupt values fail the check above first
+        trace = placement_trace()
     return Reconstruction(tree, trace, frozenset())
+
+
+def _place(d: PartialDistance, eps: float) -> tuple[XTree, Callable[[], ClosureTrace]] | None:
+    """The tree of the placement of d, and a function that builds its trace;
+    None when the input takes the closure path or a taxon does not place."""
+    taxa = sorted(d.taxa)
+    n = len(taxa)
+    if not 2 * n - 3 <= len(d) < n * (n - 1) // 2:
+        return None
+    partners = _partner_bits(d.cords, taxa)
+    start = next(
+        ((i, j) for i in range(n) for j in _bit_indices(partners[i]) if i < j and partners[i] & partners[j]),
+        None,
+    )
+    if start is None:  # no triangle: nothing places
+        return None
+    value = [[0.0] * n for _ in range(n)]
+    index = {t: i for i, t in enumerate(taxa)}
+    for (a, b), v in d.items():
+        value[index[a]][index[b]] = value[index[b]][index[a]] = v
+    placer = _MetricPlacer(value, start, eps)
+    placed, prefix = _grow(partners, start, placer.place)
+    if prefix != (1 << n) - 1:
+        return None
+    tree = _parent_tree(placer.parent, placer.weight, {taxa[i]: v for i, v in placer.leaf_of.items()})
+
+    def trace() -> ClosureTrace:
+        # s's side of m, the vertex that z's placement made, on the built tree
+        sides = _Placer(tree)
+        quartets = _placement_quartets(
+            start, [(z, a, b, sides.side(m, sides.leaf[a])) for z, a, b, m in placed], partners
+        )
+        steps, final = [], dict(d)
+        for u, x, y, v in quartets:
+            value[u][v] = value[v][u] = value[u][y] + value[x][v] - value[x][y]
+            step = ClosureStep(Cord(taxa[u], taxa[v]), (taxa[u], taxa[x], taxa[y], taxa[v]), value[u][v])
+            steps.append(step)
+            final[step.cord] = step.value
+        return ClosureTrace(tuple(steps), PartialDistance(final))
+
+    return tree, trace
+
+
+class _MetricPlacer:
+    """The distance test of a placement over taxon indices, for _grow, and
+    the tree it grows: parent pointers with each vertex's weight to its
+    parent, as in tree_from_2dtree, from the edge of the start cord.  Its
+    entries are (z, a, b, m), m the vertex that z's pendant edge hangs
+    from."""
+
+    def __init__(self, value: list[list[float]], start: tuple[int, int], eps: float):
+        a, b = start
+        self.value, self.eps = value, eps
+        self.leaf_of = {a: 0, b: 1}
+        self.parent: list[int | None] = [None, 0]
+        self.weight = [0.0, value[a][b]]  # to the parent; unused at the root
+
+    def place(self, z, a, b, prefix, placed) -> bool:
+        parent, weight, eps = self.parent, self.weight, self.eps
+        lower = _path_edges(parent, self.leaf_of[a], self.leaf_of[b])
+        length = sum(weight[v] for v in lower)
+        za, zb = self.value[z][a], self.value[z][b]
+        if not definitely_less(length, za + zb, eps):  # no pendant edge of positive length
+            return False
+        at = (za - zb + length) / 2  # the attachment point, as its distance from a
+        pos, end = 0.0, self.leaf_of[a]  # end: the path vertex pos from a
+        for v in lower:  # the first edge ending beyond the point
+            after = pos + weight[v]
+            if at < after:
+                break
+            pos, end = after, parent[v] if v == end else v
+        else:
+            return False
+        # Positions grow along the path, so the point clears every vertex
+        # when it clears the ends of its edge.
+        if not (definitely_less(pos, at, eps) and definitely_less(at, after, eps)):
+            return False
+        near, far = at - pos, after - at
+        mid = len(parent)
+        up, down = (far, near) if v == end else (near, far)  # mid to parent[v], v to mid
+        parent += [parent[v], mid]
+        weight += [up, (za + zb - length) / 2]
+        parent[v], weight[v] = mid, down
+        self.leaf_of[z] = mid + 1
+        placed.append((z, a, b, mid))
+        return True

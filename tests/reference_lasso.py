@@ -30,6 +30,7 @@ from treelasso.lasso import (
     _back_neighbours,
     _contract_tiny_interior,
     _extend,
+    _grow,
     _peel,
     _placement_steps,
     _Placer,
@@ -217,7 +218,7 @@ def placement(tree, cords):
     Returns the two starting taxa, the placement (see lasso._Placer) and
     L's partner bitsets.  With fewer than 2n-3 cords there is no spanning
     2d-subgraph.  With 2n-3 the ordering is is_2dtree's, a before b.  With
-    more, the greedy (_Placer.grow) starts from the smallest cord in a
+    more, the greedy (lasso._grow) starts from the smallest cord in a
     triangle of L.
     """
     n = len(tree._index.taxa)
@@ -243,7 +244,7 @@ def placement(tree, cords):
     )
     if start is None:  # no triangle: nothing places
         return None
-    placed, prefix = placer.grow(partners, start)
+    placed, prefix = _grow(partners, start, placer.place)
     return (start, placed, partners) if prefix == placer.full else None
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import treelasso.cli
+import treelasso.lasso
 from treelasso import induced_distance, is_equivalent, parse_newick
 from treelasso.cli import main
 from conftest import REMARK1_PAIRS, SNOWFLAKE6_NEWICK
@@ -118,14 +119,29 @@ class TestClassifyCommand:
         expected = run(capsys, *argv)
 
         def refuse(tree, cords):
-            raise AssertionError("the rank certificate ran on a shellable cord set")
+            raise AssertionError("the rank ran on a shellable cord set")
 
-        monkeypatch.setattr(treelasso.cli, "edge_weight_lasso_certificate", refuse)
+        monkeypatch.setattr(treelasso.cli, "_full_rank", refuse)
         assert run(capsys, *argv) == expected
         assert "edge-weight-lasso\tyes\trank-target=9\n" in expected[1]
         cords_path.write_text("".join(f"{c.a}\t{c.b}\n" for c in sorted(cover9)[1:]))
-        with pytest.raises(AssertionError, match="rank certificate ran"):
-            main(list(argv))  # not shellable: the certificate answers
+        with pytest.raises(AssertionError, match="rank ran"):
+            main(list(argv))  # not shellable: the rank answers
+
+    def test_a_no_runs_the_shelling_closure_once(self, capsys, monkeypatch, tmp_path):
+        # Remark 1's 2d-tree: 2n-3 cords, not shellable, so the rank decides.
+        tree_path = tmp_path / "quartet.nwk"
+        tree_path.write_text("((a:1,b:1):1,(c:1,d:1):1);\n")
+        cords_path = tmp_path / "remark1.cords"
+        cords_path.write_text("".join(f"{a}\t{b}\n" for a, b in REMARK1_PAIRS))
+        argv = ("classify", str(tree_path), str(cords_path))
+        expected = run(capsys, *argv)
+        calls = []
+        closure = treelasso.lasso._hop_closure
+        monkeypatch.setattr(treelasso.lasso, "_hop_closure", lambda *args: calls.append(args) or closure(*args))
+        assert run(capsys, *argv) == expected
+        assert "shellable\tno\n" in expected[1] and "edge-weight-lasso\tno\trank-target=5\n" in expected[1]
+        assert len(calls) == 1
 
     def test_leaf_set_mismatch(self, capsys, tmp_path, snowflake_nwk):
         cords_path = tmp_path / "alien.cords"
@@ -306,6 +322,21 @@ class TestSimulateCommand:
         header, row = out.strip().splitlines()
         fields = dict(zip(header.split("\t"), row.split("\t")))
         assert float(fields["success_rate"]) <= 0.2
+
+    @pytest.mark.parametrize(
+        "flags, row",
+        [
+            (("--seed", "1", "--extra", "5", "--dropout", "0.3"), "12\t20\t0.3\t5\t20\t1.0\t41.55"),
+            (("--seed", "1", "--extra", "5", "--dropout", "0.3", "--drop-cover"), "12\t20\t0.3\t5\t0\t0.0\t10.2"),
+            (("--seed", "2", "--dropout", "0.1", "--drop-cover"), "12\t20\t0.1\t0\t1\t0.05\t19.45"),
+        ],
+    )
+    def test_report_is_pinned(self, capsys, flags, row):
+        # As printed when every trial went through the closure and NJ: the
+        # success_rate and mean_closure_steps columns are a contract.
+        code, out, _ = run(capsys, "simulate", "--n", "12", "--trials", "20", *flags)
+        assert code == 0
+        assert out == f"n\ttrials\tdropout\textra\tsuccesses\tsuccess_rate\tmean_closure_steps\n{row}\n"
 
     def test_bad_parameters_exit_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "2", "--trials", "5")
