@@ -112,14 +112,17 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
-def _checked_cord(a: str, b: str, lineno: int) -> Cord:
+def _checked_cord(a: str, b: str, lineno: int, valid: set[str]) -> Cord:
+    """The cord a-b of a file line; *valid* holds the labels already
+    checked, so each distinct label meets the pattern once."""
     for label in (a, b):
-        if not LABEL_PATTERN.match(label):
-            raise CordFormatError(f"invalid taxon label {label!r}", lineno)
-    try:
-        return Cord(a, b)
-    except ValueError:
-        raise CordFormatError(f"self-cord {a!r}", lineno) from None
+        if label not in valid:
+            if not LABEL_PATTERN.match(label):
+                raise CordFormatError(f"invalid taxon label {label!r}", lineno)
+            valid.add(label)
+    if a == b:
+        raise CordFormatError(f"self-cord {a!r}", lineno)
+    return tuple.__new__(Cord, (a, b) if a < b else (b, a))
 
 
 def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDistance:
@@ -130,13 +133,15 @@ def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDist
     lines raise CordFormatError with the line number.
     """
     data: dict[Cord, float] = {}
+    valid: set[str] = set()
     for lineno, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
             raise CordFormatError(
                 f"expected 'taxonA<TAB>taxonB<TAB>decimal', got {line!r}", lineno
             )
-        a, b, raw_value = (f.strip() for f in fields)
+        a, b, raw_value = fields
+        raw_value = raw_value.strip()
         try:
             value = float(raw_value)
         except ValueError:
@@ -145,7 +150,7 @@ def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDist
             raise CordFormatError(f"non-finite distance {raw_value!r}", lineno)
         if value < 0:
             raise CordFormatError(f"negative distance {raw_value!r}", lineno)
-        cord = _checked_cord(a, b, lineno)
+        cord = _checked_cord(a.strip(), b.strip(), lineno, valid)
         if cord in data and not approx_equal(data[cord], value, eps):
             raise CordFormatError(
                 f"conflicting duplicate for {cord}: {data[cord]} vs {value}", lineno
@@ -162,12 +167,13 @@ def format_cord_distances(d: PartialDistance) -> str:
 def parse_cord_set(text: str) -> frozenset[Cord]:
     """Parse a cord-set file (one 'taxonA<TAB>taxonB' per line)."""
     cords = set()
+    valid: set[str] = set()
     for lineno, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 2:
             raise CordFormatError(f"expected 'taxonA<TAB>taxonB', got {line!r}", lineno)
-        a, b = (f.strip() for f in fields)
-        cords.add(_checked_cord(a, b, lineno))
+        a, b = fields
+        cords.add(_checked_cord(a.strip(), b.strip(), lineno, valid))
     return frozenset(cords)
 
 
@@ -176,13 +182,30 @@ def format_cord_set(cords: Iterable[Cord]) -> str:
 
 
 def induced_distance(tree: XTree, cords: Iterable[Cord]) -> PartialDistance:
-    """Restriction of the tree metric to the given cords."""
-    return PartialDistance({c: tree.distance(c.a, c.b) for c in cords})
+    """Restriction of the tree metric to the given cords, each a Cord or a
+    pair of labels; KeyError when one names a taxon outside the tree.  The
+    values are bit-identical to ``tree.distance``, found in one pass."""
+    cords = _cords_over(cords, tree)
+    return PartialDistance(_distances(tree, _partner_bits(cords, tree._index.taxa)))
 
 
 def full_distance(tree: XTree) -> PartialDistance:
-    """The complete tree metric on all leaf pairs."""
-    return induced_distance(tree, all_cords(tree.taxa))
+    """The complete tree metric on all leaf pairs, bit-identical to
+    ``tree.distance`` on each, found in one pass."""
+    full = tree._index.full
+    return PartialDistance(_distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)]))
+
+
+def _distances(tree: XTree, partners: list[int]) -> dict[Cord, float]:
+    """``tree.distance`` of every cord in the partner bitsets over the tree's sorted taxa."""
+    new = tuple.__new__
+    return {new(Cord, pair): d for pair, d in tree._pair_distances(partners)}
+
+
+def _cord_distances(tree: XTree, cords: Collection[Cord]) -> dict[tuple[str, str], float]:
+    """``tree.distance`` of each cord, keyed by its sorted pair of labels,
+    which a Cord looks up; every cord is over the tree's taxa."""
+    return dict(tree._pair_distances(_partner_bits(cords, tree._index.taxa)))
 
 
 def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:

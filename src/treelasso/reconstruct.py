@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bit_indices, _partner_bits
+from .cords import Cord, PartialDistance, _bit_indices, _cord_distances, _partner_bits
 from .lasso import ClosureStep, ClosureTrace, _grow, _parent_tree, _path_edges, _Placer, _placement_quartets, closure
 from .tolerance import DEFAULT_EPSILON, definitely_less
 from .tree import XTree
@@ -180,8 +180,9 @@ def reconstruct(
         tree = neighbor_joining(trace.final, eps=eps)
     else:
         tree, placement_trace = placement
+    distances = _cord_distances(tree, d.cords)
     for cord in d:
-        reproduced = tree.distance(cord.a, cord.b)
+        reproduced = distances[cord]
         if abs(reproduced - d[cord]) > verify_eps:
             raise NonAdditiveError(
                 f"reconstructed tree gives {reproduced} for {cord}, input says {d[cord]}"

@@ -28,8 +28,19 @@ the bitset (a Python int, bit i for the i-th sorted taxon) of the leaves at
 or below it.  A leaf path climbs parent pointers to the lowest common
 ancestor; the hop distance is depth[x] + depth[y] - 2 * depth[lca].  The side
 of edge {u, v} where v is u's parent is ``below[u]``, the other side its
-complement.  ``distance`` still takes ``math.fsum`` of the same edge
-weights, so its values are bit-identical to a search along the path.
+complement.  ``distance`` takes ``math.fsum`` of the path's edge weights.
+
+Distances in bulk (``_pair_distances``, behind ``full_distance``,
+``induced_distance`` and reconstruct's check) take no path walk per pair.
+Each vertex's root-path weight is kept exactly, as a Shewchuk expansion
+(floats whose sum is exact, grown by two-sum along the index order).  The
+taxa below a vertex v in two different child subtrees have v as their
+lowest common ancestor, so their path weight is exactly up[x] + up[y] -
+up[v] - up[v], and ``math.fsum`` of those floats rounds that real number
+correctly: the same float as ``fsum`` along the path, bit for bit.  At each
+v the taxa of the smaller side are walked and their partner bitsets meet
+the other side, so any cord set costs O(n log n) bitset steps plus one
+``fsum`` per cord.  A pair whose sums overflow is left to ``distance``.
 Newick parsing and writing are iterative, so nesting depth is bounded by
 memory, not by the interpreter's recursion limit.
 """
@@ -41,7 +52,7 @@ import math
 import random
 import re
 from collections import deque
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -79,6 +90,29 @@ def _check_label(label: str) -> str:
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bit_selectors(bits: int) -> bytes:
+    # bin() writes the most significant bit first; reversed, its digits
+    # select bit 0, bit 1, ... in one C-level pass.
+    return bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS)
+
+
+def _grow_expansion(e: list[float], w: float) -> list[float]:
+    """The expansion of sum(e) + w: Shewchuk's Grow-Expansion with zero
+    elimination, a two-sum per component, smallest first.  Exact unless a
+    sum overflows, which leaves an inf or a nan in the result."""
+    out = []
+    for c in e:
+        s = w + c
+        t = s - w
+        err = (w - (s - t)) + (c - t)
+        if err:
+            out.append(err)
+        w = s
+    if w:
+        out.append(w)
+    return out
+
+
 class _RootedIndex(NamedTuple):
     """An XTree rooted at ``order[0]``; *order* lists parents before children."""
 
@@ -90,11 +124,7 @@ class _RootedIndex(NamedTuple):
     full: int  # bitset of every taxon
 
     def members(self, bits: int) -> frozenset[str]:
-        # bin() writes the most significant bit first; reversed, its digits
-        # select taxa[0], taxa[1], ... in one C-level pass.
-        return frozenset(
-            itertools.compress(self.taxa, bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS))
-        )
+        return frozenset(itertools.compress(self.taxa, _bit_selectors(bits)))
 
 
 class XTree:
@@ -213,6 +243,47 @@ class XTree:
             return 0.0
         path = self._path(self.leaf_vertex(x), self.leaf_vertex(y))
         return math.fsum(self._adj[a][b] for a, b in zip(path, path[1:]))
+
+    def _pair_distances(self, partners: list[int]) -> Iterator[tuple[tuple[str, str], float]]:
+        """((x, y), distance(x, y)) for every pair of taxa x < y where
+        partners[i] holds bit j, i and j their indices in the sorted taxa;
+        in one pass over the rooted index (see the module docstring)."""
+        index, adj = self._index, self._adj
+        parent, below, taxa = index.parent, index.below, index.taxa
+        up = {index.order[0]: []}  # each vertex's root-path weight, exactly
+        for v in index.order[1:]:
+            up[v] = _grow_expansion(up[parent[v]], adj[v][parent[v]])
+        leaves = [(i, t, up[self._leaf_by_label[t]]) for i, t in enumerate(taxa)]
+        fsum, isfinite = math.fsum, math.isfinite
+        for v in index.order:
+            # The taxa below v in different groups have v as their lowest
+            # common ancestor.  A leaf has children only as the root of a
+            # two-leaf tree, and its own taxon is a group there.
+            groups = [below[c] for c in adj[v] if c != parent[v]]
+            if v in self._label_by_leaf:
+                groups.append(below[v] ^ sum(groups))
+            if len(groups) < 2:
+                continue
+            # fsum reads up[x], -up[v], -up[v], up[y] in that order, so no
+            # running sum is far past up[x] or the distance; doubling up[v]
+            # could overflow where they do not.
+            neg = [-c for c in up[v]] * 2
+            seen = groups[0]
+            for group in groups[1:]:
+                small, large = (group, seen) if group.bit_count() <= seen.bit_count() else (seen, group)
+                for i, x, up_x in itertools.compress(leaves, _bit_selectors(small)):
+                    hits = partners[i] & large
+                    if not hits:
+                        continue
+                    ex = up_x + neg
+                    for j, y, up_y in itertools.compress(leaves, _bit_selectors(hits)):
+                        try:
+                            d = fsum(ex + up_y)
+                        except (OverflowError, ValueError):  # an overflowed root path
+                            d = math.inf
+                        pair = (x, y) if i < j else (y, x)
+                        yield pair, d if isfinite(d) else self.distance(*pair)
+                seen |= group
 
     def _rooted_index(self) -> _RootedIndex:
         # With |V| - 1 edges, the graph is a tree exactly when it is

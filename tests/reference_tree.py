@@ -37,6 +37,21 @@ def distance(tree, x, y):
     return math.fsum(tree.weight(a, b) for a, b in zip(p, p[1:]))
 
 
+def distances_from(tree, x):
+    """distance(tree, x, y) for every taxon y, from one search that carries
+    each vertex's path weights from x."""
+    start = tree.leaf_vertex(x)
+    path = {start: []}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for nb in tree.neighbors(v):
+            if nb not in path:
+                path[nb] = path[v] + [tree.weight(v, nb)]
+                queue.append(nb)
+    return {y: math.fsum(path[tree.leaf_vertex(y)]) for y in tree.taxa}
+
+
 def path_edges(tree, x, y):
     p = path(tree, tree.leaf_vertex(x), tree.leaf_vertex(y))
     return [(min(a, b), max(a, b)) for a, b in zip(p, p[1:])]

@@ -90,6 +90,30 @@ class TestParseCordDistances:
         d = parse_cord_distances("a\tb\t1.25\nb\tc\t0.5\n")
         assert dict(parse_cord_distances(format_cord_distances(d))) == dict(d)
 
+    def test_bad_label_reports_the_line_it_first_appears_on(self):
+        # Labels are checked once each: the first line naming a bad one is
+        # the line reported, whatever comes after it.
+        text = "a\tb\t1.0\nb\tc\t1.0\n# note\nc\tx$\t2.0\nx$\ta\t3.0\n"
+        with pytest.raises(CordFormatError) as err:
+            parse_cord_distances(text)
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: invalid taxon label 'x$'"
+        with pytest.raises(CordFormatError, match="^line 2: invalid taxon label 'b c'$"):
+            parse_cord_set("a\tb\nb c\ta\n")
+
+    def test_self_cord_of_labels_already_seen_fails(self):
+        with pytest.raises(CordFormatError) as err:
+            parse_cord_distances("a\tb\t1.0\nb\tb\t2.0\n")
+        assert str(err.value) == "line 2: self-cord 'b'"
+        with pytest.raises(CordFormatError, match="^line 2: self-cord 'a'$"):
+            parse_cord_set("a\tb\na\ta\n")
+
+    def test_parsed_cords_are_sorted_cords(self):
+        d = parse_cord_distances(" b \t a\t 1.5 \nc\tb\t2\n")
+        assert [type(c) for c in d] == [Cord, Cord]
+        assert list(d) == [("a", "b"), ("b", "c")] and [c.a for c in d] == ["a", "b"]
+        assert parse_cord_set("d\tc\n") == {Cord("c", "d")}
+
 
 class TestCordSetFormat:
     def test_round_trip(self):
@@ -111,6 +135,16 @@ class TestInducedDistance:
 
     def test_empty(self, caterpillar7):
         assert len(induced_distance(caterpillar7, [])) == 0
+
+    def test_plain_label_pairs(self):
+        tree = random_tree(5, seed=1)
+        d = induced_distance(tree, [("t02", "t01"), ("t03", "t05")])
+        assert list(d) == [Cord("t01", "t02"), Cord("t03", "t05")]
+        assert d[Cord("t01", "t02")] == tree.distance("t01", "t02")
+
+    def test_stray_taxon_is_a_key_error(self, caterpillar7):
+        with pytest.raises(KeyError, match="outside the tree"):
+            induced_distance(caterpillar7, [("a", "b"), ("a", "zz")])
 
     def test_three_leaf_star_all_two(self):
         from treelasso import parse_newick
