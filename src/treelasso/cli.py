@@ -299,7 +299,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--trace",
         default=None,
-        help="write how each missing distance was derived (placement or closure order) to this path",
+        help="write how each missing distance was derived to this path: in placement order, "
+        "or the placed blocks' cords and then the closure's",
     )
     p.add_argument("--exact-rational", action="store_true", help="exact arithmetic in the closure")
     p.set_defaults(func=cmd_reconstruct)

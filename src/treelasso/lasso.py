@@ -146,9 +146,21 @@ def closure(
         return ClosureTrace((), d)
     cords = {c: Fraction(v) for c, v in d.items()} if exact_rational else d
     derivations, _ = _extend(taxa, cords, 0.0 if exact_rational else eps)
+    return _closure_trace(d, derivations)
+
+
+def _closure_trace(d: PartialDistance, derivations) -> ClosureTrace:
+    """The trace of _extend's *derivations* over d.  A derived value below 0
+    fits no tree metric, so it raises InconsistentDistanceError, naming the
+    cord, the value and the quadruple."""
     steps = tuple(ClosureStep(Cord(q[0], q[3]), q, float(v)) for q, v in derivations)
     final = dict(d)
-    final.update((s.cord, s.value) for s in steps)
+    for step in steps:
+        if step.value < 0:
+            raise InconsistentDistanceError(
+                f"{step.cord} derivable as {step.value} via ({','.join(step.quadruple)}), below 0"
+            )
+        final[step.cord] = step.value
     return ClosureTrace(steps, PartialDistance(final))
 
 
@@ -156,8 +168,12 @@ def closure(
 #: then of the other two taxa.
 _ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
 
+#: Largest element count of one intermediate array of the seeds' cross-check.
+_CHECK_ELEMENTS = 2**20
 
-def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True):
+
+def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True,
+            seeds: Sequence[tuple[int, int, int, int]] = (), quiet: int = 0):
     """The extension rule's fixpoint over *taxa* from the values on *cords*
     (floats or ints, or Fractions with eps=0).  Returns the derivations as
     ((x, y, u, z), value), quartet xy||uz giving cord xz with x before z in
@@ -170,14 +186,42 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     it becomes ready.  Strict ready sets wait in a heap keyed by their sorted
     index 4-tuple; one made ready behind the set that fired waits for the
     next pass, as in a lexicographic rescan, pass after pass.
+
+    *seeds* are derivations made before the engine starts, as rows (z, x, y,
+    s) of taxon indices in derivation order: cord zs by the quartet zx||ys,
+    the rows of one z together (reconstruct's metric blocks).  Each must
+    pass the engine's own test on the values known at its turn: that
+    quartet strict, in that orientation, under four_point at eps.  Its
+    value is then the engine's for that quartet, d(z,y)+d(x,s)-d(x,y), and
+    it is cross-checked as an engine derivation is, against every set
+    {z, s, q1, q2} with q1, q2 known to both and q1q2 known.  The rows of
+    one z are checked in one vectorised pass, in chunks of at most
+    _CHECK_ELEMENTS elements: for row k, q ranges over z's partners
+    before the rows and the s of earlier rows, which is exactly what a
+    derivation at that turn reads.  The first row that fails its own test
+    declines every seed, and the fixpoint is computed from *cords* alone;
+    a clash in a row before it raises.  The derivable set only grows, so
+    the fixpoint from the cords plus the seeds is the fixpoint from the
+    cords, and the seeds head the derivations.
+
+    *quiet* is a bitset of taxa whose known partners, after the seeds, are
+    pairwise known.  A ready set's two taxa off its missing cord xy both
+    know x and y, so neither is quiet, and the known cord between them
+    offers the set: the first arrivals skip every cord with a quiet end.
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
     i, j = np.array([(index[c.a], index[c.b]) for c in cords], dtype=np.intp).reshape(-1, 2).T
     given = np.array(list(cords.values()))
     value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
-    value[i, j] = value[j, i] = given
-    known[i, j] = known[j, i] = True
+
+    def only_given():
+        value.fill(0)
+        known.fill(False)
+        value[i, j] = value[j, i] = given
+        known[i, j] = known[j, i] = True
+
+    only_given()
     first, second = np.triu_indices(n, 1)
     # Heaps for this pass (keyed ahead of the cursor) and the next, each with
     # the earliest key it holds per cord: a set keyed after that one would
@@ -190,6 +234,48 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
         s2 = value[ma, p2] + value[mb, p1]
         lt = definitely_less(s1, s2, eps)
         return lt | definitely_less(s2, s1, eps), lt, np.where(lt, s2, s1) - value[p1, p2]
+
+    def clash(z, s, v):
+        """The first k whose new cord zs[k], of value v[k], fails the
+        cross-check, derived after the cords z s[:k], and the value the
+        failing set gives; None when every cord passes."""
+        when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
+        when[s] = np.arange(len(s))
+        cols = np.flatnonzero(when < len(s))
+        pairs = np.triu(known[np.ix_(cols, cols)], 1)
+        step = max(1, _CHECK_ELEMENTS // max(1, cols.size**2))
+        for lo in range(0, len(s), step):
+            ks = np.arange(lo, min(lo + step, len(s)))
+            mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
+            r, q1, q2 = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
+            strict, _, other = four_point(z, s[ks[r]], cols[q1], cols[q2])
+            bad = np.flatnonzero(strict & ~approx_equal(v[ks[r]], other, eps))
+            if bad.size:
+                return ks[r[bad[0]]], other[bad[0]]
+        return None
+
+    derivations = []
+    for z, batch in itertools.groupby(seeds, key=lambda row: row[0]):
+        _, x, y, s = np.array(list(batch), dtype=np.intp).T
+        strict, lt, v = four_point(z, s, x, y)
+        value[z, s] = value[s, z] = v
+        fails = np.flatnonzero(~(strict & lt))
+        stop = fails[0] if fails.size else len(s)
+        found = clash(z, s[:stop], v[:stop]) if cross_check and stop else None
+        if found is not None:
+            k, other = found
+            raise InconsistentDistanceError(
+                f"{Cord(taxa[z], taxa[s[k]])} derivable as both {float(v[k])} and {float(other)}"
+            )
+        if fails.size:  # decline every seed
+            only_given()
+            derivations, quiet = [], 0
+            break
+        known[z, s] = known[s, z] = True
+        derivations += [
+            ((taxa[z], taxa[p], taxa[q], taxa[t]) if z < t else (taxa[t], taxa[q], taxa[p], taxa[z]), w)
+            for p, q, t, w in zip(x.tolist(), y.tolist(), s.tolist(), v.tolist())
+        ]
 
     def offer(quads, cursor):
         """Test ready 4-taxon sets (rows) and queue the strict ones."""
@@ -214,9 +300,9 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
         if sel.size:
             offer(np.stack(np.broadcast_arrays(a, b, first[sel], second[sel]), axis=1), cursor)
 
-    for a, b in zip(i.tolist(), j.tolist()):  # every ready set holds a given cord
+    awake = np.array([not quiet >> t & 1 for t in range(n)], dtype=bool)
+    for a, b in np.argwhere(np.triu(known & awake & awake[:, None], 1)).tolist():  # every ready set holds one
         arrived(a, b, -1)
-    derivations = []
     while now[0] or later[0]:
         if not now[0]:
             now, later = later, ([], {})
@@ -422,12 +508,12 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
     Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
     pivots x, y, the quartet u x || y v.
 
-    Blocks first.  For each taxon i in turn, each known cord ij not inside a
-    block and in a triangle of the known cords starts a greedy placement
-    over L (_grow), which need not reach all of X; the pairs within
-    the block it places become known.  With no *rng* the first block starts
-    from the smallest cord in a triangle of L, and when it spans X nothing
-    is left to derive.
+    Blocks first (_block_loop): for each taxon i in turn, each known cord
+    ij not inside a block and in a triangle of the known cords starts a
+    greedy placement over L (_grow), which need not reach all of X; the
+    pairs within the block it places become known.  With no *rng* the first
+    block starts from the smallest cord in a triangle of L, and when it
+    spans X nothing is left to derive.
 
     Then each known cord pq is examined once, as the cord that completes
     quartets (see the module docstring).  Let W = K(p) & K(q) and cut the
@@ -455,28 +541,19 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
     taxa = tree._index.taxa
     n = len(taxa)
     given = _partner_bits(cords, taxa)
-    known = list(given)
     order = list(range(n))
     if rng is not None:
         rng.shuffle(order)
     blocks, derivations = [], []
-    home: list[list[int]] = [[] for _ in range(n)]  # the blocks holding each taxon
-    covered = [0] * n  # their union
-    for i in order:
-        untried = known[i]
-        while untried := untried & ~covered[i]:
-            j = _lowest(untried)
-            untried ^= 1 << j
-            if known[i] & known[j]:
-                placed, block = _grow(given, (i, j), placer.place)
-                blocks.append(((i, j), placed, {z: known[z] for z, _, _, _ in placed}))
-                if block == full:  # every pair is known: nothing left to derive
-                    return [full ^ 1 << b for b in range(n)], blocks, derivations
-                for b in _bit_indices(block):
-                    known[b] |= block ^ 1 << b
-                    covered[b] |= block
-                    home[b].append(block)
 
+    def grow(start, known):
+        placed, block = _grow(given, start, placer.place)
+        blocks.append((start, placed, {z: known[z] for z, _, _, _ in placed}))
+        return block
+
+    known, home, quiet = _block_loop(given, order, grow)
+    if quiet == full:  # nothing is pending
+        return known, blocks, derivations
     rank = [0] * n  # position in the taxon order
     for k, p in enumerate(order):
         rank[p] = k
@@ -495,10 +572,6 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
         note(u, v)
         derivations.append((u, v, x, y) if u < v else (v, u, y, x))
 
-    quiet = 0  # taxa whose known partners are exactly one of their blocks
-    for b in range(n):
-        if (known[b] | 1 << b) in home[b]:
-            quiet |= 1 << b
     for p in order:
         for q in _bit_indices(known[p] & ~(quiet if quiet >> p & 1 else 0)):
             if rank[p] < rank[q]:
@@ -569,6 +642,37 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
                         derive(q, t, x, y)
                 before |= g
     return known, blocks, derivations
+
+
+def _block_loop(given: list[int], order: Iterable[int], grow) -> tuple[list[int], list[list[int]], int]:
+    """The blocks of a closure over the partner bitsets *given*, as
+    (known, home, quiet): the partner bitsets of the known cords after
+    them, the blocks holding each taxon, and the bitset of the quiet taxa,
+    those whose known partners plus itself are exactly one of their blocks.
+    For each taxon i in *order*, each known cord ij in no block with i and
+    in a triangle of the known cords starts grow((i, j), known), which
+    grows a block from it and returns the bitset of its taxa; the pairs
+    within the block then become known."""
+    n = len(given)
+    full = (1 << n) - 1
+    known = list(given)
+    home: list[list[int]] = [[] for _ in range(n)]
+    covered = [0] * n  # the union of each taxon's blocks
+    for i in order:
+        untried = known[i]
+        while untried := untried & ~covered[i]:
+            j = _lowest(untried)
+            untried ^= 1 << j
+            if known[i] & known[j]:
+                block = grow((i, j), known)
+                if block == full:  # every pair is known, and every taxon quiet
+                    return [full ^ 1 << b for b in range(n)], [[full] for _ in range(n)], full
+                for b in _bit_indices(block):
+                    known[b] |= block ^ 1 << b
+                    covered[b] |= block
+                    home[b].append(block)
+    quiet = sum(1 << b for b in range(n) if (known[b] | 1 << b) in home[b])
+    return known, home, quiet
 
 
 def _lowest(bits: int) -> int:

@@ -3,19 +3,20 @@ partial distances, and verify the result against every input distance.
 
 Two paths, and the input decides between them.
 
-Placement.  An incomplete input with at least 2n-3 cords is first grown
-into a tree one taxon at a time, by the greedy loop that places blocks for
-shellability (lasso._grow) with a distance test in place of the index
-test: the classical additive-tree insertion (Waterman, Smith, Singh & Beyer,
-"Additive evolutionary trees", 1977) along a spanning 2d-subgraph of the
-cords, the paper's polynomial-time reconstruction.  The growing tree is
-kept as parent pointers, as in tree_from_2dtree, starting from the edge of
-the smallest cord in a triangle of L.  A taxon z with placed neighbours a
-and b gets a pendant edge of length p = (d(z,a)+d(z,b)-D)/2, D the length
-of the a-b path of the tree built so far, attached at the point that lies
-d(z,a)-p from a on that path.  z places only when p and the attachment
-point's distance from every vertex of the path clear the definitely_less
-margin at eps; then the point splits an edge strictly inside.
+Placement.  An incomplete float input grows metric blocks, and the first
+of them may span X.  A block is grown from a known cord by the greedy loop
+that places blocks for shellability (lasso._grow), with a distance test in
+place of the index test: the classical additive-tree insertion (Waterman,
+Smith, Singh & Beyer, "Additive evolutionary trees", 1977) along a 2d-
+subgraph of the cords, the paper's polynomial-time reconstruction.  The
+growing tree is kept as parent pointers, as in tree_from_2dtree, starting
+from the edge of the start cord; the first block starts from the smallest
+cord in a triangle of L.  A taxon z with placed neighbours a and b gets a
+pendant edge of length p = (d(z,a)+d(z,b)-D)/2, D the length of the a-b
+path of the tree built so far, attached at the point that lies d(z,a)-p
+from a on that path.  z places only when p and the attachment point's
+distance from every vertex of the path clear the definitely_less margin
+at eps; then the point splits an edge strictly inside.
 
 Soundness.  Let the values be the metric of a tree T, every edge of
 positive weight, and by induction let the tree built on the placed taxa S
@@ -28,19 +29,47 @@ of T restricted to S, the attachment point falls on it, and z does not
 place.  So, exactly, z places iff the component of T-m holding z has no
 earlier taxon, which is the index test of lasso's placement on T itself:
 the margin keeps that strict under floats, declining rather than guessing
-when the point lands within tolerance of a vertex.  When every taxon
-places, the tree is T, the cords are a shellable lasso of it, and the
-trace holds the shelling the placement certifies (lasso's module
+when the point lands within tolerance of a vertex.  When the first block
+places every taxon, the tree is T, the cords are a shellable lasso of it,
+and the trace holds the shelling the placement certifies (lasso's module
 docstring), one ClosureStep per derived cord in placement order: cord zs,
 pivots a and b by s's side of m, value by the four-point formula over the
 values given or derived before it.  No quartet closure and no NJ run.
 
-Closure.  Every other input (fewer than 2n-3 cords, which cannot fix the
-2n-3 edge weights; a taxon that does not place; exact_rational=True; a
-complete input, where NJ is cheaper than placing) is closed under the
-extension rule, and a complete closure goes through Neighbor-Joining.  On
-additive (tree-metric) input NJ recovers the unique fully-resolved tree
-exactly, up to float accumulation.
+Closure.  Every other input is closed under the extension rule, and a
+complete closure goes through Neighbor-Joining; on additive (tree-metric)
+input NJ recovers the unique fully-resolved tree exactly, up to float
+accumulation.  exact_rational=True and complete inputs (where NJ is
+cheaper than placing) run lasso.closure.  An incomplete float input whose
+first block stops short (fewer than 2n-3 cords, which cannot fix the 2n-3
+edge weights, or a taxon that does not place) keeps growing blocks by the
+loop that grows lasso._hop_closure's on T (lasso._block_loop): for each
+taxon in turn, each known cord in a triangle of the known cords and in no
+block with it starts one, over the given cords, and the pairs within a
+block become known.  Each block
+derives, for each placed z, the cords zs to earlier taxa of the block that
+are not yet known, with pivots z's two neighbours, in placement order:
+the block cords.  They seed the quartet engine (lasso._extend), which
+checks each as one of its own derivations: its pivot quartet must be
+strict, in the placement's orientation, under the engine's four-point
+test at eps, and its value, the four-point formula over the values known
+before it, is cross-checked against every other quartet that derives it
+at that turn.  A clash raises InconsistentDistanceError, as in the
+engine.  A quartet that is not strict (the placer's margin is relative
+to positions along a path, the engine's to sums of two distances, so
+under noise the two can disagree on a near-tie) declines every block, and
+the engine runs from the cords alone.  Otherwise each block cord is an
+engine derivation on the same values, the set of derivable cords only
+grows, and so the fixpoint from the cords plus the block cords is the
+fixpoint from the cords: the same missing cords, and the engine finishes
+it.  Values may differ from a run of the engine alone in their last bits,
+as another derivation order gives.  The engine's first arrivals skip the
+cords with a quiet end, a taxon whose known partners plus itself are
+exactly one of its blocks: a ready 4-taxon set whose missing cord is xy
+has two other taxa that know x, y and each other, and were one of them
+quiet, x and y would lie in its block and xy would be known.  So the cord
+between those two, both not quiet, arrives and offers the set.  The trace
+lists the block cords in placement order, then the engine's derivations.
 
 Either way the pipeline finishes by checking the output tree against every
 *input* distance, so corrupt or non-additive data cannot slip through
@@ -55,7 +84,18 @@ from typing import Callable
 import numpy as np
 
 from .cords import Cord, PartialDistance, _bit_indices, _cord_distances, _partner_bits
-from .lasso import ClosureStep, ClosureTrace, _grow, _parent_tree, _path_edges, _Placer, _placement_quartets, closure
+from .lasso import (
+    ClosureTrace,
+    _block_loop,
+    _closure_trace,
+    _extend,
+    _grow,
+    _parent_tree,
+    _path_edges,
+    _Placer,
+    _placement_quartets,
+    closure,
+)
 from .tolerance import DEFAULT_EPSILON, definitely_less
 from .tree import XTree
 
@@ -160,21 +200,24 @@ def reconstruct(
 ) -> Reconstruction:
     """Rebuild the tree from the distances and verify it.
 
-    An incomplete input with at least 2n-3 cords is placed taxon by taxon
-    first (see the module docstring); when every taxon places, that tree is
-    the answer and the trace lists its derivations in placement order.
-    Otherwise the distances are closed under the extension rule and a
-    complete closure goes through NJ.  Either way succeeds whenever the
-    cord set contains a shellable lasso of the source tree and the values
-    are its induced metric.  An incomplete closure is a structured result
-    (the missing cords say which distances to measure next), not an error.
-    Inconsistent or non-additive input raises InconsistentDistanceError /
+    An incomplete float input grows metric blocks first (see the module
+    docstring); when the first spans X, that tree is the answer and the
+    trace lists its derivations in placement order.  Otherwise the block
+    cords seed the closure under the extension rule, and a complete closure
+    goes through NJ.  Either way succeeds whenever the cord set contains a
+    shellable lasso of the source tree and the values are its induced
+    metric.  An incomplete closure is a structured result (the missing
+    cords say which distances to measure next), not an error.  Inconsistent
+    or non-additive input raises InconsistentDistanceError /
     NonAdditiveError; a tree that misses an input distance by more than
     verify_eps raises NonAdditiveError.
     """
-    placement = None if exact_rational else _place(d, eps)
+    n = len(d.taxa)
+    if exact_rational or len(d) == n * (n - 1) // 2:
+        trace, placement = closure(d, eps=eps, exact_rational=exact_rational), None
+    else:
+        trace, placement = _blocks(d, eps)
     if placement is None:
-        trace = closure(d, eps=eps, exact_rational=exact_rational)
         if not trace.is_complete:
             return Reconstruction(None, trace, trace.missing)
         tree = neighbor_joining(trace.final, eps=eps)
@@ -192,45 +235,78 @@ def reconstruct(
     return Reconstruction(tree, trace, frozenset())
 
 
-def _place(d: PartialDistance, eps: float) -> tuple[XTree, Callable[[], ClosureTrace]] | None:
-    """The tree of the placement of d, and a function that builds its trace;
-    None when the input takes the closure path or a taxon does not place."""
+def _blocks(
+    d: PartialDistance, eps: float
+) -> tuple[ClosureTrace | None, tuple[XTree, Callable[[], ClosureTrace]] | None]:
+    """The closure of an incomplete float input by metric blocks and then the
+    engine, as (trace, None); or, when the first block spans X, (None,
+    placement): the tree of the placement and a function that builds its
+    trace."""
     taxa = sorted(d.taxa)
     n = len(taxa)
-    if not 2 * n - 3 <= len(d) < n * (n - 1) // 2:
-        return None
-    partners = _partner_bits(d.cords, taxa)
-    start = next(
-        ((i, j) for i in range(n) for j in _bit_indices(partners[i]) if i < j and partners[i] & partners[j]),
-        None,
-    )
-    if start is None:  # no triangle: nothing places
-        return None
     value = [[0.0] * n for _ in range(n)]
     index = {t: i for i, t in enumerate(taxa)}
     for (a, b), v in d.items():
         value[index[a]][index[b]] = value[index[b]][index[a]] = v
-    placer = _MetricPlacer(value, start, eps)
-    placed, prefix = _grow(partners, start, placer.place)
-    if prefix != (1 << n) - 1:
-        return None
-    tree = _parent_tree(placer.parent, placer.weight, {taxa[i]: v for i, v in placer.leaf_of.items()})
+    given = _partner_bits(d.cords, taxa)
+    seeds, placement, first = [], None, True
+
+    def grow(start, known):
+        nonlocal placement, first
+        placer = _MetricPlacer(value, start, eps)
+        placed, block = _grow(given, start, placer.place)
+        if first and block == (1 << n) - 1:  # the first block spans X
+            placement = _placement(d, taxa, value, given, start, placer, placed)
+        elif placed:
+            seeds.extend(_block_seeds(taxa, known, start, placer, placed, block))
+        first = False
+        return block
+
+    _, _, quiet = _block_loop(given, range(n), grow)
+    if placement is not None:
+        return None, placement
+    derivations, _ = _extend(taxa, d, eps, seeds=seeds, quiet=quiet)
+    return _closure_trace(d, derivations), None
+
+
+def _placement(d, taxa, value, given, start, placer, placed) -> tuple[XTree, Callable[[], ClosureTrace]]:
+    """The tree of a placement of d over the partner bitsets *given* that
+    spans X, and a function that builds its trace."""
+    tree = placer.tree(taxa)
 
     def trace() -> ClosureTrace:
         # s's side of m, the vertex that z's placement made, on the built tree
         sides = _Placer(tree)
         quartets = _placement_quartets(
-            start, [(z, a, b, sides.side(m, sides.leaf[a])) for z, a, b, m in placed], partners
+            start, [(z, a, b, sides.side(m, sides.leaf[a])) for z, a, b, m in placed], given
         )
-        steps, final = [], dict(d)
+        derivations = []
         for u, x, y, v in quartets:
             value[u][v] = value[v][u] = value[u][y] + value[x][v] - value[x][y]
-            step = ClosureStep(Cord(taxa[u], taxa[v]), (taxa[u], taxa[x], taxa[y], taxa[v]), value[u][v])
-            steps.append(step)
-            final[step.cord] = step.value
-        return ClosureTrace(tuple(steps), PartialDistance(final))
+            derivations.append(((taxa[u], taxa[x], taxa[y], taxa[v]), value[u][v]))
+        return _closure_trace(d, derivations)
 
     return tree, trace
+
+
+def _block_seeds(taxa, known, start, placer, placed, block) -> list[tuple[int, int, int, int]]:
+    """The cords a block derives beyond the partner bitsets *known*, as
+    _extend's seeds (z, x, y, s): cord zs by the quartet zx||ys, in
+    placement order.  _Placer numbers the block tree's taxa, a subset of
+    *taxa* in the same order, from 0, so each side maps to global bits."""
+    members = list(_bit_indices(block))
+    sides = _Placer(placer.tree(taxa))
+    local = {g: k for k, g in enumerate(members)}
+
+    def side(m, a):  # the taxa of the component of T-m holding a, as global bits
+        return sum(1 << members[k] for k in _bit_indices(sides.side(m, sides.leaf[local[a]])))
+
+    rank = {t: k for k, t in enumerate([*start, *(z for z, _, _, _ in placed)])}
+    entries = [(z, a, b, side(m, a)) for z, a, b, m in placed]
+    return [  # z: the end placed later
+        (u, x, y, v) if rank[u] > rank[v] else (v, y, x, u)
+        for u, x, y, v in _placement_quartets(start, entries, known)
+    ]
 
 
 class _MetricPlacer:
@@ -246,6 +322,10 @@ class _MetricPlacer:
         self.leaf_of = {a: 0, b: 1}
         self.parent: list[int | None] = [None, 0]
         self.weight = [0.0, value[a][b]]  # to the parent; unused at the root
+
+    def tree(self, taxa: list[str]) -> XTree:
+        """The tree grown so far, its leaves labelled by *taxa*."""
+        return _parent_tree(self.parent, self.weight, {taxa[i]: v for i, v in self.leaf_of.items()})
 
     def place(self, z, a, b, prefix, placed) -> bool:
         parent, weight, eps = self.parent, self.weight, self.eps

@@ -62,6 +62,18 @@ class TestReconstructCommand:
         assert code == 3
         assert "inconsistent" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("reconstruct",), ("reconstruct", "--exact-rational"), ("closure",)]
+    )
+    def test_negative_derived_distance_exit_3(self, capsys, tmp_path, argv):
+        # Well-formed, but the quartet on a, b, c, d derives d(c,d) = -7.
+        path = tmp_path / "negative.tsv"
+        path.write_text("a\tb\t10\na\tc\t1\nb\tc\t1\na\td\t1\nb\td\t2\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: inconsistent distances: cd derivable as -7.0 via (c,b,a,d), below 0\n"
+
     def test_trace_file(self, capsys, tmp_path, example1_tsv):
         trace_path = tmp_path / "steps.txt"
         code, out, _ = run(capsys, "reconstruct", example1_tsv, "--trace", str(trace_path))

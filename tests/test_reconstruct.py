@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from treelasso import (
     Cord,
+    InconsistentDistanceError,
     NonAdditiveError,
     PartialDistance,
     XTree,
     all_cords,
     closest_leaf_transversal,
+    closure,
     full_distance,
     induced_distance,
     is_equivalent,
@@ -134,6 +136,17 @@ class TestReconstruct:
 
         with pytest.raises((NonAdditiveError, InconsistentDistanceError)):
             reconstruct(PartialDistance(d))
+
+    def test_a_negative_derived_distance_is_inconsistent(self):
+        # Five well-formed values whose quartet derives d(c,d) = 1+1-10.
+        d = PartialDistance(
+            {Cord("a", "b"): 10.0, Cord("a", "c"): 1.0, Cord("b", "c"): 1.0, Cord("a", "d"): 1.0, Cord("b", "d"): 2.0}
+        )
+        message = "cd derivable as -7.0 via (c,b,a,d), below 0"
+        for run in (closure, reconstruct, lambda d: reconstruct(d, exact_rational=True)):
+            with pytest.raises(InconsistentDistanceError) as caught:
+                run(d)
+            assert str(caught.value) == message
 
     def test_monotone_under_supersets(self):
         rng = random.Random(5)
