@@ -10,6 +10,7 @@ lines ignored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -80,6 +81,13 @@ class PartialDistance(Mapping):
             data[cord] = value
         self._data = data
 
+    @classmethod
+    def _of(cls, data: dict[Cord, float]) -> PartialDistance:
+        """The map over *data*, whose values the caller has checked."""
+        d = cls.__new__(cls)
+        d._data = data
+        return d
+
     def __getitem__(self, cord: Cord) -> float:
         return self._data[cord]
 
@@ -93,7 +101,7 @@ class PartialDistance(Mapping):
     def cords(self) -> frozenset[Cord]:
         return frozenset(self._data)
 
-    @property
+    @functools.cached_property
     def taxa(self) -> frozenset[str]:
         return cord_taxa(self._data)
 
@@ -146,17 +154,14 @@ def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDist
             value = float(raw_value)
         except ValueError:
             raise CordFormatError(f"invalid distance {raw_value!r}", lineno) from None
-        if not math.isfinite(value):
-            raise CordFormatError(f"non-finite distance {raw_value!r}", lineno)
-        if value < 0:
-            raise CordFormatError(f"negative distance {raw_value!r}", lineno)
+        if not 0 <= value < math.inf:  # also false on nan
+            kind = "negative" if math.isfinite(value) else "non-finite"
+            raise CordFormatError(f"{kind} distance {raw_value!r}", lineno)
         cord = _checked_cord(a.strip(), b.strip(), lineno, valid)
-        if cord in data and not approx_equal(data[cord], value, eps):
-            raise CordFormatError(
-                f"conflicting duplicate for {cord}: {data[cord]} vs {value}", lineno
-            )
-        data.setdefault(cord, value)
-    return PartialDistance(data)
+        kept = data.setdefault(cord, value)  # the first value given for the cord
+        if kept is not value and not approx_equal(kept, value, eps):
+            raise CordFormatError(f"conflicting duplicate for {cord}: {kept} vs {value}", lineno)
+    return PartialDistance._of(data)
 
 
 def format_cord_distances(d: PartialDistance) -> str:
@@ -200,12 +205,6 @@ def _distances(tree: XTree, partners: list[int]) -> dict[Cord, float]:
     """``tree.distance`` of every cord in the partner bitsets over the tree's sorted taxa."""
     new = tuple.__new__
     return {new(Cord, pair): d for pair, d in tree._pair_distances(partners)}
-
-
-def _cord_distances(tree: XTree, cords: Collection[Cord]) -> dict[tuple[str, str], float]:
-    """``tree.distance`` of each cord, keyed by its sorted pair of labels,
-    which a Cord looks up; every cord is over the tree's taxa."""
-    return dict(tree._pair_distances(_partner_bits(cords, tree._index.taxa)))
 
 
 def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:

@@ -77,7 +77,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bit_indices, _cord_distances, _cords_over, _partner_bits, all_cords, cord_taxa
+from .cords import Cord, PartialDistance, _bit_indices, _cords_over, _partner_bits, all_cords, cord_taxa, induced_distance
 from .tolerance import DEFAULT_EPSILON, approx_equal, definitely_less
 from .tree import TreeError, XTree
 
@@ -1174,7 +1174,7 @@ def topological_lasso_oracle(
     if not cords:
         raise ValueError("oracle needs a non-empty cord set")
 
-    distances = _cord_distances(tree, cords)
+    distances = induced_distance(tree, cords)
     b = np.array([distances[c] for c in cords])
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     accept = 2 * fit_tol

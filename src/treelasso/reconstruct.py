@@ -78,12 +78,15 @@ unnoticed.
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bit_indices, _cord_distances, _partner_bits
+from .cords import Cord, PartialDistance, _bit_indices, _partner_bits
 from .lasso import (
     ClosureTrace,
     _block_loop,
@@ -115,8 +118,19 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
     two-point formulas, reduces the matrix, and solves the 3-taxon core in
     closed form.  Exact on additive input.  Branch-length estimates below
     -eps (relative) raise NonAdditiveError; estimates in [-eps, 0) clamp
-    to 0.  Ties in the Q-criterion break towards the lexicographically
-    smallest taxon pair, so the output is deterministic.
+    to 0.  The matrix, filled in one pass over the map, is reduced in place:
+    a join keeps the new vertex in the lower row of the pair, and the rows
+    and columns past the higher shift down by one, as if deleted.  Rows stay
+    in sorted taxon order, so Q-ties break towards the first pair in it.
+
+    Overflow.  On a tree metric with largest value M, reduced entries are
+    tree distances, so row sums stay below nM and Q entries below 2nM.  NJ
+    runs on the values as given, overflow raising: where nothing overflows
+    the output is exactly what it was without the check.  Only then does it
+    run again on the values times 2^-k, the least power of two that puts 4nM
+    below the largest float.  Powers of two scale every sum, difference,
+    half and quotient exactly (subnormals aside), and the lengths are scaled
+    back.  An overflow in that run proves the input is no tree metric.
     """
     taxa = sorted(d.taxa)
     n = len(taxa)
@@ -126,30 +140,52 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
     if missing:
         raise ValueError(f"distance map is not total: {missing} cord(s) missing")
 
-    dist = np.zeros((n, n))
-    for i, x in enumerate(taxa):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = d[Cord(x, taxa[j])]
+    index = {t: i for i, t in enumerate(taxa)}
+    ends = itertools.chain.from_iterable(d._data)
+    pairs = np.fromiter(map(index.__getitem__, ends), np.intp, 2 * len(d))
+    rows, cols = pairs[0::2], pairs[1::2]
+    values = np.fromiter(d._data.values(), float, len(d))
+    largest = float(values.max())
+    shift = math.frexp(4 * n * (largest / sys.float_info.max))[1]  # 4nM < 2^shift * largest float
+    for scale in (1.0, math.ldexp(1.0, -shift)) if shift > 0 else (1.0,):
+        dist = np.zeros((n, n))
+        dist[rows, cols] = dist[cols, rows] = values * scale
+        try:
+            with np.errstate(over="raise"):
+                edges = _joins(dist, eps, scale)
+        except FloatingPointError:
+            continue
+        return XTree(edges, {i: taxa[i] for i in range(n)})
+    raise NonAdditiveError(f"neighbor joining overflows on distances up to {largest}")
+
+
+def _joins(dist: np.ndarray, eps: float, scale: float) -> list[tuple[int, int, float]]:
+    """The edges NJ builds on the matrix *dist*, reduced in place, with each
+    length divided by *scale*, the factor the values were multiplied by."""
+    n = m = dist.shape[0]
     tol = eps * max(1.0, float(dist.max()))
 
     def checked(length: float, context: str) -> float:
         if length < -tol:
-            raise NonAdditiveError(f"negative branch length {length} at {context}")
-        return max(length, 0.0)
+            raise NonAdditiveError(f"negative branch length {length / scale} at {context}")
+        return max(length, 0.0) / scale
 
     next_vertex = n
     nodes = list(range(n))  # vertex ids of the active rows
     edges: list[tuple[int, int, float]] = []
+    q_buffer = np.empty(n * n)
 
-    while len(nodes) > 3:
-        m = dist.shape[0]
-        row_sums = dist.sum(axis=1)
-        q = (m - 2) * dist - row_sums[:, None] - row_sums[None, :]
+    while m > 3:
+        view = dist[:m, :m]
+        row_sums = view.sum(axis=1)
+        q = np.multiply(view, m - 2, out=q_buffer[: m * m].reshape(m, m))
+        q -= row_sums[:, None]
+        q -= row_sums[None, :]
         np.fill_diagonal(q, np.inf)
-        i, j = divmod(int(np.argmin(q)), m)
+        i, j = divmod(int(q.argmin()), m)
         if i > j:
             i, j = j, i
-        dij = dist[i, j]
+        dij = view[i, j]
         li = 0.5 * dij + (row_sums[i] - row_sums[j]) / (2 * (m - 2))
         lj = dij - li
         u = next_vertex
@@ -157,15 +193,16 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
         edges.append((nodes[i], u, checked(li, f"join {i},{j}")))
         edges.append((nodes[j], u, checked(lj, f"join {i},{j}")))
 
-        new_row = 0.5 * (dist[i, :] + dist[j, :] - dij)
-        dist[i, :] = new_row
-        dist[:, i] = new_row
-        dist[i, i] = 0.0
-        dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
+        new_row = 0.5 * (view[i, :] + view[j, :] - dij)
+        view[i, :] = view[:, i] = new_row
+        view[i, i] = 0.0
+        view[j:-1] = view[j + 1:]  # drop row and column j
+        view[:, j:-1] = view[:, j + 1:]
+        m -= 1
         nodes[i] = u
         del nodes[j]
 
-    if len(nodes) == 3:
+    if m == 3:
         d01, d02, d12 = dist[0, 1], dist[0, 2], dist[1, 2]
         center = next_vertex
         edges.append((nodes[0], center, checked((d01 + d02 - d12) / 2.0, "3-taxon solve")))
@@ -173,8 +210,7 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
         edges.append((nodes[2], center, checked((d02 + d12 - d01) / 2.0, "3-taxon solve")))
     else:  # exactly two taxa
         edges.append((nodes[0], nodes[1], checked(dist[0, 1], "2-taxon solve")))
-
-    return XTree(edges, {i: taxa[i] for i in range(n)})
+    return edges
 
 
 @dataclass(frozen=True)
@@ -210,10 +246,12 @@ def reconstruct(
     cords say which distances to measure next), not an error.  Inconsistent
     or non-additive input raises InconsistentDistanceError /
     NonAdditiveError; a tree that misses an input distance by more than
-    verify_eps raises NonAdditiveError.
+    verify_eps raises NonAdditiveError naming the smallest such cord; the
+    tree's distances come from one pass over its rooted index.
     """
-    n = len(d.taxa)
-    if exact_rational or len(d) == n * (n - 1) // 2:
+    n, data = len(d.taxa), d._data
+    complete = len(d) == n * (n - 1) // 2
+    if exact_rational or complete:
         trace, placement = closure(d, eps=eps, exact_rational=exact_rational), None
     else:
         trace, placement = _blocks(d, eps)
@@ -223,13 +261,14 @@ def reconstruct(
         tree = neighbor_joining(trace.final, eps=eps)
     else:
         tree, placement_trace = placement
-    distances = _cord_distances(tree, d.cords)
-    for cord in d:
-        reproduced = distances[cord]
-        if abs(reproduced - d[cord]) > verify_eps:
-            raise NonAdditiveError(
-                f"reconstructed tree gives {reproduced} for {cord}, input says {d[cord]}"
-            )
+    full = tree._index.full
+    partners = [full ^ (1 << i) for i in range(n)] if complete else _partner_bits(data, tree._index.taxa)
+    failed = [(pair, got) for pair, got in tree._pair_distances(partners) if abs(got - data[pair]) > verify_eps]
+    if failed:
+        pair, reproduced = min(failed)  # the cord a sorted walk over d would fail first
+        raise NonAdditiveError(
+            f"reconstructed tree gives {reproduced} for {Cord(*pair)}, input says {data[pair]}"
+        )
     if placement is not None:  # derived only now: corrupt values fail the check above first
         trace = placement_trace()
     return Reconstruction(tree, trace, frozenset())

@@ -2,6 +2,7 @@
 necessary-condition graph checks."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,43 @@ class TestParseCordDistances:
     def test_round_trip(self):
         d = parse_cord_distances("a\tb\t1.25\nb\tc\t0.5\n")
         assert dict(parse_cord_distances(format_cord_distances(d))) == dict(d)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "non-finite distance 'nan'"),
+            ("inf", "non-finite distance 'inf'"),
+            ("-inf", "non-finite distance '-inf'"),
+            ("-3", "negative distance '-3'"),
+            (" -3 ", "negative distance '-3'"),
+            ("abc", "invalid distance 'abc'"),
+        ],
+    )
+    def test_bad_value_messages(self, value, message):
+        with pytest.raises(CordFormatError) as err:
+            parse_cord_distances(f"a\tb\t1.0\n# note\nc\td\t{value}\n")
+        assert (err.value.line, str(err.value)) == (3, f"line 3: {message}")
+
+    def test_negative_zero_is_kept(self):
+        d = parse_cord_distances("a\tb\t-0.0\n")
+        assert math.copysign(1.0, d[Cord("a", "b")]) == -1.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tb\t2.0\nb\ta\t2.5\n", "line 2: conflicting duplicate for ab: 2.0 vs 2.5"),
+            ("a\tb\t1.0\nb\tx$\t-3\n", "line 2: negative distance '-3'"),  # the value is checked first
+            ("a\tb\t1.0\nb\tx$\tabc\n", "line 2: invalid distance 'abc'"),
+        ],
+    )
+    def test_line_messages(self, text, message):
+        with pytest.raises(CordFormatError) as err:
+            parse_cord_distances(text)
+        assert str(err.value) == message
+
+    def test_a_duplicate_within_eps_keeps_the_first_value(self):
+        d = parse_cord_distances("a\tb\t2.0\nb\ta\t2.0000000000001\n")
+        assert d[Cord("a", "b")] == 2.0
 
     def test_bad_label_reports_the_line_it_first_appears_on(self):
         # Labels are checked once each: the first line naming a bad one is
