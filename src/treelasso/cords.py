@@ -191,18 +191,20 @@ def induced_distance(tree: XTree, cords: Iterable[Cord]) -> PartialDistance:
     pair of labels; KeyError when one names a taxon outside the tree.  The
     values are bit-identical to ``tree.distance``, found in one pass."""
     cords = _cords_over(cords, tree)
-    return PartialDistance(_distances(tree, _partner_bits(cords, tree._index.taxa)))
+    return PartialDistance._of(_distances(tree, _partner_bits(cords, tree._index.taxa)))
 
 
 def full_distance(tree: XTree) -> PartialDistance:
     """The complete tree metric on all leaf pairs, bit-identical to
     ``tree.distance`` on each, found in one pass."""
     full = tree._index.full
-    return PartialDistance(_distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)]))
+    return PartialDistance._of(_distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)]))
 
 
 def _distances(tree: XTree, partners: list[int]) -> dict[Cord, float]:
-    """``tree.distance`` of every cord in the partner bitsets over the tree's sorted taxa."""
+    """``tree.distance`` of every cord in the partner bitsets over the tree's
+    sorted taxa: path sums of finite non-negative weights, so finite and
+    non-negative themselves (an overflow raises), as PartialDistance needs."""
     new = tuple.__new__
     return {new(Cord, pair): d for pair, d in tree._pair_distances(partners)}
 

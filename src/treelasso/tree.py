@@ -47,6 +47,7 @@ memory, not by the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -355,9 +356,22 @@ class XTree:
             return index.members(index.below[u])
         return index.members(index.full ^ index.below[v])
 
+    @functools.cached_property
+    def _side_bits(self) -> dict[tuple[int, int], int]:
+        """u's side of each edge {u, v} as a leaf bitset, keyed (u, v):
+        ``edges()`` order, u's side first; read-only, kept with the tree."""
+        index = self._index
+        parent, below, full = index.parent, index.below, index.full
+        side = {}
+        for u, v, _ in self.edges():
+            side[u, v] = bits = below[u] if parent[u] == v else full ^ below[v]
+            side[v, u] = full ^ bits
+        return side
+
     def _side_table(self) -> dict[tuple[int, int], frozenset[str]]:
         """u's side of each edge {u, v}, keyed (u, v): ``edges()`` order, u's side first."""
-        return {p: self.side_leaves(*p) for u, v, _ in self.edges() for p in ((u, v), (v, u))}
+        members = self._index.members
+        return {p: members(bits) for p, bits in self._side_bits.items()}
 
     def components(self, v: int) -> tuple[frozenset[str], ...]:
         """Leaf sets of the components of T - v, sorted by smallest label."""

@@ -6,8 +6,11 @@ bitsets off the rooted index (they map every taxon to its component at each
 interior vertex and scan every cord); and is_transversal,
 stability_violation and triplet_cover before they shared one side table
 (each builds its own cluster label sets, through clusters(), side_leaves()
-and components()).  The differential tests compare them with the library on
-seeded sweeps; nothing in the library imports this module.
+and components()); and min_order_transversal, closest_leaf_transversal and
+the checks as they were before clusters became bitsets (one side table of
+label sets per call, and per-cluster scans of those sets).  The
+differential tests compare them with the library on seeded sweeps; nothing
+in the library imports this module.
 """
 
 import itertools
@@ -116,4 +119,87 @@ def triplet_cover(tree, f, force=False):
     for v in tree.interior_vertices():
         images = [f[component] for component in tree.components(v)]
         cords.update(Cord(x, y) for x, y in itertools.combinations(images, 2))
+    return frozenset(cords)
+
+
+# -- the side table of label sets, as it was before the bitset engine -------
+
+
+def _checked(f, tree):
+    """The tree's side table, once f is checked to map every cluster in it,
+    and the first pair in it that breaks stability (see stability_violation)."""
+    side = tree._side_table()
+    missing = [c for c in side.values() if c not in f]
+    if missing:  # the first in table order, whatever the string hash
+        shown = ",".join(sorted(missing[0]))
+        raise ValueError(f"transversal is missing {len(missing)} cluster(s), e.g. {{{shown}}}")
+    for (u, v), a in side.items():
+        for b in (side[w, u] for w in tree.neighbors(u) if w != v):
+            if f[a] in b and f[b] != f[a]:
+                return side, (a, b)
+    return side, None
+
+
+def side_table_is_transversal(f, tree):
+    side, _ = _checked(f, tree)
+    return all(f[c] in c for c in side.values())
+
+
+def side_table_stability_violation(f, tree):
+    return _checked(f, tree)[1]
+
+
+def side_table_is_stable(f, tree):
+    side, witness = _checked(f, tree)
+    return witness is None and all(f[c] in c for c in side.values())
+
+
+def min_order_transversal(tree, order=None):
+    rank = _rank_of(order, tree)
+    return {c: min(c, key=rank.__getitem__) for c in tree._side_table().values()}
+
+
+def closest_leaf_transversal(tree, mode="closest", tiebreak=None, eps=DEFAULT_EPSILON):
+    if mode not in ("closest", "furthest"):
+        raise ValueError(f"mode must be 'closest' or 'furthest', got {mode!r}")
+    if not tree.is_properly_weighted():
+        raise TreeError("closest/furthest transversals need a proper edge weighting")
+    rank = _rank_of(tiebreak, tree)
+
+    side = tree._side_table()
+    f = {frozenset((t,)): t for t in tree.taxa}  # a leaf's own cluster
+    for near in tree.interior_vertices():
+        dist = tree.vertex_distances(near)  # one search for all its clusters
+        for far in tree.neighbors(near):
+            cluster = side[near, far]
+            scores = {leaf: dist[tree.leaf_vertex(leaf)] for leaf in cluster}
+            best = min(scores.values()) if mode == "closest" else max(scores.values())
+            tol = eps * max(1.0, abs(best))
+            extremal = [leaf for leaf, s in scores.items() if abs(s - best) <= tol]
+            f[cluster] = min(extremal, key=rank.__getitem__)
+    return f
+
+
+def _rank_of(order, tree):
+    order = sorted(tree.taxa) if order is None else order
+    if set(order) != tree.taxa or len(order) != tree.n_leaves:
+        raise ValueError("order must be a permutation of the taxon set")
+    return {label: i for i, label in enumerate(order)}
+
+
+def side_table_triplet_cover(tree, f, force=False):
+    if not tree.is_fully_resolved():
+        raise TreeError("triplet covers are defined for fully-resolved trees")
+    side, witness = _checked(f, tree)
+    if not all(f[c] in c for c in side.values()):
+        raise ValueError("f is not a transversal: some f(A) is outside A")
+    if witness and not force:
+        a, b = witness
+        shown = ",".join(sorted(b)[:10]) + (",…" if len(b) > 10 else "")
+        raise ValueError(f"transversal is not stable: f(A) = {f[a]} lies in B but f(B) = {f[b]}, "
+                         f"with |A| = {len(a)}, |B| = {len(b)}, B = {{{shown}}}")
+    cords = set()
+    for v in tree.interior_vertices():
+        x, y, z = (f[side[w, v]] for w in tree.neighbors(v))
+        cords.update((Cord(x, y), Cord(x, z), Cord(y, z)))
     return frozenset(cords)

@@ -266,6 +266,26 @@ class TestGencoverCommand:
         assert f"|A| = {len(a)}, |B| = {len(b)}, B = {{{','.join(sorted(b))}}}" in err
         assert "force=True" not in err
 
+    @pytest.mark.parametrize("mode", ["min", "closest", "furthest"])
+    def test_overflowing_leaf_distances(self, tmp_path, mode):
+        # Legal weights whose leaf distances pass the float range: the
+        # min-order cover needs none, closest and furthest name the overflow.
+        tree = tmp_path / "big.nwk"
+        tree.write_text("((a:1e308,b:1e308):1e308,(c:1e308,d:1e308):1e308,e:1e308);\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelasso", "gencover", str(tree), "--transversal", mode],
+            capture_output=True,
+            text=True,
+        )
+        if mode == "min":
+            assert (proc.returncode, proc.stderr) == (0, "|L| = 7 = 2n-3 = 7\n")
+            assert len(proc.stdout.splitlines()) == 7
+            return
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: closest/furthest transversals: a leaf distance overflows the float range\n"
+        assert "Traceback" not in proc.stderr
+
     def test_closest_and_furthest_modes(self, capsys, tmp_path, snowflake_nwk):
         for mode in ("closest", "furthest"):
             code, out, _ = run(

@@ -20,6 +20,7 @@ from treelasso import (
     stability_violation,
     triplet_cover,
 )
+from treelasso.tree import TreeError
 from conftest import cords_of
 
 
@@ -99,6 +100,12 @@ class TestClosestLeafTransversal:
         with pytest.raises(ValueError):
             closest_leaf_transversal(caterpillar7, mode="median")
 
+    @pytest.mark.parametrize("eps", [-1e-9, float("nan")])
+    def test_eps_must_be_non_negative(self, caterpillar7, eps):
+        # No leaf is within a negative or nan tolerance of the best one.
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            closest_leaf_transversal(caterpillar7, eps=eps)
+
     def test_improper_weighting_rejected(self):
         from treelasso import XTree
 
@@ -110,6 +117,25 @@ class TestClosestLeafTransversal:
         flat = XTree(edges, {base.leaf_vertex(t): t for t in base.taxa})
         with pytest.raises(Exception):
             closest_leaf_transversal(flat)
+
+    @pytest.mark.parametrize("mode", ["closest", "furthest"])
+    def test_overflowing_extremal_distance_raises(self, mode):
+        # Legal weights whose leaf distances pass the float range; the
+        # min-order transversal needs no distances.
+        tree = parse_newick("((a:1e308,b:1e308):1e308,(c:1e308,d:1e308):1e308,e:1e308);")
+        with pytest.raises(TreeError) as raised:
+            closest_leaf_transversal(tree, mode=mode)
+        assert str(raised.value) == "closest/furthest transversals: a leaf distance overflows the float range"
+        assert len(triplet_cover(tree, min_order_transversal(tree))) == 7
+
+    def test_overflow_beyond_the_closest_leaf_is_ignored(self):
+        # Closest leaves are all within 1e308 + 1; the furthest from the
+        # cherry {a, b}, through two 1e308 edges, is not.
+        tree = parse_newick("((a:1,b:1):1e308,(c:1,d:1):1e308,e:1);")
+        f = closest_leaf_transversal(tree)
+        assert f[frozenset("bcde")] == "b" and f[frozenset("abcd")] == "a"
+        with pytest.raises(TreeError, match="overflows"):
+            closest_leaf_transversal(tree, mode="furthest")
 
 
 class TestTripletCover:

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import reference_tree as ref
-from treelasso import XTree, full_distance, induced_distance, parse_newick, random_tree
+from treelasso import PartialDistance, XTree, full_distance, induced_distance, parse_newick, random_tree
 
 
 def _caterpillar(n, rng, weight=lambda rng: rng.uniform(0.5, 2.0)):
@@ -79,6 +79,20 @@ def test_full_and_induced_distance_match_the_path_sums(tree):
         assert len(sub) == k
         for x, y in chosen:
             assert repr(sub.value(x, y)) == repr(table[x][y]), (x, y)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=_id)
+def test_distances_need_no_second_check(tree):
+    """full_distance and induced_distance hand their values to
+    PartialDistance unchecked; the constructor's check would keep every key,
+    in order, and every value's float.hex, the sign of a zero included."""
+    rng = random.Random(tree.n_leaves)
+    full = full_distance(tree)
+    for d in (full, induced_distance(tree, rng.sample(list(full), len(full) // 3))):
+        checked = PartialDistance(dict(d.items()))
+        assert list(checked) == list(d)
+        assert [checked[c].hex() for c in checked] == [d[c].hex() for c in d]
+        assert all(type(d[c]) is float for c in d)
 
 
 def test_root_paths_past_half_the_float_range():
