@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 from collections import namedtuple
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tolerance import DEFAULT_EPSILON, approx_equal
@@ -165,8 +166,9 @@ def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDist
 
 
 def format_cord_distances(d: PartialDistance) -> str:
-    """Serialise a distance map as sorted TSV lines."""
-    return "".join(f"{c.a}\t{c.b}\t{d[c]!r}\n" for c in d)
+    """Serialise a distance map as sorted TSV lines, one pass over its
+    items sorted by cord."""
+    return "".join([f"{a}\t{b}\t{v!r}\n" for (a, b), v in sorted(d._data.items(), key=itemgetter(0))])
 
 
 def parse_cord_set(text: str) -> frozenset[Cord]:

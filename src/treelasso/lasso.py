@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cords import Cord, PartialDistance, _bit_indices, _cords_over, _partner_bits, all_cords, cord_taxa, induced_distance
-from .tolerance import DEFAULT_EPSILON, approx_equal, definitely_less
+from .tolerance import DEFAULT_EPSILON, approx_equal, margin
 from .tree import TreeError, XTree
 
 
@@ -151,17 +152,31 @@ def closure(
 
 def _closure_trace(d: PartialDistance, derivations) -> ClosureTrace:
     """The trace of _extend's *derivations* over d.  A derived value below 0
-    fits no tree metric, so it raises InconsistentDistanceError, naming the
-    cord, the value and the quadruple."""
-    steps = tuple(ClosureStep(Cord(q[0], q[3]), q, float(v)) for q, v in derivations)
-    final = dict(d)
-    for step in steps:
-        if step.value < 0:
-            raise InconsistentDistanceError(
-                f"{step.cord} derivable as {step.value} via ({','.join(step.quadruple)}), below 0"
-            )
-        final[step.cord] = step.value
-    return ClosureTrace(steps, PartialDistance(final))
+    fits no tree metric, and an exact one beyond the float range (where
+    float sums overflow and never pass four_point) cannot be returned:
+    either raises InconsistentDistanceError naming cord, value and quadruple."""
+    steps, final = [], dict(d)
+    for q, v in derivations:
+        cord = Cord(q[0], q[3])
+        try:
+            value = float(v)
+        except OverflowError:
+            value = math.inf
+        if not 0 <= value < math.inf:
+            why = "below 0" if value < 0 else "beyond the float range"
+            raise InconsistentDistanceError(f"{cord} derivable as {_shown(v)} via ({','.join(q)}), {why}")
+        steps.append(ClosureStep(cord, q, value))
+        final[cord] = value
+    return ClosureTrace(tuple(steps), PartialDistance(final))
+
+
+def _shown(value) -> str:
+    """A value as a float, or an exact one beyond the float range to 17 digits."""
+    try:
+        return str(float(value))
+    except OverflowError:
+        from decimal import Decimal  # only this rare message needs it
+        return format(Decimal(value.numerator) / value.denominator, ".17g")
 
 
 #: Row g: positions in a sorted 4-taxon set of the ends of its g-th cord,
@@ -172,8 +187,27 @@ _ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3
 _CHECK_ELEMENTS = 2**20
 
 
+def four_point(s1, s2, eps: float):
+    """The extension rule's test, for the engine and the metric placer, on
+    s1 = d(x,p)+d(z,q) and s2 = d(x,q)+d(z,p), cord xz and pivots p, q:
+    (strict, lt), strict when one sum is definitely less than the other, lt
+    when s1 is (quartet xp||qz, d(x,z) = s2 - d(p,q)); elementwise."""
+    tol = margin(s1, s2, eps)  # one margin serves both definitely_less tests
+    lt = s1 < s2 - tol
+    return lt | (s2 < s1 - tol), lt
+
+
+def _named(taxa: Sequence[str], rows) -> list:
+    """Rows (z, x, y, s, v), cord zs of value v by the quartet zx||ys, as
+    _extend's derivations over *taxa*, lower index first."""
+    return [
+        ((taxa[z], taxa[x], taxa[y], taxa[s]) if z < s else (taxa[s], taxa[y], taxa[x], taxa[z]), v)
+        for z, x, y, s, v in rows
+    ]
+
+
 def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True,
-            seeds: Sequence[tuple[int, int, int, int]] = (), quiet: int = 0):
+            seeds: Sequence[tuple[int, int, int, int, float]] = (), quiet: int = 0):
     """The extension rule's fixpoint over *taxa* from the values on *cords*
     (floats or ints, or Fractions with eps=0).  Returns the derivations as
     ((x, y, u, z), value), quartet xy||uz giving cord xz with x before z in
@@ -187,22 +221,15 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     index 4-tuple; one made ready behind the set that fired waits for the
     next pass, as in a lexicographic rescan, pass after pass.
 
-    *seeds* are derivations made before the engine starts, as rows (z, x, y,
-    s) of taxon indices in derivation order: cord zs by the quartet zx||ys,
-    the rows of one z together (reconstruct's metric blocks).  Each must
-    pass the engine's own test on the values known at its turn: that
-    quartet strict, in that orientation, under four_point at eps.  Its
-    value is then the engine's for that quartet, d(z,y)+d(x,s)-d(x,y), and
-    it is cross-checked as an engine derivation is, against every set
-    {z, s, q1, q2} with q1, q2 known to both and q1q2 known.  The rows of
-    one z are checked in one vectorised pass, in chunks of at most
-    _CHECK_ELEMENTS elements: for row k, q ranges over z's partners
-    before the rows and the s of earlier rows, which is exactly what a
-    derivation at that turn reads.  The first row that fails its own test
-    declines every seed, and the fixpoint is computed from *cords* alone;
-    a clash in a row before it raises.  The derivable set only grows, so
-    the fixpoint from the cords plus the seeds is the fixpoint from the
-    cords, and the seeds head the derivations.
+    *seeds* are derivations that passed four_point at eps on the values
+    known at their turn (reconstruct's metric blocks), as rows (z, x, y, s,
+    v) in order: cord zs of value v by the quartet zx||ys, the rows of one z
+    together.  Each becomes known and is cross-checked, as a derivation is,
+    against every set {z, s, q1, q2} with q1, q2 known to both and q1q2
+    known, one z's rows in one vectorised pass in chunks of at most
+    _CHECK_ELEMENTS elements (for row k, q ranges over z's partners before
+    the rows and the s of earlier rows).  The derivable set only grows, so
+    the fixpoint from the cords plus the seeds is the one from the cords.
 
     *quiet* is a bitset of taxa whose known partners, after the seeds, are
     pairwise known.  A ready set's two taxa off its missing cord xy both
@@ -214,31 +241,25 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     i, j = np.array([(index[c.a], index[c.b]) for c in cords], dtype=np.intp).reshape(-1, 2).T
     given = np.array(list(cords.values()))
     value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
-
-    def only_given():
-        value.fill(0)
-        known.fill(False)
-        value[i, j] = value[j, i] = given
-        known[i, j] = known[j, i] = True
-
-    only_given()
+    value[i, j] = value[j, i] = given
+    known[i, j] = known[j, i] = True
     first, second = np.triu_indices(n, 1)
     # Heaps for this pass (keyed ahead of the cursor) and the next, each with
     # the earliest key it holds per cord: a set keyed after that one would
     # find its cord already derived, so it is not queued at all.
     now, later = ([], {}), ([], {})
 
-    def four_point(ma, mb, p1, p2):
+    def quartet(ma, mb, p1, p2):
         """Strict mask, ma-with-p1 flag and value for cords ma-mb, ma < mb."""
         s1 = value[ma, p1] + value[mb, p2]
         s2 = value[ma, p2] + value[mb, p1]
-        lt = definitely_less(s1, s2, eps)
-        return lt | definitely_less(s2, s1, eps), lt, np.where(lt, s2, s1) - value[p1, p2]
+        strict, lt = four_point(s1, s2, eps)
+        return strict, lt, np.where(lt, s2, s1) - value[p1, p2]
 
-    def clash(z, s, v):
-        """The first k whose new cord zs[k], of value v[k], fails the
-        cross-check, derived after the cords z s[:k], and the value the
-        failing set gives; None when every cord passes."""
+    def cross_check_seeds(z, s, v):
+        """Raise InconsistentDistanceError at the first k whose new cord
+        zs[k], of value v[k], derived after the cords z s[:k], fails the
+        cross-check, naming the value the failing set gives."""
         when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
         when[s] = np.arange(len(s))
         cols = np.flatnonzero(when < len(s))
@@ -248,41 +269,29 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
             ks = np.arange(lo, min(lo + step, len(s)))
             mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
             r, q1, q2 = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
-            strict, _, other = four_point(z, s[ks[r]], cols[q1], cols[q2])
+            strict, _, other = quartet(z, s[ks[r]], cols[q1], cols[q2])
             bad = np.flatnonzero(strict & ~approx_equal(v[ks[r]], other, eps))
             if bad.size:
-                return ks[r[bad[0]]], other[bad[0]]
-        return None
+                k = ks[r[bad[0]]]
+                raise InconsistentDistanceError(
+                    f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad[0]])}"
+                )
 
-    derivations = []
     for z, batch in itertools.groupby(seeds, key=lambda row: row[0]):
-        _, x, y, s = np.array(list(batch), dtype=np.intp).T
-        strict, lt, v = four_point(z, s, x, y)
+        batch = list(batch)
+        s, v = np.array([row[3] for row in batch], dtype=np.intp), np.array([row[4] for row in batch])
         value[z, s] = value[s, z] = v
-        fails = np.flatnonzero(~(strict & lt))
-        stop = fails[0] if fails.size else len(s)
-        found = clash(z, s[:stop], v[:stop]) if cross_check and stop else None
-        if found is not None:
-            k, other = found
-            raise InconsistentDistanceError(
-                f"{Cord(taxa[z], taxa[s[k]])} derivable as both {float(v[k])} and {float(other)}"
-            )
-        if fails.size:  # decline every seed
-            only_given()
-            derivations, quiet = [], 0
-            break
+        if cross_check:
+            cross_check_seeds(z, s, v)
         known[z, s] = known[s, z] = True
-        derivations += [
-            ((taxa[z], taxa[p], taxa[q], taxa[t]) if z < t else (taxa[t], taxa[q], taxa[p], taxa[z]), w)
-            for p, q, t, w in zip(x.tolist(), y.tolist(), s.tolist(), v.tolist())
-        ]
+    derivations = _named(taxa, seeds)
 
     def offer(quads, cursor):
         """Test ready 4-taxon sets (rows) and queue the strict ones."""
         quads = np.sort(quads, axis=1)
         gap = np.argmin(known[quads[:, _ROLES[:, 0]], quads[:, _ROLES[:, 1]]], axis=1)
         ma, mb, p1, p2 = np.take_along_axis(quads, _ROLES[gap], axis=1).T
-        strict, lt, derived = four_point(ma, mb, p1, p2)
+        strict, lt, derived = quartet(ma, mb, p1, p2)
         keys = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
         pa, pb = np.where(lt, p1, p2)[strict], np.where(lt, p2, p1)[strict]
         for entry in zip(keys[strict].tolist(), ma[strict].tolist(), pa.tolist(), pb.tolist(),
@@ -312,11 +321,11 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
         if cross_check:  # against every set {x, z, q1, q2} deriving xz right now
             q = np.flatnonzero(known[x] & known[z])
             q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
-            strict, _, other = four_point(x, z, q1, q2)
+            strict, _, other = quartet(x, z, q1, q2)
             clash = np.flatnonzero(strict & ~approx_equal(v, other, eps))
             if clash.size:
                 raise InconsistentDistanceError(
-                    f"{Cord(taxa[x], taxa[z])} derivable as both {float(v)} and {float(other[clash[0]])}"
+                    f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(v)} and {_shown(other[clash[0]])}"
                 )
         value[x, z] = value[z, x] = v
         known[x, z] = known[z, x] = True
@@ -680,26 +689,18 @@ def _lowest(bits: int) -> int:
 
 
 def _placement_steps(tree: XTree, start, placed, partners) -> tuple[ShellingStep, ...]:
-    """The shelling a placement certifies, as ShellingSteps."""
-    taxa = tree._index.taxa
-    quartets = _placement_quartets(start, placed, partners)
-    return tuple(ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, x, y, v in quartets)
-
-
-def _placement_quartets(start, placed, partners) -> Iterator[tuple[int, int, int, int]]:
-    """The derivations a placement certifies, in placement order: for each
+    """The shelling a placement certifies, in placement order: for each
     later taxon z, pivots a and b, each cord zs to an earlier taxon s not
     already in partners[z], with s paired with a when it lies in a's
-    component of T-m.  Each is (u, x, y, v), u < v: cord uv, quartet
-    u x || y v."""
-    prefix = list(start)
+    component of T-m (s a || b z)."""
+    taxa, prefix, steps = tree._index.taxa, list(start), []
     for z, a, b, a_side in placed:
-        joined = partners[z]
         for s in prefix:
-            if not joined >> s & 1:
-                x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # s a || b z, lower end first
-                yield (s, x, y, z) if s < z else (z, x, y, s)
+            if not partners[z] >> s & 1:
+                x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # lower end first
+                steps.append(ShellingStep(Cord(taxa[s], taxa[z]), (taxa[x], taxa[y])))
         prefix.append(z)
+    return tuple(steps)
 
 
 def verify_shelling(
@@ -1159,7 +1160,8 @@ def topological_lasso_oracle(
     the enumeration drops every partial tree displaying another pairing of
     the set, before any LP.  A dropped candidate could not have passed the
     residual check and the survivors keep their order, so the witness is
-    the one the exhaustive search returns.
+    the one the exhaustive search returns.  Legal weights whose cord
+    distances pass the float range raise TreeError.
     """
     from scipy.optimize import linprog
 
@@ -1174,7 +1176,10 @@ def topological_lasso_oracle(
     if not cords:
         raise ValueError("oracle needs a non-empty cord set")
 
-    distances = induced_distance(tree, cords)
+    try:
+        distances = induced_distance(tree, cords)
+    except OverflowError:  # legal weights whose path sums pass the float range
+        raise TreeError("topological oracle: a cord distance overflows the float range") from None
     b = np.array([distances[c] for c in cords])
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     accept = 2 * fit_tol

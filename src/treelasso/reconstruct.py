@@ -14,62 +14,55 @@ from the edge of the start cord; the first block starts from the smallest
 cord in a triangle of L.  A taxon z with placed neighbours a and b gets a
 pendant edge of length p = (d(z,a)+d(z,b)-D)/2, D the length of the a-b
 path of the tree built so far, attached at the point that lies d(z,a)-p
-from a on that path.  z places only when p and the attachment point's
-distance from every vertex of the path clear the definitely_less margin
-at eps; then the point splits an edge strictly inside.
+from a on that path.  z places only when each quartet {z, a, b, s}, s a
+placed taxon other than a and b, is strict under the engine's own test
+(lasso.four_point) at eps, d(z,a)+d(s,b) against d(z,b)+d(s,a), on the
+values given or derived before.  Float guards (p >= 0, the point strictly
+inside the edge it splits) keep the tree well formed.
 
 Soundness.  Let the values be the metric of a tree T, every edge of
 positive weight, and by induction let the tree built on the placed taxa S
 be T restricted to S with its weights.  Let m be the median of a, b and z
-in T.  Then m lies on the a-b path, d(z,a)-p from a, and p = d(z,m).  If
-the component of T-m holding z has no taxon of S, m has degree 2 in T
-restricted to S, so it lies strictly inside one of its edges, and hanging z
-there at distance p gives T restricted to S+{z}.  Otherwise m is a vertex
-of T restricted to S, the attachment point falls on it, and z does not
-place.  So, exactly, z places iff the component of T-m holding z has no
-earlier taxon, which is the index test of lasso's placement on T itself:
-the margin keeps that strict under floats, declining rather than guessing
-when the point lands within tolerance of a vertex.  When the first block
+in T: m lies on the a-b path, d(z,a)-p from a, and p = d(z,m).  If s
+leaves the a-b path at u, the two sums of {z, a, b, s} differ by exactly
+twice d(m,u), the smaller pairing z with a when u lies on b's side of m.
+The path's vertices in T restricted to S are these u and the leaves a and
+b, and m is interior, so all quartets are strict exactly when m is no
+vertex of T restricted to S, when the component of T-m holding z has no
+taxon of S: the index test of lasso's placement on T.  m then lies inside
+an edge, and hanging z there at distance p gives T restricted to S+{z}.
+Under floats z declines, rather than guess, on a quartet that ties within
+the margin.  Each quartet derives cord zs, if not known, as the engine
+would: pivots a, b by the smaller sum, value the larger less d(a,b),
+written where later quartets and blocks read it.  When the first block
 places every taxon, the tree is T, the cords are a shellable lasso of it,
 and the trace holds the shelling the placement certifies (lasso's module
-docstring), one ClosureStep per derived cord in placement order: cord zs,
-pivots a and b by s's side of m, value by the four-point formula over the
-values given or derived before it.  No quartet closure and no NJ run.
+docstring), these derivations in placement order; no closure or NJ runs.
 
 Closure.  Every other input is closed under the extension rule, and a
 complete closure goes through Neighbor-Joining; on additive (tree-metric)
 input NJ recovers the unique fully-resolved tree exactly, up to float
-accumulation.  exact_rational=True and complete inputs (where NJ is
-cheaper than placing) run lasso.closure.  An incomplete float input whose
-first block stops short (fewer than 2n-3 cords, which cannot fix the 2n-3
-edge weights, or a taxon that does not place) keeps growing blocks by the
-loop that grows lasso._hop_closure's on T (lasso._block_loop): for each
-taxon in turn, each known cord in a triangle of the known cords and in no
-block with it starts one, over the given cords, and the pairs within a
-block become known.  Each block
-derives, for each placed z, the cords zs to earlier taxa of the block that
-are not yet known, with pivots z's two neighbours, in placement order:
-the block cords.  They seed the quartet engine (lasso._extend), which
-checks each as one of its own derivations: its pivot quartet must be
-strict, in the placement's orientation, under the engine's four-point
-test at eps, and its value, the four-point formula over the values known
-before it, is cross-checked against every other quartet that derives it
-at that turn.  A clash raises InconsistentDistanceError, as in the
-engine.  A quartet that is not strict (the placer's margin is relative
-to positions along a path, the engine's to sums of two distances, so
-under noise the two can disagree on a near-tie) declines every block, and
-the engine runs from the cords alone.  Otherwise each block cord is an
-engine derivation on the same values, the set of derivable cords only
-grows, and so the fixpoint from the cords plus the block cords is the
-fixpoint from the cords: the same missing cords, and the engine finishes
-it.  Values may differ from a run of the engine alone in their last bits,
-as another derivation order gives.  The engine's first arrivals skip the
-cords with a quiet end, a taxon whose known partners plus itself are
-exactly one of its blocks: a ready 4-taxon set whose missing cord is xy
-has two other taxa that know x, y and each other, and were one of them
-quiet, x and y would lie in its block and xy would be known.  So the cord
-between those two, both not quiet, arrives and offers the set.  The trace
-lists the block cords in placement order, then the engine's derivations.
+accumulation.  exact_rational=True and complete inputs (where NJ is cheaper
+than placing) run lasso.closure.  An incomplete float input whose first
+block stops short (fewer than 2n-3 cords, which cannot fix the 2n-3 edge
+weights, or a taxon that does not place) keeps growing blocks by the loop
+that grows lasso._hop_closure's on T (lasso._block_loop): for each taxon
+in turn, each known cord in a triangle of the known cords and in no block
+with it starts one, over the given cords, and the pairs within a block
+become known.  The blocks' derivations, each one the engine's test passed
+on the engine's values, seed the quartet engine (lasso._extend), which
+cross-checks each against every other quartet deriving it at that turn; a
+clash raises InconsistentDistanceError.  The derivable set only grows, so
+the fixpoint from the cords plus the block cords is the fixpoint from the
+cords: the same missing cords, and the engine finishes it.  Values may
+differ in their last bits from a run of the engine alone.  The engine's
+first arrivals skip the cords with a quiet end, a taxon whose known
+partners plus itself are exactly one of its blocks: a ready 4-taxon set
+whose missing cord is xy has two other taxa that know x, y and each other,
+and were one of them quiet, x and y would lie in its block and xy would be
+known.  So the cord between those two, both not quiet, arrives and offers
+the set.  The trace lists the block cords in placement order, then the
+engine's derivations.
 
 Either way the pipeline finishes by checking the output tree against every
 *input* distance, so corrupt or non-additive data cannot slip through
@@ -86,24 +79,23 @@ from typing import Callable
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bit_indices, _partner_bits
+from .cords import Cord, PartialDistance, _partner_bits
 from .lasso import (
     ClosureTrace,
     _block_loop,
     _closure_trace,
     _extend,
     _grow,
+    _named,
     _parent_tree,
     _path_edges,
-    _Placer,
-    _placement_quartets,
     closure,
+    four_point,
 )
-from .tolerance import DEFAULT_EPSILON, definitely_less
+from .tolerance import DEFAULT_EPSILON
 from .tree import XTree
 
-#: Absolute tolerance for the final tree-against-input check; looser than the
-#: closure epsilon to absorb NJ float accumulation over ~n agglomeration steps.
+#: Absolute tolerance of the final check of the tree against the input (see tolerance).
 VERIFY_EPSILON = 1e-6
 
 
@@ -277,114 +269,69 @@ def reconstruct(
 def _blocks(
     d: PartialDistance, eps: float
 ) -> tuple[ClosureTrace | None, tuple[XTree, Callable[[], ClosureTrace]] | None]:
-    """The closure of an incomplete float input by metric blocks and then the
-    engine, as (trace, None); or, when the first block spans X, (None,
-    placement): the tree of the placement and a function that builds its
-    trace."""
+    """The closure of an incomplete float input by metric blocks, then the
+    engine, as (trace, None); or, when the first block spans X, (None, (its
+    tree, a function that builds its trace from the block's derivations))."""
     taxa = sorted(d.taxa)
     n = len(taxa)
-    value = [[0.0] * n for _ in range(n)]
+    value = [[0.0] * n for _ in range(n)]  # given values, then each block's derived ones
     index = {t: i for i, t in enumerate(taxa)}
     for (a, b), v in d.items():
         value[index[a]][index[b]] = value[index[b]][index[a]] = v
     given = _partner_bits(d.cords, taxa)
-    seeds, placement, first = [], None, True
+    grown = []  # (placer, its rows) per block
 
     def grow(start, known):
-        nonlocal placement, first
-        placer = _MetricPlacer(value, start, eps)
-        placed, block = _grow(given, start, placer.place)
-        if first and block == (1 << n) - 1:  # the first block spans X
-            placement = _placement(d, taxa, value, given, start, placer, placed)
-        elif placed:
-            seeds.extend(_block_seeds(taxa, known, start, placer, placed, block))
-        first = False
+        placer = _MetricPlacer(value, start, eps, known)
+        rows, block = _grow(given, start, placer.place)
+        grown.append((placer, rows))
         return block
 
     _, _, quiet = _block_loop(given, range(n), grow)
-    if placement is not None:
-        return None, placement
-    derivations, _ = _extend(taxa, d, eps, seeds=seeds, quiet=quiet)
+    if len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
+        placer, rows = grown[0]
+        tree = _parent_tree(placer.parent, placer.weight, {taxa[i]: v for i, v in placer.leaf_of.items()})
+        return None, (tree, lambda: _closure_trace(d, _named(taxa, rows)))
+    derivations, _ = _extend(taxa, d, eps, seeds=[row for _, rows in grown for row in rows], quiet=quiet)
     return _closure_trace(d, derivations), None
-
-
-def _placement(d, taxa, value, given, start, placer, placed) -> tuple[XTree, Callable[[], ClosureTrace]]:
-    """The tree of a placement of d over the partner bitsets *given* that
-    spans X, and a function that builds its trace."""
-    tree = placer.tree(taxa)
-
-    def trace() -> ClosureTrace:
-        # s's side of m, the vertex that z's placement made, on the built tree
-        sides = _Placer(tree)
-        quartets = _placement_quartets(
-            start, [(z, a, b, sides.side(m, sides.leaf[a])) for z, a, b, m in placed], given
-        )
-        derivations = []
-        for u, x, y, v in quartets:
-            value[u][v] = value[v][u] = value[u][y] + value[x][v] - value[x][y]
-            derivations.append(((taxa[u], taxa[x], taxa[y], taxa[v]), value[u][v]))
-        return _closure_trace(d, derivations)
-
-    return tree, trace
-
-
-def _block_seeds(taxa, known, start, placer, placed, block) -> list[tuple[int, int, int, int]]:
-    """The cords a block derives beyond the partner bitsets *known*, as
-    _extend's seeds (z, x, y, s): cord zs by the quartet zx||ys, in
-    placement order.  _Placer numbers the block tree's taxa, a subset of
-    *taxa* in the same order, from 0, so each side maps to global bits."""
-    members = list(_bit_indices(block))
-    sides = _Placer(placer.tree(taxa))
-    local = {g: k for k, g in enumerate(members)}
-
-    def side(m, a):  # the taxa of the component of T-m holding a, as global bits
-        return sum(1 << members[k] for k in _bit_indices(sides.side(m, sides.leaf[local[a]])))
-
-    rank = {t: k for k, t in enumerate([*start, *(z for z, _, _, _ in placed)])}
-    entries = [(z, a, b, side(m, a)) for z, a, b, m in placed]
-    return [  # z: the end placed later
-        (u, x, y, v) if rank[u] > rank[v] else (v, y, x, u)
-        for u, x, y, v in _placement_quartets(start, entries, known)
-    ]
 
 
 class _MetricPlacer:
     """The distance test of a placement over taxon indices, for _grow, and
     the tree it grows: parent pointers with each vertex's weight to its
-    parent, as in tree_from_2dtree, from the edge of the start cord.  Its
-    entries are (z, a, b, m), m the vertex that z's pendant edge hangs
-    from."""
+    parent, from the edge of the start cord.  Its entries are _extend's
+    seeds (z, x, y, s, v), the cords zs beyond *known*, written to *value*."""
 
-    def __init__(self, value: list[list[float]], start: tuple[int, int], eps: float):
+    def __init__(self, value: list[list[float]], start: tuple[int, int], eps: float, known: list[int]):
         a, b = start
-        self.value, self.eps = value, eps
-        self.leaf_of = {a: 0, b: 1}
+        self.value, self.eps, self.known = value, eps, known
+        self.leaf_of = {a: 0, b: 1}  # the placed taxa, in placement order
         self.parent: list[int | None] = [None, 0]
         self.weight = [0.0, value[a][b]]  # to the parent; unused at the root
 
-    def tree(self, taxa: list[str]) -> XTree:
-        """The tree grown so far, its leaves labelled by *taxa*."""
-        return _parent_tree(self.parent, self.weight, {taxa[i]: v for i, v in self.leaf_of.items()})
-
     def place(self, z, a, b, prefix, placed) -> bool:
-        parent, weight, eps = self.parent, self.weight, self.eps
+        parent, weight, value, eps = self.parent, self.weight, self.value, self.eps
+        vz, joined = value[z], self.known[z]
+        za, zb, ab = vz[a], vz[b], value[a][b]
+        rows = []
+        for s in self.leaf_of:  # the engine's test on each quartet {z, a, b, s}
+            if s != a and s != b:
+                sb, sa = value[s][b], value[s][a]
+                strict, lt = four_point(za + sb, zb + sa, eps)
+                if not strict:  # z's attachment point is a vertex of the block tree
+                    return False
+                if not joined >> s & 1:
+                    rows.append((z, a, b, s, zb + sa - ab) if lt else (z, b, a, s, za + sb - ab))
         lower = _path_edges(parent, self.leaf_of[a], self.leaf_of[b])
         length = sum(weight[v] for v in lower)
-        za, zb = self.value[z][a], self.value[z][b]
-        if not definitely_less(length, za + zb, eps):  # no pendant edge of positive length
-            return False
         at = (za - zb + length) / 2  # the attachment point, as its distance from a
         pos, end = 0.0, self.leaf_of[a]  # end: the path vertex pos from a
-        for v in lower:  # the first edge ending beyond the point
+        for v in lower:  # the edge the point splits
             after = pos + weight[v]
             if at < after:
                 break
             pos, end = after, parent[v] if v == end else v
-        else:
-            return False
-        # Positions grow along the path, so the point clears every vertex
-        # when it clears the ends of its edge.
-        if not (definitely_less(pos, at, eps) and definitely_less(at, after, eps)):
+        if za + zb < length or not pos < at < after:  # a negative pendant, or a point off the edge's inside
             return False
         near, far = at - pos, after - at
         mid = len(parent)
@@ -393,5 +340,7 @@ class _MetricPlacer:
         weight += [up, (za + zb - length) / 2]
         parent[v], weight[v] = mid, down
         self.leaf_of[z] = mid + 1
-        placed.append((z, a, b, mid))
+        for _, _, _, s, w in rows:
+            vz[s] = value[s][z] = w
+        placed += rows
         return True

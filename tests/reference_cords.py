@@ -1,8 +1,9 @@
 """Test-only reference for the cords module: graph_necessary_checks as it
 was before every graph query read partner bitsets, a breadth-first search
-that two-colours the graph (X, L) from a dict of neighbour sets.  The
-differential test compares it with the library on a seeded sweep; nothing in
-the library imports this module.
+that two-colours the graph (X, L) from a dict of neighbour sets; and
+format_cord_distances as it was before it walked the sorted items once.
+The differential tests compare them with the library on seeded sweeps;
+nothing in the library imports this module.
 """
 
 from collections import deque
@@ -40,3 +41,8 @@ def bfs_graph_necessary_checks(cords, taxa):
         if not component_has_odd_cycle:
             all_odd = False
     return GraphChecks(components <= 1, all_odd)
+
+
+def format_cord_distances(d):
+    """One line per cord of the sorted iteration, each value read by d[c]."""
+    return "".join(f"{c.a}\t{c.b}\t{d[c]!r}\n" for c in d)

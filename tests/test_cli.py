@@ -186,6 +186,23 @@ class TestClassifyCommand:
         assert err == f"error: {message}\n"
 
 
+    def test_oracle_on_overflowing_cord_distances(self, tmp_path):
+        # Legal weights whose b-e path passes the float range: the oracle
+        # names the overflow, with no traceback.
+        tree = tmp_path / "big.nwk"
+        tree.write_text("((a:1,b:1):1e308,(c:1,d:1):1e308,e:1e308);\n")
+        cords = tmp_path / "big.cords"
+        cords.write_text("a\tc\na\te\nc\te\na\tb\nc\td\nb\td\nb\te\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelasso", "classify", "--oracle-topological", str(tree), str(cords)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: topological oracle: a cord distance overflows the float range\n"
+        assert "Traceback" not in proc.stderr
+
+
 class TestGencoverCommand:
     def test_example3_assignment_file(self, capsys, tmp_path, snowflake_nwk, cover9):
         # The full Example-3 transversal, co-singletons included (the

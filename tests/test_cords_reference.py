@@ -1,14 +1,16 @@
-"""Differential test against the colour-dict breadth-first search that
-graph_necessary_checks used before it read partner bitsets
-(reference_cords.py), on seeded random graphs built from isolated taxa,
-bipartite components and components with an odd cycle."""
+"""Differential tests against reference_cords.py: the colour-dict
+breadth-first search that graph_necessary_checks used before it read
+partner bitsets, on seeded random graphs built from isolated taxa,
+bipartite components and components with an odd cycle; and
+format_cord_distances as it read one value per cord, on seeded maps."""
 
 import random
 
 import pytest
 
 from reference_cords import bfs_graph_necessary_checks
-from treelasso import Cord
+from reference_cords import format_cord_distances as one_lookup_per_cord
+from treelasso import Cord, PartialDistance, format_cord_distances
 from treelasso.cords import graph_necessary_checks
 
 
@@ -63,3 +65,19 @@ def test_stray_taxa_raise_as_in_the_reference():
     for checks in (graph_necessary_checks, bfs_graph_necessary_checks):
         with pytest.raises(ValueError, match=r"outside X: \['z'\]"):
             checks(cords, taxa)
+
+
+def test_format_matches_one_lookup_per_cord():
+    rng = random.Random(20122)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1.0, 0.1, 1e12, 1e308, 1.7976931348623157e308]
+    for case in range(300):
+        labels = [rng.choice(["t", "x", "taxon_", "A"]) + str(i) for i in range(rng.randint(2, 12))]
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+        d = PartialDistance(
+            {
+                Cord(a, b): rng.choice(special) if rng.random() < 0.3 else rng.uniform(0, 10 ** rng.randint(-3, 6))
+                for a, b in rng.sample(pairs, rng.randint(1, len(pairs)))
+            }
+        )
+        assert format_cord_distances(d) == one_lookup_per_cord(d), f"case {case}"
+    assert format_cord_distances(PartialDistance({Cord("a", "b"): -0.0})) == "a\tb\t-0.0\n"

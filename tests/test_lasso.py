@@ -12,6 +12,7 @@ from treelasso import (
     Cord,
     InconsistentDistanceError,
     PartialDistance,
+    TreeError,
     all_cords,
     closure,
     edge_weight_lasso_certificate,
@@ -461,6 +462,14 @@ class TestTopologicalOracle:
         t = random_tree(10, seed=0)
         with pytest.raises(ValueError, match="at most"):
             topological_lasso_oracle(t, all_cords(t.taxa))
+
+    def test_overflowing_cord_distance_rejected(self):
+        # Legal weights: the b-e path sums three weights of 1e308.
+        t = parse_newick("((a:1,b:1):1e308,(c:1,d:1):1e308,e:1e308);")
+        cords = [Cord(*p) for p in ("ac", "ae", "ce", "ab", "cd", "bd", "be")]
+        with pytest.raises(TreeError) as raised:
+            topological_lasso_oracle(t, cords)
+        assert str(raised.value) == "topological oracle: a cord distance overflows the float range"
 
 
 def _reweighted(tree, rng):

@@ -2,8 +2,9 @@
 the same two numbers, on complete inputs (against closure -> NJ -> verify,
 tests/reference_reconstruct.py) and on incomplete inputs that place or take
 the closure path (against messages recorded from the check that walked the
-input cords in sorted order), through the API and the command line; and
-NJ on values near the largest float."""
+input cords in sorted order), through the API and the command line; NJ
+on values near the largest float; and exact closures that derive values
+beyond it."""
 
 import itertools
 import random
@@ -16,15 +17,18 @@ import pytest
 from reference_reconstruct import closure_nj_reconstruct
 from treelasso import (
     Cord,
+    InconsistentDistanceError,
     NonAdditiveError,
     PartialDistance,
     XTree,
     all_cords,
+    closure,
     format_cord_distances,
     full_distance,
     induced_distance,
     min_order_transversal,
     neighbor_joining,
+    parse_cord_distances,
     random_tree,
     reconstruct,
     triplet_cover,
@@ -76,10 +80,12 @@ def _closed(seed):
 
 
 #: (input, path, message), the messages as the sorted walk over the input
-#: cords gave them.
+#: cords gave them.  On _placed(1) the quartet of t05, t01, t04 and t06 ties
+#: on its given values, so t05 hangs elsewhere than the position margin
+#: put it, and the walk over that tree names t02-t05.
 RECORDED = [
     (_placed(0), "placement", "reconstructed tree gives 9.317563606887871 for t03-t04, input says 10.31756360688787"),
-    (_placed(1), "placement", "reconstructed tree gives 10.160273568256734 for t04-t06, input says 5.995653471234387"),
+    (_placed(1), "placement", "reconstructed tree gives 6.818401149213182 for t02-t05, input says 5.818401149213183"),
     (_placed(2), "placement", "reconstructed tree gives 13.493052646181997 for t02-t07, input says 6.283227376956051"),
     (_placed(3), "placement", "reconstructed tree gives 11.851647441576649 for t05-t12, input says 12.851647441576649"),
     (_closed(382), "closure", "reconstructed tree gives 5.921837211084362 for t01-t03, input says 5.905538811761193"),
@@ -173,3 +179,46 @@ def test_huge_star_on_the_command_line(tmp_path):
         [sys.executable, "-m", "treelasso", "reconstruct", str(path)], capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, HUGE_STAR_NEWICK + "\n", "")
+
+
+#: Legal values that fit no tree metric (d(t01,t06) passes d(t01,t02) +
+#: d(t02,t06)): exact arithmetic derives t03-t06 as about 2e308, past the
+#: largest float, where float sums overflow and the quartet never fires.
+BEYOND_FLOAT = "t02\tt03\t1e+308\nt01\tt02\t5e-324\nt01\tt03\t1e+308\nt02\tt06\t0.0\nt01\tt06\t1e+308\n"
+BEYOND_FLOAT_ERROR = "t03-t06 derivable as 2.0000000000000000e+308 via (t03,t01,t02,t06), beyond the float range"
+
+#: Two quartets derive ae exactly, as about 2e308 and 3e308.
+BEYOND_FLOAT_CLASH = (
+    "a\tb\t1e308\na\tc\t1.5e308\na\td\t1.5e308\nb\tc\t1e308\nb\td\t1\n"
+    "c\td\t1\nb\te\t1.5e308\nc\te\t1e308\nd\te\t1e308\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, cord, message",
+    [
+        (BEYOND_FLOAT, Cord("t03", "t06"), BEYOND_FLOAT_ERROR),
+        (BEYOND_FLOAT_CLASH, Cord("a", "e"), "ae derivable as both 2.0000000000000000e+308 and 3.0000000000000000e+308"),
+    ],
+    ids=["derived", "clash"],
+)
+def test_exact_values_beyond_the_float_range_are_inconsistent(text, cord, message):
+    d = parse_cord_distances(text)
+    for run in (closure, reconstruct):
+        with pytest.raises(InconsistentDistanceError) as raised:
+            run(d, exact_rational=True)
+        assert str(raised.value) == message
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the float sums overflow
+        assert reconstruct(d).missing == {cord}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "closure"])
+def test_exact_values_beyond_the_float_range_on_the_command_line(tmp_path, command):
+    path = tmp_path / "beyond.tsv"
+    path.write_text(BEYOND_FLOAT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelasso", command, "--exact-rational", str(path)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: inconsistent distances: {BEYOND_FLOAT_ERROR}\n"

@@ -34,8 +34,9 @@ from treelasso import (
 @pytest.fixture
 def engine_runs(monkeypatch):
     """Counts of what the engine did under reconstruct: runs from block
-    seeds, seeds declined, and clashes raised on a block cord; "calls"
-    counts every run."""
+    seeds, runs whose derivations do not start with the seeds ("declined",
+    which the placer's use of the engine's own test rules out), and clashes
+    raised on a block cord; "calls" counts every run."""
     runs = Counter()
     engine = treelasso.lasso._extend
 
@@ -45,12 +46,11 @@ def engine_runs(monkeypatch):
         try:
             derivations, known = engine(taxa, cords, eps, cross_check, seeds, quiet)
         except InconsistentDistanceError as exc:
-            block_cords = {str(Cord(taxa[z], taxa[s])) for z, _, _, s in seeds}
+            block_cords = {str(Cord(taxa[z], taxa[s])) for z, _, _, s, _ in seeds}
             runs["block clash"] += str(exc).split(" derivable as both ")[0] in block_cords
             raise
-        # Accepted seeds head the derivations, lower taxon first; declined
-        # ones give way to the engine's own.
-        head = [Cord(taxa[z], taxa[s]) for z, _, _, s in seeds]
+        # The seeds head the derivations, lower taxon first.
+        head = [Cord(taxa[z], taxa[s]) for z, _, _, s, _ in seeds]
         runs["declined"] += [Cord(q[0], q[3]) for q, _ in derivations[: len(head)]] != head
         return derivations, known
 
@@ -94,9 +94,9 @@ def _compare(d, runs, tag):
 
 
 def _short_edge_tree(rng, n, seed):
-    """A random tree with long pendant edges and one interior edge of 3e-8:
-    the metric placer clears it, the engine's four-point test, relative to
-    sums of two pendant lengths, often calls it a tie."""
+    """A random tree with long pendant edges and one interior edge of 3e-8,
+    which the four-point test, relative to sums of two pendant lengths,
+    often calls a tie."""
     tree = random_tree(n, seed=seed)
     edges = tree.edges()
     interior = [k for k, (u, v, _) in enumerate(edges) if not tree.is_leaf(u) and not tree.is_leaf(v)]
@@ -128,13 +128,21 @@ def test_closure_path_matches_closure_and_nj(engine_runs):
         cover = triplet_cover(tree, min_order_transversal(tree))
         d = induced_distance(tree, cover - {rng.choice(sorted(cover))})
         codes[_compare(d, engine_runs, ("short edge", seed))] += 1
-    # Every exit code is reached; the blocks seed the engine, a block's
-    # quartet is declined as a tie, and a clash is raised on a block cord.
-    # When this was written: exit 0/2/3 (31, 644, 19) on the closure path,
-    # 99 inputs placed; 502 seeded runs, 6 declined, 9 clashes on a block
-    # cord.
+    short = Counter()
+    for seed in range(100):  # the same trees' full covers
+        rng = random.Random(seed)
+        tree = _short_edge_tree(rng, rng.randrange(6, 14), seed)
+        d = induced_distance(tree, triplet_cover(tree, min_order_transversal(tree)))
+        short[_compare(d, engine_runs, ("short edge cover", seed))] += 1
+    # Every exit code is reached; the blocks seed the engine, every seed is
+    # taken, and a clash is raised on a block cord.  A taxon places by the
+    # engine's own test, so no cover places past a short edge that the
+    # closure ties on.  When this was written: exit 0/2/3 (31, 644, 18) on
+    # the closure path, 100 inputs placed; all 100 covers on it, exit 2;
+    # 601 seeded runs, 8 clashes on a block cord.
     assert codes[0] and codes[2] and codes[3]
-    assert engine_runs["seeded"] >= 400 and engine_runs["declined"] and engine_runs["block clash"]
+    assert short == {2: 100}
+    assert engine_runs["seeded"] >= 400 and engine_runs["declined"] == 0 and engine_runs["block clash"]
 
 
 def _noisy_case(k):
