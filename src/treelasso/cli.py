@@ -240,6 +240,8 @@ def cmd_simulate(args) -> int:
     lo, hi = args.weight_range
     if not (0 < lo <= hi):
         raise CordFormatError("--weight-range needs 0 < lo <= hi")
+    if not (args.n - 1) * hi < sys.float_info.max:  # a path has at most n-1 edges
+        raise CordFormatError(f"--weight-range: a path of {args.n - 1} edges of weight {hi!r} leaves the float range")
 
     successes = 0
     total_steps = 0

@@ -74,7 +74,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +86,41 @@ from .tree import TreeError, XTree
 class InconsistentDistanceError(ValueError):
     """The same cord is derivable with conflicting values (input is not a
     restriction of any tree metric)."""
+
+
+class _Steps(Sequence):
+    """A read-only sequence of the steps that generate(*records) yields, over
+    records a closure keeps: a step is made only when the view is iterated
+    or indexed, and len and truth make none.  Otherwise it acts as the tuple
+    of its steps: slices give tuples, and it equals and hashes as that tuple."""
+
+    def __init__(self, size: int, generate: Callable[..., Iterator], *records):
+        self._size, self._generate, self._records = size, generate, records
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator:
+        return self._generate(*self._records)
+
+    def __reversed__(self) -> Iterator:
+        return reversed(tuple(self))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return next(itertools.islice(self, range(self._size)[index], None))  # IndexError as a tuple's
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Steps)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +143,10 @@ class ClosureStep(NamedTuple):
 
 @dataclass(frozen=True)
 class ClosureTrace:
-    steps: tuple[ClosureStep, ...]
+    """A closure's derivations and final distances; closure gives *steps* as
+    a lazy view (_Steps) over its derivation rows, with a cheap len."""
+
+    steps: Sequence[ClosureStep]
     final: PartialDistance
 
     @cached_property
@@ -146,28 +184,35 @@ def closure(
     if len(d) == len(taxa) * (len(taxa) - 1) // 2:
         return ClosureTrace((), d)
     cords = {c: Fraction(v) for c, v in d.items()} if exact_rational else d
-    derivations, _ = _extend(taxa, cords, 0.0 if exact_rational else eps)
-    return _closure_trace(d, derivations)
+    rows, _ = _extend(taxa, cords, 0.0 if exact_rational else eps)
+    return _closure_trace(d, taxa, rows)
 
 
-def _closure_trace(d: PartialDistance, derivations) -> ClosureTrace:
-    """The trace of _extend's *derivations* over d.  A derived value below 0
-    fits no tree metric, and an exact one beyond the float range (where
-    float sums overflow and never pass four_point) cannot be returned:
-    either raises InconsistentDistanceError naming cord, value and quadruple."""
-    steps, final = [], dict(d)
-    for q, v in derivations:
-        cord = Cord(q[0], q[3])
+def _closure_trace(d: PartialDistance, taxa: Sequence[str], rows) -> ClosureTrace:
+    """The trace over d of _extend's *rows* over the sorted *taxa*, its steps
+    a view over the rows and *final*.  Each value is checked here: a derived
+    value below 0 fits no tree metric, and an exact one beyond the float
+    range (where float sums overflow and never pass four_point) cannot be
+    returned; either raises InconsistentDistanceError naming cord, value
+    and quadruple."""
+    final = dict(d)
+    for z, x, y, s, v in rows:
         try:
             value = float(v)
         except OverflowError:
             value = math.inf
         if not 0 <= value < math.inf:
             why = "below 0" if value < 0 else "beyond the float range"
-            raise InconsistentDistanceError(f"{cord} derivable as {_shown(v)} via ({','.join(q)}), {why}")
-        steps.append(ClosureStep(cord, q, value))
-        final[cord] = value
-    return ClosureTrace(tuple(steps), PartialDistance(final))
+            (q, _), = _named(taxa, [(z, x, y, s, v)])
+            raise InconsistentDistanceError(f"{Cord(q[0], q[3])} derivable as {_shown(v)} via ({','.join(q)}), {why}")
+        final[tuple.__new__(Cord, (taxa[z], taxa[s]) if z < s else (taxa[s], taxa[z]))] = value
+    return ClosureTrace(_Steps(len(rows), _closure_steps, taxa, rows, final), PartialDistance._of(final))
+
+
+def _closure_steps(taxa: Sequence[str], rows, final: Mapping[Cord, float]) -> Iterator[ClosureStep]:
+    for q, _ in _named(taxa, rows):
+        cord = tuple.__new__(Cord, q[::3])  # lower index first, and the taxa are sorted
+        yield ClosureStep(cord, q, final[cord])
 
 
 def _shown(value) -> str:
@@ -197,23 +242,24 @@ def four_point(s1, s2, eps: float):
     return lt | (s2 < s1 - tol), lt
 
 
-def _named(taxa: Sequence[str], rows) -> list:
-    """Rows (z, x, y, s, v), cord zs of value v by the quartet zx||ys, as
-    _extend's derivations over *taxa*, lower index first."""
-    return [
-        ((taxa[z], taxa[x], taxa[y], taxa[s]) if z < s else (taxa[s], taxa[y], taxa[x], taxa[z]), v)
-        for z, x, y, s, v in rows
-    ]
+def _named(taxa: Sequence[str], rows) -> Iterator:
+    """Derivation rows (z, x, y, s, v), cord zs of value v by the quartet
+    zx||ys, as ((x', y', u', z'), v) over *taxa*, the quartet x'y'||u'z'
+    giving cord x'z', lower index first."""
+    for z, x, y, s, v in rows:
+        yield ((taxa[z], taxa[x], taxa[y], taxa[s]) if z < s else (taxa[s], taxa[y], taxa[x], taxa[z]), v)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
 def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True,
             seeds: Sequence[tuple[int, int, int, int, float]] = (), quiet: int = 0):
     """The extension rule's fixpoint over *taxa* from the values on *cords*
     (floats or ints, or Fractions with eps=0).  Returns the derivations as
-    ((x, y, u, z), value), quartet xy||uz giving cord xz with x before z in
-    *taxa*, and the final n x n known-mask over *taxa*.  With *cross_check* each
-    derived value is compared with every set able to derive its cord at that
-    moment, and a clash raises InconsistentDistanceError.
+    rows (x, y, u, z, value) over taxon indices, quartet xy||uz giving cord
+    xz (the seeds' form below; _named puts labels on them), and the final
+    n x n known-mask over *taxa*.  With *cross_check* each derived value is
+    compared with every set able to derive its cord at that moment, and a
+    clash raises InconsistentDistanceError.
 
     A 4-taxon set is ready once exactly one of its cords is missing; its five
     values never change after that, so its four-point test runs once, when
@@ -284,7 +330,7 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
         if cross_check:
             cross_check_seeds(z, s, v)
         known[z, s] = known[s, z] = True
-    derivations = _named(taxa, seeds)
+    derivations = list(seeds)
 
     def offer(quads, cursor):
         """Test ready 4-taxon sets (rows) and queue the strict ones."""
@@ -329,7 +375,7 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
                 )
         value[x, z] = value[z, x] = v
         known[x, z] = known[z, x] = True
-        derivations.append(((taxa[x], taxa[y], taxa[u], taxa[z]), v))
+        derivations.append((x, y, u, z, v))
         arrived(x, z, key)
     return derivations, known
 
@@ -389,11 +435,12 @@ class _MissingCords(AbstractSet):
 class ShellingResult:
     """The shelling steps found, and the cords they leave underived.
 
-    is_shellable gives *missing* as a lazy read-only view over its closure's
-    partner bitsets; any set of Cords may be passed in.
+    is_shellable gives both as lazy read-only views, *steps* (_Steps, with
+    a cheap len) over its closure's blocks and derivations and *missing*
+    over its partner bitsets; any steps and set of Cords may be passed in.
     """
 
-    steps: tuple[ShellingStep, ...]
+    steps: Sequence[ShellingStep]
     missing: AbstractSet[Cord]
 
     @property
@@ -420,25 +467,41 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     earlier taxon, pivoted on z's two earlier neighbours.  Otherwise the
     steps derive first the pairs within each block, then the cords the
     examined known cords complete, and *missing* holds the rest, as a view
-    over the closure's partner bitsets.  *rng* (a random.Random) permutes
-    the taxon order in which the closure grows its blocks and takes up its
-    pending cords; the steps change with it, the verdict and *missing* do
-    not (the closure is monotone), which the test suite exercises.
+    over the closure's partner bitsets.  The steps are a lazy view too, so
+    the verdict costs the closure alone.  Each step derives one cord that
+    is neither given nor derived earlier, and each known cord that is not
+    given has one, so their len is a count of bits.  *rng* (a random.Random)
+    permutes the taxon order in which the closure grows its blocks and
+    takes up its pending cords; the steps change with it, the verdict and
+    *missing* do not (the closure is monotone), which the test suite
+    exercises.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
-    known, blocks, derivations = _hop_closure(tree, _cords_over(cords, tree), rng)
+    cords = _cords_over(cords, tree)
+    known, blocks, derivations = _hop_closure(tree, cords, rng)
     taxa = tree._index.taxa
-    steps = [step for block in blocks for step in _placement_steps(tree, *block)]
-    steps += (ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, v, x, y in derivations)
-    return ShellingResult(tuple(steps), _MissingCords(taxa, known))
+    missing = _MissingCords(taxa, known)
+    size = len(taxa) * (len(taxa) - 1) // 2 - len(missing) - len(cords)
+    return ShellingResult(_Steps(size, _shelling_steps, taxa, blocks, derivations), missing)
 
 
-def _shells(tree: XTree, cords: Collection[Cord]) -> bool:
-    """is_shellable's verdict without its steps: whether the closure of L
-    knows every pair."""
-    n = len(tree._index.taxa)
-    return all(k.bit_count() == n - 1 for k in _hop_closure(tree, cords)[0])
+def _shelling_steps(taxa: Sequence[str], blocks, derivations) -> Iterator[ShellingStep]:
+    """The steps of _hop_closure's records over *taxa*: the shelling each
+    block certifies, in placement order (for each later taxon z, pivots a
+    and b, each cord zs to an earlier taxon s not known before the block, s
+    paired with a when it lies in a's component of T-m: s a || b z), then
+    the derivations."""
+    for start, placed, before in blocks:
+        prefix = list(start)
+        for z, a, b, a_side in placed:
+            for s in prefix:
+                if not before[z] >> s & 1:
+                    x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # lower end first
+                    yield ShellingStep(Cord(taxa[s], taxa[z]), (taxa[x], taxa[y]))
+            prefix.append(z)
+    for u, v, x, y in derivations:
+        yield ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y]))
 
 
 class _Placer:
@@ -511,9 +574,9 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
     """The shelling closure of L on the tree, as (known, blocks,
     derivations): the final partner bitsets of the known cords, and the
     material of the steps that derive every derivable cord, which only
-    is_shellable turns into ShellingSteps.  Each block is (start,
+    is_shellable's view turns into ShellingSteps.  Each block is (start,
     placement, before), *before* mapping each placed taxon to its known
-    partners before the block was grown, the arguments of _placement_steps.
+    partners before the block was grown (see _shelling_steps).
     Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
     pivots x, y, the quartet u x || y v.
 
@@ -688,21 +751,6 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _placement_steps(tree: XTree, start, placed, partners) -> tuple[ShellingStep, ...]:
-    """The shelling a placement certifies, in placement order: for each
-    later taxon z, pivots a and b, each cord zs to an earlier taxon s not
-    already in partners[z], with s paired with a when it lies in a's
-    component of T-m (s a || b z)."""
-    taxa, prefix, steps = tree._index.taxa, list(start), []
-    for z, a, b, a_side in placed:
-        for s in prefix:
-            if not partners[z] >> s & 1:
-                x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # lower end first
-                steps.append(ShellingStep(Cord(taxa[s], taxa[z]), (taxa[x], taxa[y])))
-        prefix.append(z)
-    return tuple(steps)
-
-
 def verify_shelling(
     tree: XTree,
     cords: Iterable[Cord],
@@ -830,19 +878,19 @@ def tree_from_2dtree(
     for determinism the edge whose midpoint lies closest to the path midpoint
     is split at its own midpoint, ties resolved towards x_j.
 
-    certify=True asks whether the cords are a shellable lasso of the built
-    tree, with the closure behind is_shellable and no steps built: exact on
-    hop counts and blind to the weights, so a no means a construction bug.
-    By induction on the ordering, a later z sits strictly inside an edge of
-    the x_j-x_k path and an earlier s branches off that path at an older
-    vertex, so the quartet on {z, x_j, x_k, s} derives zs from five
-    available cords: zx_j and zx_k are in L, the rest by induction, as z
-    keeps the prefix quartets.  A shellable lasso is a strong lasso for
-    every proper weighting.  That induction is a placement (see the module
-    docstring), and the closure answers from the tree's index, without the
-    quartet engine, whether or not its greedy first block follows it.  The
-    float closure it replaced failed on fans: each split halves a weight,
-    to 2^-32 at 35 taxa, inside the 1e-9 tolerance.
+    certify=True asks is_shellable whether the cords are a shellable lasso
+    of the built tree, reading its verdict alone: exact on hop counts and
+    blind to the weights, so a no means a construction bug.  By induction
+    on the ordering, a later z sits strictly inside an edge of the x_j-x_k
+    path and an earlier s branches off that path at an older vertex, so
+    the quartet on {z, x_j, x_k, s} derives zs from five available cords:
+    zx_j and zx_k are in L, the rest by induction, as z keeps the prefix
+    quartets.  A shellable lasso is a strong lasso for every proper
+    weighting.  That induction is a placement (see the module docstring),
+    and the closure answers from the tree's index, without the quartet
+    engine, whether or not its greedy first block follows it.  The float
+    closure it replaced failed on fans: each split halves a weight, to
+    2^-32 at 35 taxa, inside the 1e-9 tolerance.
 
     The growing tree is kept as parent pointers, rooted at the leaf of
     ordering[0], with each vertex's weight to its parent.  The x_j-x_k path
@@ -878,7 +926,7 @@ def tree_from_2dtree(
         leaf_of[label] = mid + 1
 
     tree = _parent_tree(parent, weight, leaf_of)
-    if certify and not _shells(tree, cords):
+    if certify and not is_shellable(tree, cords).is_complete:
         raise AssertionError("constructed tree does not certify: cords not a shellable lasso of it")
     return tree
 
@@ -1000,18 +1048,18 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     """True iff the distances on the cords determine the edge weights
     uniquely: the path-incidence matrix has full column rank 2n-3.
 
-    When L is shellable, the answer is True with no elimination: the
-    closure behind is_shellable answers, and no step is built.  Each
-    shelling step's four-point identity d(x,z) = d(x,u)+d(y,z)-d(y,u) holds
-    for every weighting of T, so it is a linear identity between rows, and
-    the rows of L span the row of every pair, whose matrix has full column
-    rank on a tree without degree-2 vertices.  The argument holds for any
-    complete shelling.  Otherwise the rank decides.
+    When is_shellable says L is shellable, the answer is True with no
+    elimination.  Each shelling step's four-point identity d(x,z) =
+    d(x,u)+d(y,z)-d(y,u) holds for every weighting of T, so it is a linear
+    identity between rows, and the rows of L span the row of every pair,
+    whose matrix has full column rank on a tree without degree-2 vertices.
+    The argument holds for any complete shelling.  Otherwise the rank
+    decides.
     """
     if not tree.is_fully_resolved():
         raise TreeError("the rank certificate assumes a fully-resolved tree")
     cords = _cords_over(cords, tree)
-    if len(cords) >= len(tree.edges()) and _shells(tree, cords):
+    if len(cords) >= len(tree.edges()) and is_shellable(tree, cords).is_complete:
         return True
     return _full_rank(tree, cords)
 
@@ -1111,8 +1159,8 @@ def _forbidden_pairings(taxa: Sequence[str], cords: Sequence[Cord], b, accept: f
     """
     values = dict(zip(cords, b.tolist()))
     bound = {c: (v, accept + _ROUNDING * (v + accept)) for c, v in values.items()}
-    derivations, _ = _extend(taxa, values, 0.0, cross_check=False)
-    for (x, y, u, z), v in derivations:
+    rows, _ = _extend(taxa, values, 0.0, cross_check=False)
+    for (x, y, u, z), v in _named(taxa, rows):
         xy, uz, xu, yz, yu = (bound.get(Cord(p, q)) for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
         if None not in (xy, uz, xu, yz, yu) and _surely_below([xy, uz], [xu, yz]):
             used = (xu, yz, yu)

@@ -86,7 +86,6 @@ from .lasso import (
     _closure_trace,
     _extend,
     _grow,
-    _named,
     _parent_tree,
     _path_edges,
     closure,
@@ -209,7 +208,9 @@ def _joins(dist: np.ndarray, eps: float, scale: float) -> list[tuple[int, int, f
 class Reconstruction:
     """Outcome of the pipeline: a tree on success, the trace of the derived
     cords always (the placement's or the closure's), and the cords the
-    closure could not reach (empty on success)."""
+    closure could not reach (empty on success).  The trace's steps are a
+    lazy view over the derivations, as ClosureTrace says: len is cheap, and
+    no ClosureStep is made unless the steps are read."""
 
     tree: XTree | None
     trace: ClosureTrace
@@ -291,9 +292,9 @@ def _blocks(
     if len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
         placer, rows = grown[0]
         tree = _parent_tree(placer.parent, placer.weight, {taxa[i]: v for i, v in placer.leaf_of.items()})
-        return None, (tree, lambda: _closure_trace(d, _named(taxa, rows)))
+        return None, (tree, lambda: _closure_trace(d, taxa, rows))
     derivations, _ = _extend(taxa, d, eps, seeds=[row for _, rows in grown for row in rows], quiet=quiet)
-    return _closure_trace(d, derivations), None
+    return _closure_trace(d, taxa, derivations), None
 
 
 class _MetricPlacer:

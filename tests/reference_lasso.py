@@ -9,11 +9,13 @@ alternative topology) that the pruned oracle replaced, the memoised
 backtracking 2d-tree recognition
 that the greedy peel replaced, and the tree_from_2dtree construction with a
 breadth-first path search per inserted vertex that the parent-pointer climb
-replaced.  The differential tests compare each pair on seeded sweeps;
-nothing in the library imports this module.
+replaced, and the eager builders of is_shellable's steps and of the closure
+trace that the lazy step views replaced.  The differential tests compare
+each pair on seeded sweeps; nothing in the library imports this module.
 """
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -31,9 +33,10 @@ from treelasso.lasso import (
     _contract_tiny_interior,
     _extend,
     _grow,
+    _named,
     _peel,
-    _placement_steps,
     _Placer,
+    _shown,
 )
 from treelasso.tolerance import DEFAULT_EPSILON
 from treelasso.tree import TreeError
@@ -204,8 +207,8 @@ def engine_is_shellable(tree, cords, rng=None):
     if rng is not None:
         rng.shuffle(taxa)
     hops = {c: tree._hops(c.a, c.b) for c in present}
-    derivations, known = _extend(taxa, hops, 0.0, cross_check=False)
-    steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in derivations)
+    rows, known = _extend(taxa, hops, 0.0, cross_check=False)
+    steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in _named(taxa, rows))
     missing = frozenset(Cord(taxa[i], taxa[j]) for i, j in zip(*np.nonzero(np.triu(~known, 1))))
     return ShellingResult(steps, missing)
 
@@ -251,7 +254,50 @@ def placement(tree, cords):
 def placement_steps(tree, cords):
     """The steps of placement's shelling, or None when it does not place."""
     placed = placement(tree, cords)
-    return None if placed is None else _placement_steps(tree, *placed)
+    return None if placed is None else eager_placement_steps(tree, *placed)
+
+
+def eager_placement_steps(tree, start, placed, partners):
+    """The shelling a placement certifies, in placement order, built at
+    once: for each later taxon z, pivots a and b, each cord zs to an earlier
+    taxon s not already in partners[z], with s paired with a when it lies in
+    a's component of T-m (s a || b z)."""
+    taxa, prefix, steps = tree._index.taxa, list(start), []
+    for z, a, b, a_side in placed:
+        for s in prefix:
+            if not partners[z] >> s & 1:
+                x, y = (a, b) if (a_side >> s & 1) == (s < z) else (b, a)  # lower end first
+                steps.append(ShellingStep(Cord(taxa[s], taxa[z]), (taxa[x], taxa[y])))
+        prefix.append(z)
+    return tuple(steps)
+
+
+def eager_shelling_steps(tree, blocks, derivations):
+    """is_shellable's steps from _hop_closure's blocks and derivations, built
+    at once into a tuple: each block's placement steps, then the
+    derivations."""
+    taxa = tree._index.taxa
+    steps = [step for block in blocks for step in eager_placement_steps(tree, *block)]
+    steps += (ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, v, x, y in derivations)
+    return tuple(steps)
+
+
+def eager_closure_trace(d, taxa, rows):
+    """The closure trace of _extend's rows over d, every step built at once
+    and *final* validated entry by entry; the same errors as the lazy trace."""
+    steps, final = [], dict(d)
+    for q, v in _named(taxa, rows):
+        cord = Cord(q[0], q[3])
+        try:
+            value = float(v)
+        except OverflowError:
+            value = math.inf
+        if not 0 <= value < math.inf:
+            why = "below 0" if value < 0 else "beyond the float range"
+            raise InconsistentDistanceError(f"{cord} derivable as {_shown(v)} via ({','.join(q)}), {why}")
+        steps.append(ClosureStep(cord, q, value))
+        final[cord] = value
+    return ClosureTrace(tuple(steps), PartialDistance(final))
 
 
 def insertion_topologies(taxa):

@@ -12,6 +12,7 @@ import pytest
 import treelasso.lasso
 from treelasso import (
     Cord,
+    ShellingResult,
     closest_leaf_transversal,
     is_2dtree,
     min_order_transversal,
@@ -77,7 +78,8 @@ def test_fan_certifies_on_the_command_line(tmp_path, n):
 
 def test_a_failed_check_names_shellability(monkeypatch):
     cords = _fan(5)
-    monkeypatch.setattr(treelasso.lasso, "_shells", lambda tree, cords: False)
+    unshellable = ShellingResult((), frozenset({Cord("x0002", "x0003")}))
+    monkeypatch.setattr(treelasso.lasso, "is_shellable", lambda tree, cords: unshellable)
     with pytest.raises(AssertionError, match="shellable lasso"):
         tree_from_2dtree(cords, is_2dtree(cords), certify=True)
     tree_from_2dtree(cords, is_2dtree(cords))  # no check, no error

@@ -391,6 +391,12 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "--n", "2", "--trials", "5")
         assert code == 1
 
+    def test_weights_whose_path_sums_overflow_exit_1(self, capsys):
+        # Two edges of 1e308 already pass the largest float; 1e307 fits.
+        code, _, err = run(capsys, "simulate", "--n", "3", "--trials", "1", "--weight-range", "1,1e308")
+        assert (code, err) == (1, "error: --weight-range: a path of 2 edges of weight 1e+308 leaves the float range\n")
+        assert run(capsys, "simulate", "--n", "3", "--trials", "1", "--weight-range", "1,1e307")[0] == 0
+
 
 class TestEpsilonOverride:
     def test_env_epsilon_respected(self, capsys, tmp_path, monkeypatch):

@@ -190,12 +190,14 @@ def test_certificate_and_certify_build_no_steps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("shelling steps were built")
 
-    monkeypatch.setattr(treelasso.lasso, "_placement_steps", refuse)
+    monkeypatch.setattr(treelasso.lasso, "ShellingStep", refuse)
     monkeypatch.setattr(treelasso.lasso, "integer_matrix_rank", refuse)
     assert edge_weight_lasso_certificate(tree, cords)
     assert tree_from_2dtree(cords, ordering, certify=True).newick() == plain
+    result = is_shellable(tree, cords)  # no step until the steps are read
+    assert result and len(result.steps) == 40 * 39 // 2 - len(cords)
     with pytest.raises(AssertionError, match="steps were built"):
-        is_shellable(tree, cords)
+        result.steps[0]
 
 
 #: Prints classify's report and shelling trace for a stable cover of a

@@ -214,6 +214,20 @@ def test_exact_values_beyond_the_float_range_are_inconsistent(text, cord, messag
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "closure"])
+def test_float_sums_beyond_the_range_print_no_warning(tmp_path, command):
+    # The quartet engine's sums overflow to inf (and inf - inf is nan): such
+    # a quartet is never strict, and numpy says nothing about it.
+    path = tmp_path / "beyond.tsv"
+    path.write_text(BEYOND_FLOAT)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "treelasso", command, str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.startswith("closure incomplete: 1 cord(s) missing\n")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "closure"])
 def test_exact_values_beyond_the_float_range_on_the_command_line(tmp_path, command):
     path = tmp_path / "beyond.tsv"
     path.write_text(BEYOND_FLOAT)
