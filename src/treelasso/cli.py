@@ -246,6 +246,7 @@ def cmd_simulate(args) -> int:
     successes = 0
     total_steps = 0
     total_seconds = 0.0
+    raised: list[str] = []  # the message of each trial whose reconstruct raised
     for trial in range(args.trials):
         rng = random.Random(f"{args.seed}:{trial}")
         tree = random_tree(args.n, seed=rng.randrange(2**63), weight_range=(lo, hi))
@@ -263,14 +264,18 @@ def cmd_simulate(args) -> int:
         recovered = False
         steps = 0
         if kept:
-            result = reconstruct(induced_distance(tree, kept), eps=args.eps)
-            steps = len(result.trace.steps)
-            recovered = (
-                result.ok
-                and result.tree.taxa == tree.taxa
-                and is_equivalent(result.tree, tree)
-                and split_weight_delta(result.tree, tree) <= 1e-6
-            )
+            try:
+                result = reconstruct(induced_distance(tree, kept), eps=args.eps)
+            except (InconsistentDistanceError, NonAdditiveError) as exc:  # a trial not recovered
+                raised.append(str(exc))
+            else:
+                steps = len(result.trace.steps)
+                recovered = (
+                    result.ok
+                    and result.tree.taxa == tree.taxa
+                    and is_equivalent(result.tree, tree)
+                    and split_weight_delta(result.tree, tree) <= 1e-6
+                )
         total_seconds += time.perf_counter() - start
         total_steps += steps
         successes += recovered
@@ -282,6 +287,8 @@ def cmd_simulate(args) -> int:
         f"\t{successes}\t{rate}\t{total_steps / args.trials}"
     )
     print(f"mean wall time: {1000.0 * total_seconds / args.trials:.3f} ms/trial", file=sys.stderr)
+    if raised:
+        print(f"{len(raised)} trial(s) raised, the first: inconsistent distances: {raised[0]}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -74,6 +74,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -252,14 +253,14 @@ def _named(taxa: Sequence[str], rows) -> Iterator:
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
 def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True,
-            seeds: Sequence[tuple[int, int, int, int, float]] = (), quiet: int = 0):
+            blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0):
     """The extension rule's fixpoint over *taxa* from the values on *cords*
     (floats or ints, or Fractions with eps=0).  Returns the derivations as
     rows (x, y, u, z, value) over taxon indices, quartet xy||uz giving cord
-    xz (the seeds' form below; _named puts labels on them), and the final
-    n x n known-mask over *taxa*.  With *cross_check* each derived value is
-    compared with every set able to derive its cord at that moment, and a
-    clash raises InconsistentDistanceError.
+    xz (the form of the blocks' rows below; _named puts labels on them), and
+    the final n x n known-mask over *taxa*.  With *cross_check* each derived
+    value is compared with every set able to derive its cord at that moment,
+    and a clash raises InconsistentDistanceError.
 
     A 4-taxon set is ready once exactly one of its cords is missing; its five
     values never change after that, so its four-point test runs once, when
@@ -267,15 +268,29 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     index 4-tuple; one made ready behind the set that fired waits for the
     next pass, as in a lexicographic rescan, pass after pass.
 
-    *seeds* are derivations that passed four_point at eps on the values
-    known at their turn (reconstruct's metric blocks), as rows (z, x, y, s,
-    v) in order: cord zs of value v by the quartet zx||ys, the rows of one z
-    together.  Each becomes known and is cross-checked, as a derivation is,
-    against every set {z, s, q1, q2} with q1, q2 known to both and q1q2
-    known, one z's rows in one vectorised pass in chunks of at most
-    _CHECK_ELEMENTS elements (for row k, q ranges over z's partners before
-    the rows and the s of earlier rows).  The derivable set only grows, so
-    the fixpoint from the cords plus the seeds is the one from the cords.
+    *blocks* are reconstruct's metric blocks in the order they grew, each
+    (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
+    each taxon z it placed after its start cord, in placement order, with
+    z's anchors a, b and its known partners before the block grew; and its
+    derivations, rows (z, x, y, s, v) in order, cord zs of value v by the
+    quartet zx||ys, the rows of one z together.  Each row passed four_point
+    at eps on the values known at its turn.  The rows seed the engine: they
+    become known and head the derivations.  The derivable set only grows,
+    so the fixpoint from the cords plus the seeds is the one from the cords.
+    With *cross_check* the seeds are checked in two parts, which in exact
+    arithmetic raise where the cross-check of each row against every set
+    raises (reconstruct's module docstring):
+    - each cord zs inside a block, known before it grew, z the later placed
+      and s no anchor of z, is compared with the value that z's placing
+      quartet {z, a, b, s} derives, all blocks in one vectorised pass;
+    - each row is cross-checked, as a derivation is, against every set {z,
+      s, q1, q2} with q1, q2 known to both and q1q2 known (for row k, q
+      ranges over z's partners before the block and the s of earlier rows),
+      one z's rows in one vectorised pass in chunks of at most
+      _CHECK_ELEMENTS elements.  In a block whose known cords all agree,
+      only sets with q1 or q2 outside the block are checked, so a z with no
+      known partner outside has nothing to check.  In a block with a cord
+      that disagrees every set is, and a clash names that cord.
 
     *quiet* is a bitset of taxa whose known partners, after the seeds, are
     pairwise known.  A ready set's two taxa off its missing cord xy both
@@ -296,41 +311,90 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     now, later = ([], {}), ([], {})
 
     def quartet(ma, mb, p1, p2):
-        """Strict mask, ma-with-p1 flag and value for cords ma-mb, ma < mb."""
+        """Strict mask, ma-with-p1 flag and value for cords ma-mb."""
         s1 = value[ma, p1] + value[mb, p2]
         s2 = value[ma, p2] + value[mb, p1]
         strict, lt = four_point(s1, s2, eps)
         return strict, lt, np.where(lt, s2, s1) - value[p1, p2]
 
-    def cross_check_seeds(z, s, v):
-        """Raise InconsistentDistanceError at the first k whose new cord
-        zs[k], of value v[k], derived after the cords z s[:k], fails the
-        cross-check, naming the value the failing set gives."""
+    def contradicted():
+        """For each block, the message of its first cord zs known before it
+        grew, z the later placed and s no anchor of z, whose value z's
+        placing quartet {z, a, b, s} contradicts, or None."""
+        quads, owner = [], []
+        for k, (members, anchors, _) in enumerate(blocks):
+            placed = members
+            for z, _, _, _ in anchors:
+                placed ^= 1 << z  # the ends of the start cord
+            for z, a, b, joined in anchors:
+                for s in _bit_indices(joined & placed & ~(1 << a | 1 << b)):
+                    quads.append((z, s, a, b))
+                    owner.append(k)
+                placed |= 1 << z
+        first = [None] * len(blocks)
+        if quads:
+            z, s, a, b = np.array(quads, dtype=np.intp).T
+            had, derived = value[z, s], quartet(z, s, a, b)[2]
+            for q in reversed(np.flatnonzero(~approx_equal(had, derived, eps)).tolist()):
+                first[owner[q]] = (
+                    f"{Cord(taxa[z[q]], taxa[s[q]])} derivable as both {_shown(had[q])} and {_shown(derived[q])}"
+                )
+        return first
+
+    def cross_check_seeds(z, s, v, inside):
+        """The message for the first k whose new cord zs[k], of value v[k],
+        derived after the cords z s[:k], fails the cross-check on a set with
+        a taxon off *inside* (a mask), naming the value that set gives; or
+        None."""
         when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
         when[s] = np.arange(len(s))
         cols = np.flatnonzero(when < len(s))
-        pairs = np.triu(known[np.ix_(cols, cols)], 1)
-        step = max(1, _CHECK_ELEMENTS // max(1, cols.size**2))
+        out = np.flatnonzero(~inside[cols])  # positions in cols of the partners off it
+        # q1 off it, q2 any other partner; a set with both off it once
+        pairs = known[np.ix_(cols[out], cols)] & (inside[cols] | (out[:, None] < np.arange(cols.size)))
+        step = max(1, _CHECK_ELEMENTS // max(1, out.size * cols.size))
         for lo in range(0, len(s), step):
             ks = np.arange(lo, min(lo + step, len(s)))
             mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
-            r, q1, q2 = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
-            strict, _, other = quartet(z, s[ks[r]], cols[q1], cols[q2])
+            r, q1, q2 = np.nonzero(mask[:, out, None] & mask[:, None, :] & pairs)
+            q1, q2 = cols[out[q1]], cols[q2]
+            strict, _, other = quartet(z, s[ks[r]], q1, q2)
             bad = np.flatnonzero(strict & ~approx_equal(v[ks[r]], other, eps))
-            if bad.size:
-                k = ks[r[bad[0]]]
-                raise InconsistentDistanceError(
-                    f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad[0]])}"
-                )
+            if bad.size:  # the first set in the order (k, lower q, higher q)
+                bad = bad[np.lexsort((np.maximum(q1, q2)[bad], np.minimum(q1, q2)[bad], r[bad]))[0]]
+                k = ks[r[bad]]
+                return f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad])}"
+        return None
 
-    for z, batch in itertools.groupby(seeds, key=lambda row: row[0]):
-        batch = list(batch)
-        s, v = np.array([row[3] for row in batch], dtype=np.intp), np.array([row[4] for row in batch])
-        value[z, s] = value[s, z] = v
+    def cross_check_blocks(zs, ss, vs):
+        """Raise InconsistentDistanceError at the first seed row (z, s, v
+        in *zs*, *ss*, *vs*) whose cross-check fails."""
+        done = at = 0  # the rows before *done* are known; z's rows start at *at*
+        for (members, anchors, rows), clash in zip(blocks, contradicted()):
+            # A block that agrees with its known cords is checked only on
+            # sets with a taxon off it; one that does not, on every set.
+            off, inside = (-1, np.zeros(n, dtype=bool)) if clash else (~members, None)
+            partners = {z: joined & off for z, _, _, joined in anchors}
+            for z, batch in itertools.groupby(rows, key=itemgetter(0)):
+                size = sum(1 for _ in batch)
+                if partners[z]:
+                    if inside is None:
+                        inside = np.zeros(n, dtype=bool)
+                        inside[list(_bit_indices(members))] = True
+                    known[zs[done:at], ss[done:at]] = known[ss[done:at], zs[done:at]] = True
+                    done = at
+                    if message := cross_check_seeds(z, ss[at:at + size], vs[at:at + size], inside):
+                        raise InconsistentDistanceError(clash or message)
+                at += size
+
+    derivations = [row for _, _, rows in blocks for row in rows]
+    if derivations:
+        zs, ss = np.array([(row[0], row[3]) for row in derivations], dtype=np.intp).T
+        vs = np.array([row[4] for row in derivations])
+        value[zs, ss] = value[ss, zs] = vs
         if cross_check:
-            cross_check_seeds(z, s, v)
-        known[z, s] = known[s, z] = True
-    derivations = list(seeds)
+            cross_check_blocks(zs, ss, vs)
+        known[zs, ss] = known[ss, zs] = True
 
     def offer(quads, cursor):
         """Test ready 4-taxon sets (rows) and queue the strict ones."""

@@ -50,19 +50,47 @@ that grows lasso._hop_closure's on T (lasso._block_loop): for each taxon
 in turn, each known cord in a triangle of the known cords and in no block
 with it starts one, over the given cords, and the pairs within a block
 become known.  The blocks' derivations, each one the engine's test passed
-on the engine's values, seed the quartet engine (lasso._extend), which
-cross-checks each against every other quartet deriving it at that turn; a
-clash raises InconsistentDistanceError.  The derivable set only grows, so
-the fixpoint from the cords plus the block cords is the fixpoint from the
-cords: the same missing cords, and the engine finishes it.  Values may
-differ in their last bits from a run of the engine alone.  The engine's
-first arrivals skip the cords with a quiet end, a taxon whose known
-partners plus itself are exactly one of its blocks: a ready 4-taxon set
-whose missing cord is xy has two other taxa that know x, y and each other,
-and were one of them quiet, x and y would lie in its block and xy would be
-known.  So the cord between those two, both not quiet, arrives and offers
-the set.  The trace lists the block cords in placement order, then the
-engine's derivations.
+on the engine's values, seed the quartet engine (lasso._extend).  The
+derivable set only grows, so the fixpoint from the cords plus the block
+cords is the fixpoint from the cords: the same missing cords, and the
+engine finishes it.  Values may differ in their last bits from a run of
+the engine alone.  The engine checks the seeds in two parts.  Each cord
+zs inside a block that was known before the block grew (given, or derived
+by an earlier block), z placed after s and s no anchor of z, is compared
+once, at eps, with the value that z's placing quartet {z, a, b, s}
+derives.  When every such cord of the block agrees, each block cord is
+cross-checked, as the engine checks a derivation, against the quartets
+deriving it at that turn that hold a taxon outside the block; a clash
+raises InconsistentDistanceError.  A block with a cord that disagrees is
+cross-checked against every quartet, and a clash there names that cord.
+The engine's first arrivals skip the cords with a quiet end, a taxon whose
+known partners plus itself are exactly one of its blocks: a ready 4-taxon
+set whose missing cord is xy has two other taxa that know x, y and each
+other, and were one of them quiet, x and y would lie in its block and xy
+would be known.  So the cord between those two, both not quiet, arrives
+and offers the set.  The trace lists the block cords in placement order,
+then the engine's derivations.
+
+Soundness of the skip.  Take exact arithmetic, eps = 0, and a block B
+whose known cords all agree.  By induction on placement order, every value
+between placed taxa of B is their distance in the block's tree T_B: the
+start cord is T_B's first edge; z's pendant edge and attachment point fit
+d(z,a) and d(z,b) exactly; a derived value is the four-point formula on a
+strict quartet of T_B distances, which gives the T_B distance; and a known
+value agrees with that same formula.  T_B is a tree metric, so every
+strict quartet inside B derives the T_B distance of its cord, the value
+the block wrote: a cross-check on a set inside B cannot fire, and is
+skipped.  Under floats and eps > 0 the skipped checks could fire only
+where rounding and the differences within eps that agreement allows,
+compounded over several placements, reach eps: values off a tree metric by
+just under eps may pass here where the full cross-check raised.  A block
+whose known cord disagrees is no tree metric, and gets the full
+cross-check; the disagreement alone raises nothing, so a clash that no
+quartet sees is still left to the check of the output tree, or to an
+incomplete closure, as under the full cross-check.  On a cover less one
+cord, one block holds every taxon but x, left with a single cord: only x's
+partner has a partner outside the block, and no other taxon knows x, so no
+quartet is cross-checked and the seeds cost O(n^2), not O(n^4).
 
 Either way the pipeline finishes by checking the output tree against every
 *input* distance, so corrupt or non-additive data cannot slip through
@@ -280,20 +308,21 @@ def _blocks(
     for (a, b), v in d.items():
         value[index[a]][index[b]] = value[index[b]][index[a]] = v
     given = _partner_bits(d.cords, taxa)
-    grown = []  # (placer, its rows) per block
+    grown = []  # (placer, its rows, its taxa) per block
 
     def grow(start, known):
         placer = _MetricPlacer(value, start, eps, known)
         rows, block = _grow(given, start, placer.place)
-        grown.append((placer, rows))
+        grown.append((placer, rows, block))
         return block
 
     _, _, quiet = _block_loop(given, range(n), grow)
     if len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
-        placer, rows = grown[0]
+        placer, rows, _ = grown[0]
         tree = _parent_tree(placer.parent, placer.weight, {taxa[i]: v for i, v in placer.leaf_of.items()})
         return None, (tree, lambda: _closure_trace(d, taxa, rows))
-    derivations, _ = _extend(taxa, d, eps, seeds=[row for _, rows in grown for row in rows], quiet=quiet)
+    blocks = [(block, placer.anchors, rows) for placer, rows, block in grown]
+    derivations, _ = _extend(taxa, d, eps, blocks=blocks, quiet=quiet)
     return _closure_trace(d, taxa, derivations), None
 
 
@@ -301,12 +330,14 @@ class _MetricPlacer:
     """The distance test of a placement over taxon indices, for _grow, and
     the tree it grows: parent pointers with each vertex's weight to its
     parent, from the edge of the start cord.  Its entries are _extend's
-    seeds (z, x, y, s, v), the cords zs beyond *known*, written to *value*."""
+    seed rows (z, x, y, s, v), the cords zs beyond *known*, written to
+    *value*; *anchors* lists (z, a, b, known[z]) for each taxon it places."""
 
     def __init__(self, value: list[list[float]], start: tuple[int, int], eps: float, known: list[int]):
         a, b = start
         self.value, self.eps, self.known = value, eps, known
         self.leaf_of = {a: 0, b: 1}  # the placed taxa, in placement order
+        self.anchors: list[tuple[int, int, int, int]] = []
         self.parent: list[int | None] = [None, 0]
         self.weight = [0.0, value[a][b]]  # to the parent; unused at the root
 
@@ -344,4 +375,5 @@ class _MetricPlacer:
         for _, _, _, s, w in rows:
             vz[s] = value[s][z] = w
         placed += rows
+        self.anchors.append((z, a, b, joined))
         return True

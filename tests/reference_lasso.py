@@ -10,8 +10,10 @@ backtracking 2d-tree recognition
 that the greedy peel replaced, and the tree_from_2dtree construction with a
 breadth-first path search per inserted vertex that the parent-pointer climb
 replaced, and the eager builders of is_shellable's steps and of the closure
-trace that the lazy step views replaced.  The differential tests compare
-each pair on seeded sweeps; nothing in the library imports this module.
+trace that the lazy step views replaced, and the cross-check of every
+block seed against every quartet that checking each block cord against its
+own block replaced.  The differential tests compare each pair on seeded
+sweeps; nothing in the library imports this module.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from treelasso import Cord, InconsistentDistanceError, PartialDistance, XTree, all_cords
+from treelasso import Cord, InconsistentDistanceError, PartialDistance, XTree, all_cords, tolerance
 from treelasso.cords import _bit_indices, _partner_bits, cord_taxa
 from treelasso.lasso import (
     MAX_ORACLE_TAXA,
@@ -37,6 +39,7 @@ from treelasso.lasso import (
     _peel,
     _Placer,
     _shown,
+    four_point,
 )
 from treelasso.tolerance import DEFAULT_EPSILON
 from treelasso.tree import TreeError
@@ -280,6 +283,65 @@ def eager_shelling_steps(tree, blocks, derivations):
     steps = [step for block in blocks for step in eager_placement_steps(tree, *block)]
     steps += (ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, v, x, y in derivations)
     return tuple(steps)
+
+
+#: Largest element count of one intermediate array of full_check_extend.
+_CHECK_ELEMENTS = 2**20
+
+
+def full_check_extend(taxa, cords, eps, cross_check=True, blocks=(), quiet=0):
+    """lasso._extend as reconstruct's closure path ran it before each block
+    was checked against its own block tree: each seed row (z, x, y, s, v),
+    in order, cross-checked against every set {z, s, q1, q2} with q1, q2
+    known to both and q1q2 known, one z's rows in one vectorised pass (for
+    row k, q ranges over z's partners before the rows and the s of earlier
+    rows); then the engine from the cords plus the seeds, whose
+    derivations follow the seeds.  The signature is _extend's."""
+    seeds = [row for _, _, rows in blocks for row in rows]
+    n = len(taxa)
+    index = {t: i for i, t in enumerate(taxa)}
+    value, known = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    for c, v in cords.items():
+        i, j = index[c.a], index[c.b]
+        value[i, j] = value[j, i] = v
+        known[i, j] = known[j, i] = True
+
+    def quartet(ma, mb, p1, p2):
+        s1 = value[ma, p1] + value[mb, p2]
+        s2 = value[ma, p2] + value[mb, p1]
+        strict, lt = four_point(s1, s2, eps)
+        return strict, lt, np.where(lt, s2, s1) - value[p1, p2]
+
+    def cross_check_seeds(z, s, v):
+        when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
+        when[s] = np.arange(len(s))
+        cols = np.flatnonzero(when < len(s))
+        pairs = np.triu(known[np.ix_(cols, cols)], 1)
+        step = max(1, _CHECK_ELEMENTS // max(1, cols.size**2))
+        for lo in range(0, len(s), step):
+            ks = np.arange(lo, min(lo + step, len(s)))
+            mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
+            r, q1, q2 = np.nonzero(mask[:, :, None] & mask[:, None, :] & pairs)
+            strict, _, other = quartet(z, s[ks[r]], cols[q1], cols[q2])
+            bad = np.flatnonzero(strict & ~tolerance.approx_equal(v[ks[r]], other, eps))
+            if bad.size:
+                k = ks[r[bad[0]]]
+                raise InconsistentDistanceError(
+                    f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad[0]])}"
+                )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z, batch in itertools.groupby(seeds, key=lambda row: row[0]):
+            batch = list(batch)
+            s, v = np.array([row[3] for row in batch], dtype=np.intp), np.array([row[4] for row in batch])
+            value[z, s] = value[s, z] = v
+            if cross_check:
+                cross_check_seeds(z, s, v)
+            known[z, s] = known[s, z] = True
+    merged = dict(cords)
+    merged.update((Cord(taxa[z], taxa[s]), v) for z, _, _, s, v in seeds)
+    derivations, known = _extend(taxa, merged, eps, cross_check, quiet=quiet)
+    return seeds + derivations, known
 
 
 def eager_closure_trace(d, taxa, rows):

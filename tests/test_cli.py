@@ -387,6 +387,21 @@ class TestSimulateCommand:
         assert code == 0
         assert out == f"n\ttrials\tdropout\textra\tsuccesses\tsuccess_rate\tmean_closure_steps\n{row}\n"
 
+    def test_a_trial_that_raises_counts_as_not_recovered(self, capsys):
+        # Exact tree metrics near 1e12 miss the absolute final check of
+        # reconstruct on rounding alone.  The campaign goes on, and stderr
+        # counts the trials that raised and gives the first message.
+        code, out, err = run(
+            capsys, "simulate", "--n", "6", "--trials", "2", "--seed", "87",
+            "--weight-range", "3.0,1000000000000.0", "--extra", "1",
+        )
+        assert code == 0
+        assert out == "n\ttrials\tdropout\textra\tsuccesses\tsuccess_rate\tmean_closure_steps\n6\t2\t0.0\t1\t0\t0.0\t0.0\n"
+        assert err.splitlines()[1:] == [
+            "2 trial(s) raised, the first: inconsistent distances: reconstructed tree gives 1618883897529.018"
+            " for t02-t04, input says 1618883897529.0183"
+        ]
+
     def test_bad_parameters_exit_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "2", "--trials", "5")
         assert code == 1

@@ -4,6 +4,7 @@ sweeps: the shelling families as distances, the engine-reference families
 with one value perturbed or an interior edge of length 0, trees with one
 interior edge just above the tolerance, and a noise grid."""
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -29,6 +30,7 @@ from treelasso import (
     tree_from_2dtree,
     triplet_cover,
 )
+from treelasso.cords import _bit_indices
 
 
 @pytest.fixture
@@ -36,17 +38,22 @@ def engine_runs(monkeypatch):
     """Counts of what the engine did under reconstruct: runs from block
     seeds, runs whose derivations do not start with the seeds ("declined",
     which the placer's use of the engine's own test rules out), and clashes
-    raised on a block cord; "calls" counts every run."""
+    raised on a cord inside a block, derived there or known before it grew;
+    "calls" counts every run."""
     runs = Counter()
     engine = treelasso.lasso._extend
 
-    def spy(taxa, cords, eps, cross_check=True, seeds=(), quiet=0):
+    def spy(taxa, cords, eps, cross_check=True, blocks=(), quiet=0):
         runs["calls"] += 1
+        seeds = [row for _, _, rows in blocks for row in rows]
         runs["seeded"] += bool(seeds)
         try:
-            derivations, known = engine(taxa, cords, eps, cross_check, seeds, quiet)
+            derivations, known = engine(taxa, cords, eps, cross_check, blocks, quiet)
         except InconsistentDistanceError as exc:
-            block_cords = {str(Cord(taxa[z], taxa[s])) for z, _, _, s, _ in seeds}
+            block_cords = {
+                str(Cord(taxa[a], taxa[b])) for members, _, _ in blocks
+                for a, b in itertools.combinations(_bit_indices(members), 2)
+            }
             runs["block clash"] += str(exc).split(" derivable as both ")[0] in block_cords
             raise
         # The seeds head the derivations.
@@ -145,14 +152,18 @@ def test_closure_path_matches_closure_and_nj(engine_runs):
 
 
 def _noisy_case(k):
-    """Case k of the noise grid, n=8..20, on inputs that mostly take the
-    closure path: a stable cover less 1 or 2 cords; a 2d-tree built by the
-    definition, on taxa in descending label order, whose first block often
-    stops short; or all pairs within half of the taxa, plus the cover with
-    one cord left to one taxon outside that half."""
+    """Case k of the noise grid, n=8..20, as rng, tree and cords."""
     rng = random.Random(f"noise:{k}")
     n = rng.randrange(8, 21)
-    family = ("drop", "2d", "dense")[k % 3]
+    return (rng, *_family_case(rng, n, ("drop", "2d", "dense")[k % 3]))
+
+
+def _family_case(rng, n, family):
+    """A tree on n taxa and cords of *family*, which mostly take the closure
+    path: "drop", a stable cover less 1 or 2 cords; "2d", a 2d-tree built by
+    the definition, on taxa in descending label order, whose first block
+    often stops short; or "dense", all pairs within half of the taxa, plus
+    the cover with one cord left to one taxon outside that half."""
     if family == "2d":
         taxa = [f"x{i:02d}" for i in range(n - 1, -1, -1)]
         cords = {Cord(taxa[0], taxa[1])}
@@ -160,15 +171,15 @@ def _noisy_case(k):
             cords.update(Cord(taxa[i], t) for t in rng.sample(taxa[:i], 2))
         built = tree_from_2dtree(cords, taxa)
         edges = [(u, v, rng.uniform(0.1, 2.5)) for u, v, _ in built.edges()]
-        return rng, XTree(edges, {built.leaf_vertex(t): t for t in built.taxa}), cords
+        return XTree(edges, {built.leaf_vertex(t): t for t in built.taxa}), cords
     tree = random_tree(n, seed=rng.randrange(2**32))
     cover = set(triplet_cover(tree, min_order_transversal(tree)))
     if family == "drop":
-        return rng, tree, cover - set(rng.sample(sorted(cover), rng.choice((1, 2))))
+        return tree, cover - set(rng.sample(sorted(cover), rng.choice((1, 2))))
     lone = rng.choice(sorted(tree.taxa))
     half = rng.sample(sorted(tree.taxa - {lone}), n // 2)
     kept = {c for c in cover if lone not in c} | {min(c for c in cover if lone in c)}
-    return rng, tree, kept | {Cord(a, b) for i, a in enumerate(half) for b in half[:i]}
+    return tree, kept | {Cord(a, b) for i, a in enumerate(half) for b in half[:i]}
 
 
 @pytest.mark.parametrize("noise", [1e-12, 1e-8, 1e-4])
