@@ -152,7 +152,8 @@ class ClosureTrace:
 
     @cached_property
     def missing(self) -> frozenset[Cord]:
-        return all_cords(self.final.taxa) - self.final.cords
+        taxa = sorted(self.final.taxa)
+        return frozenset(_MissingCords(taxa, _partner_bits(self.final._data, taxa)))
 
     @property
     def is_complete(self) -> bool:
@@ -1150,7 +1151,8 @@ _ROUNDING = 1e-12
 def all_topologies(taxa: Sequence[str]):
     """Yield every fully-resolved tree topology on the taxa (unit weights),
     in a deterministic order: (2n-5)!! trees, each exactly once."""
-    yield from _topologies(sorted(taxa), {})
+    for edges, _, leaf_of in _topologies(sorted(taxa), {}):
+        yield XTree([(u, v, 1.0) for u, v in edges], leaf_of)
 
 
 def _topologies(taxa: Sequence[str], forbidden: Mapping[int, Sequence[tuple[int, int]]]):
@@ -1163,14 +1165,16 @@ def _topologies(taxa: Sequence[str], forbidden: Mapping[int, Sequence[tuple[int,
 
     Each edge (u, v) carries the bitset of the taxa on v's side.  Inserting
     taxon i into edge k adds it to v's side of every edge whose v side holds
-    edge k, that is, one side of edge k.
+    edge k, that is, one side of edge k.  Each tree comes as (edges, sides,
+    leaf labels by vertex), so a caller that needs only its splits builds no
+    XTree.
     """
     if len(taxa) < 3:
         raise ValueError("topology enumeration needs at least 3 taxa")
 
     def expand(edges, sides, leaf_of, next_id, i):
         if i == len(taxa):
-            yield XTree([(u, v, 1.0) for u, v in edges], dict(leaf_of))
+            yield edges, sides, leaf_of
             return
         leaf, mid, bit, seen = next_id, next_id + 1, 1 << i, (1 << i) - 1
         for k in range(len(edges)):
@@ -1198,48 +1202,73 @@ def _topologies(taxa: Sequence[str], forbidden: Mapping[int, Sequence[tuple[int,
 
 def _surely_below(low, high) -> bool:
     """Whether every metric within the (value, error) bounds of the cords has
-    a smaller sum over *low* than over *high*, with the float test's own
-    rounding covered."""
-    gap = sum(v for v, _ in high) - sum(v for v, _ in low)
-    slack = sum(e for _, e in low + high)
-    return gap > slack + _ROUNDING * (sum(abs(v) for v, _ in low + high) + slack)
+    a smaller sum over the pair *low* than over the pair *high*, with the
+    float test's own rounding covered."""
+    (v1, e1), (v2, e2) = low
+    (v3, e3), (v4, e4) = high
+    slack = e1 + e2 + e3 + e4
+    return (v3 + v4) - (v1 + v2) > slack + _ROUNDING * (abs(v1) + abs(v2) + abs(v3) + abs(v4) + slack)
 
 
-def _forbidden_pairings(taxa: Sequence[str], cords: Sequence[Cord], b, accept: float):
-    """Pairings of 4-taxon sets that no tree within *accept* of the values *b*
-    on every cord can display, keyed by the largest taxon index of the set,
-    as in _topologies.
+#: The six cords of a sorted 4-taxon set (a, b, c, d), as positions in it:
+#: ab, ac, ad, bc, bd, cd.  Cords k and 5 - k form a pairing: ab|cd, ac|bd
+#: and ad|bc for k = 0, 1, 2.
+_QUARTET_CORDS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-    Every such metric d' lies within a bound (value, error) on each cord:
-    b(c) and *accept* on the given ones, plus rounding.  The extension rule's
-    derivations extend the bounds: when d'(xy)+d'(uz) < d'(xu)+d'(yz) is
-    sure for the bounds, the four-point condition forces d'(xz) =
-    d'(xu)+d'(yz)-d'(yu), so xz gets the engine's value and the summed
-    error.  A derivation that is not sure leaves its cord unbounded.  When
-    S'(P) < S'(Q) is sure for two pairings P and Q of a 4-taxon set, both
-    with bounded cords, every pairing but P is forbidden: a tree with
-    non-negative weights that displays pairing R has S'(R) no larger than
+
+def _forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequence[float], accept: float):
+    """Pairings of 4-taxon sets over taxon indices 0..n-1 that no tree within
+    *accept* of *values* on every cord in *pairs* (p < q) can display, keyed
+    by the largest taxon index of the set, as in _topologies.
+
+    Every accepted fit d' is a tree metric within a bound (value, error) on
+    each cord: the given value and *accept* on the given cords, plus
+    rounding; d'(P) is its sum over the two cords of a pairing P.  A cord xz
+    of a 4-taxon set {x, y, u, z} whose other five cords are bounded gets a
+    bound when one of the pairings xy|uz and xu|yz, say P, has a sum surely
+    below the other's, Q: below for every metric within the bounds.  Then
+    d'(P) < d'(Q), so under the four-point condition d' displays P and the
+    pairing xz|yu has the sum d'(Q): d'(xz) = d'(Q) - d'(yu) lies within
+    the three errors used (plus rounding) of Q's summed values less yu's.
+    Each bound holds on its own, whatever the order of derivation, which
+    changes only how tight the bounds are.  Passes over the 4-taxon sets
+    run until one bounds nothing new.
+
+    When d'(P) < d'(Q) is sure for two pairings P and Q of a 4-taxon set,
+    both with bounded cords, every pairing but P is forbidden: a tree with
+    non-negative weights that displays pairing R has d'(R) no larger than
     the other two sums, which are equal.
     """
-    values = dict(zip(cords, b.tolist()))
-    bound = {c: (v, accept + _ROUNDING * (v + accept)) for c, v in values.items()}
-    rows, _ = _extend(taxa, values, 0.0, cross_check=False)
-    for (x, y, u, z), v in _named(taxa, rows):
-        xy, uz, xu, yz, yu = (bound.get(Cord(p, q)) for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
-        if None not in (xy, uz, xu, yz, yu) and _surely_below([xy, uz], [xu, yz]):
-            used = (xu, yz, yu)
-            bound[Cord(x, z)] = (v, sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used))
+    bound = {pair: (v, accept + _ROUNDING * (v + accept)) for pair, v in zip(pairs, values)}
+    quads = [(quad, [(quad[i], quad[j]) for i, j in _QUARTET_CORDS]) for quad in itertools.combinations(range(n), 4)]
+    grew = True
+    while grew:
+        grew = False
+        for _, cords in quads:
+            known = [bound.get(c) for c in cords]
+            if known.count(None) != 1:
+                continue
+            k = known.index(None)
+            yu = known[5 - k]
+            p, q = [(known[j], known[5 - j]) for j in range(3) if j != min(k, 5 - k)]
+            for low, high in ((p, q), (q, p)):
+                if _surely_below(low, high):
+                    used = (*high, yu)
+                    value = high[0][0] + high[1][0] - yu[0]
+                    bound[cords[k]] = (value, sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used))
+                    grew = True
+                    break
     forbidden: dict[int, list[tuple[int, int]]] = {}
-    for quad in itertools.combinations(range(len(taxa)), 4):
-        pairings = [((quad[0], quad[k]), tuple(q for q in quad[1:] if q != quad[k])) for k in (1, 2, 3)]
-        sums = [[bound.get(Cord(taxa[p], taxa[q])) for p, q in pairing] for pairing in pairings]
-        sums = [s if None not in s else None for s in sums]
+    for quad, cords in quads:
+        known = [bound.get(c) for c in cords]
+        sums = [(known[j], known[5 - j]) if known[j] and known[5 - j] else None for j in range(3)]
         banned = set()
         for low, high in itertools.permutations(range(3), 2):
             if sums[low] and sums[high] and _surely_below(sums[low], sums[high]):
                 banned.update({0, 1, 2} - {low})
-        for k in sorted(banned):
-            forbidden.setdefault(quad[3], []).append(tuple((1 << p) | (1 << q) for p, q in pairings[k]))
+        for j in sorted(banned):
+            (a, b), (c, d) = cords[j], cords[5 - j]
+            forbidden.setdefault(quad[3], []).append(((1 << a) | (1 << b), (1 << c) | (1 << d)))
     return forbidden
 
 
@@ -1264,16 +1293,20 @@ def topological_lasso_oracle(
     The search is exact, with pruning.  A fit is accepted only when its
     residual on every cord is at most 2*fit_tol, so every accepted metric
     lies within 2*fit_tol (plus rounding) of the input on each given cord.
-    Derived cords carry the summed bounds of the three cords their value
-    comes from, and count only when their quartet's sum gap exceeds the
-    bounds' slack.  When one pairing of a 4-taxon set has a four-point sum
-    surely below another's, every accepted fit displays that pairing (the
-    displayed pairing's sum is the smallest, the other two are equal), so
-    the enumeration drops every partial tree displaying another pairing of
-    the set, before any LP.  A dropped candidate could not have passed the
-    residual check and the survivors keep their order, so the witness is
-    the one the exhaustive search returns.  Legal weights whose cord
-    distances pass the float range raise TreeError.
+    The oracle's own closure of these bounds, not the extension rule's
+    engine, decides which cords are derived (_forbidden_pairings): a cord
+    is bounded by any quartet whose sum gap exceeds its bounds' slack, with
+    the summed bounds of the three cords its value comes from.  When one
+    pairing of a 4-taxon set has a four-point sum surely below another's,
+    every accepted fit displays that pairing (the displayed pairing's sum
+    is the smallest, the other two are equal), so the enumeration drops
+    every partial tree displaying another pairing of the set, before any
+    LP.  A dropped candidate could not have passed the residual check and
+    the survivors keep their order, so the witness is the one the
+    exhaustive search returns.  A candidate with the input tree's splits
+    is skipped on its leaf bitsets; only a candidate that reaches the LP
+    is built as an XTree.  Legal weights whose cord distances pass the
+    float range raise TreeError.
     """
     from scipy.optimize import linprog
 
@@ -1295,11 +1328,16 @@ def topological_lasso_oracle(
     b = np.array([distances[c] for c in cords])
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     accept = 2 * fit_tol
-    own_splits = tree.splits()
+    index = {t: i for i, t in enumerate(taxa)}
+    forbidden = _forbidden_pairings(len(taxa), [(index[x], index[y]) for x, y in cords], b.tolist(), accept)
+    # Splits as the side without taxon 0, of the input tree and of each candidate.
+    full = (1 << len(taxa)) - 1
+    own_splits = {bits for bits in tree._side_bits.values() if not bits & 1}
 
-    for candidate in _topologies(taxa, _forbidden_pairings(taxa, cords, b, accept)):
-        if candidate.splits() == own_splits:
+    for bare, sides, leaf_of in _topologies(taxa, forbidden):
+        if {bits ^ full if bits & 1 else bits for bits in sides} == own_splits:
             continue
+        candidate = XTree([(u, v, 1.0) for u, v in bare], leaf_of)
         edges = candidate.edges()
         a_mat = np.array(
             [

@@ -12,8 +12,10 @@ breadth-first path search per inserted vertex that the parent-pointer climb
 replaced, and the eager builders of is_shellable's steps and of the closure
 trace that the lazy step views replaced, and the cross-check of every
 block seed against every quartet that checking each block cord against its
-own block replaced.  The differential tests compare each pair on seeded
-sweeps; nothing in the library imports this module.
+own block replaced, and the oracle's pruning bounds taken along the quartet
+engine's derivations that the oracle's own fixpoint of sure derivations
+replaced.  The differential tests compare each pair on seeded sweeps;
+nothing in the library imports this module.
 """
 
 import itertools
@@ -38,7 +40,9 @@ from treelasso.lasso import (
     _named,
     _peel,
     _Placer,
+    _ROUNDING,
     _shown,
+    _surely_below,
     four_point,
 )
 from treelasso.tolerance import DEFAULT_EPSILON
@@ -438,6 +442,35 @@ def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
             continue
         return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
     return None
+
+
+def engine_forbidden_pairings(n, pairs, values, accept):
+    """The oracle's forbidden pairings, as treelasso.lasso._forbidden_pairings
+    gives them, with the bounds of derived cords taken from the quartet
+    engine (eps=0, no cross-check): a cord is bounded only when the quartet
+    the engine derived it by is sure for the bounds of its other five cords
+    at that point of the engine's order."""
+    taxa = [f"t{i:02d}" for i in range(n)]
+    cords = [Cord(taxa[p], taxa[q]) for p, q in pairs]
+    bound = {c: (v, accept + _ROUNDING * (v + accept)) for c, v in zip(cords, values)}
+    rows, _ = _extend(taxa, dict(zip(cords, values)), 0.0, cross_check=False)
+    for (x, y, u, z), v in _named(taxa, rows):
+        xy, uz, xu, yz, yu = (bound.get(Cord(p, q)) for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
+        if None not in (xy, uz, xu, yz, yu) and _surely_below((xy, uz), (xu, yz)):
+            used = (xu, yz, yu)
+            bound[Cord(x, z)] = (v, sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used))
+    forbidden = {}
+    for quad in itertools.combinations(range(n), 4):
+        pairings = [((quad[0], quad[k]), tuple(q for q in quad[1:] if q != quad[k])) for k in (1, 2, 3)]
+        sums = [[bound.get(Cord(taxa[p], taxa[q])) for p, q in pairing] for pairing in pairings]
+        sums = [s if None not in s else None for s in sums]
+        banned = set()
+        for low, high in itertools.permutations(range(3), 2):
+            if sums[low] and sums[high] and _surely_below(sums[low], sums[high]):
+                banned.update({0, 1, 2} - {low})
+        for k in sorted(banned):
+            forbidden.setdefault(quad[3], []).append(tuple((1 << p) | (1 << q) for p, q in pairings[k]))
+    return forbidden
 
 
 def backtracking_is_2dtree(cords, taxa=None, greedy=False):

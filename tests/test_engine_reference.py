@@ -90,6 +90,19 @@ def test_closure_trace_identical_to_rescan(exact_rational):
     assert {True, InconsistentDistanceError} <= outcomes
 
 
+def test_closure_missing_is_every_pair_not_final():
+    # missing is read off partner bitsets over final's keys, and is still the
+    # frozenset of every pair of taxa that final leaves out.
+    kinds = set()
+    for seed in range(40):
+        _, tree, cords = _case(seed)
+        trace = closure(induced_distance(tree, cords))
+        assert type(trace.missing) is frozenset
+        assert trace.missing == all_cords(trace.final.taxa) - trace.final.cords, f"seed {seed}"
+        kinds.add(bool(trace.missing))
+    assert kinds == {False, True}
+
+
 def test_zero_interior_edge_ties_match_rescan():
     # A zero-length interior edge makes every quartet across it a tie, so
     # the closure stalls on the same cords in both engines.

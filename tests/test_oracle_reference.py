@@ -1,12 +1,15 @@
 """Differential tests: the pruned topological oracle against the exhaustive
-one it replaced (reference_lasso.py) on seeded sweeps, and LP counts that
-pin the pruning down."""
+one it replaced (reference_lasso.py) on seeded sweeps, LP counts that pin
+the pruning down, against the exhaustive search and against bounds taken
+along the quartet engine's derivations, and the pruning's soundness: no
+pairing it forbids is one the input tree displays."""
 
 import random
 
 import pytest
 import scipy.optimize
 
+import treelasso.lasso
 from treelasso import (
     Cord,
     XTree,
@@ -18,7 +21,22 @@ from treelasso import (
     triplet_cover,
 )
 from treelasso.tree import TreeError
-from reference_lasso import exhaustive_oracle, insertion_topologies
+from reference_lasso import engine_forbidden_pairings, exhaustive_oracle, insertion_topologies
+
+
+@pytest.fixture
+def forbidden_calls(monkeypatch):
+    """Record the pairings the oracle's pruning forbids, one map per call."""
+    calls = []
+    prune = treelasso.lasso._forbidden_pairings
+
+    def recorded(n, pairs, values, accept):
+        forbidden = prune(n, pairs, values, accept)
+        calls.append(forbidden)
+        return forbidden
+
+    monkeypatch.setattr(treelasso.lasso, "_forbidden_pairings", recorded)
+    return calls
 
 
 @pytest.fixture
@@ -106,28 +124,77 @@ def test_witness_identical_to_exhaustive(lp_calls):
     assert pruned_lps * 10 < exhaustive_lps
 
 
-@pytest.mark.parametrize("seed", [0, 4])
-def test_witness_identical_near_prune_threshold(seed):
-    # Each interior edge in turn at 1.5 and 3 times the fit tolerance: the
-    # first still admits a fit across it, the second does not.  The quartets
-    # across the edge involve derived cords, whose summed error bounds decide
-    # whether a candidate is dropped.
+def _near_threshold(seed):
+    """(factor, tree, cover) with each interior edge of a six-taxon tree in
+    turn at 1.5 and 3 times the fit tolerance: the first still admits a fit
+    across it, the second does not.  The quartets across the edge involve
+    derived cords, whose summed error bounds decide whether a candidate is
+    dropped."""
     base = random_tree(6, seed=seed, weight_range=(0.5, 1.5))
     cover = sorted(triplet_cover(base, min_order_transversal(base)))
     fit_tol = 1e-7 * max(base.distance(c.a, c.b) for c in cover)
     edges = base.edges()
-    outcomes = set()
     for k, (u, v, _) in enumerate(edges):
         if base.is_leaf(u) or base.is_leaf(v):
             continue
         for factor in (1.5, 3.0):
             weighted = [(p, q, factor * fit_tol if i == k else w) for i, (p, q, w) in enumerate(edges)]
             tree = XTree(weighted, {base.leaf_vertex(t): t for t in base.taxa})
-            cords = triplet_cover(tree, min_order_transversal(tree))
-            expected = _outcome(exhaustive_oracle, tree, cords)
-            assert _outcome(topological_lasso_oracle, tree, cords) == expected, (k, factor)
-            outcomes.add((factor, expected is None))
+            yield factor, tree, triplet_cover(tree, min_order_transversal(tree))
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_witness_identical_near_prune_threshold(seed):
+    outcomes = set()
+    for factor, tree, cords in _near_threshold(seed):
+        expected = _outcome(exhaustive_oracle, tree, cords)
+        assert _outcome(topological_lasso_oracle, tree, cords) == expected, factor
+        outcomes.add((factor, expected is None))
     assert outcomes == {(1.5, False), (3.0, True)}
+
+
+def _displayed_forbidden(tree, forbidden):
+    """The pairings in *forbidden* (leaf bitsets over the sorted taxa) that
+    *tree* displays."""
+    taxa = sorted(tree.taxa)
+    shown = []
+    for pairings in forbidden.values():
+        for pair in pairings:
+            p, q = ([t for i, t in enumerate(taxa) if bits >> i & 1] for bits in pair)
+            if tree.quartet_topology(*p, *q) == frozenset({frozenset(p), frozenset(q)}):
+                shown.append((p, q))
+    return shown
+
+
+def test_input_tree_displays_no_forbidden_pairing(forbidden_calls):
+    # The input tree fits its own distances with residual 0, so the pruning
+    # must keep every pairing it displays.
+    trees = [_case(seed)[:2] for seed in range(200)]
+    trees += [(tree, cords) for seed in (0, 4) for _, tree, cords in _near_threshold(seed)]
+    pruned = 0
+    for tree, cords in trees:
+        forbidden_calls.clear()
+        _outcome(topological_lasso_oracle, tree, cords)
+        for forbidden in forbidden_calls:
+            assert not _displayed_forbidden(tree, forbidden), (tree.newick(), sorted(cords))
+            pruned += sum(map(len, forbidden.values()))
+    assert pruned > 1000
+
+
+def test_prunes_no_less_than_engine_bounds(lp_calls, monkeypatch):
+    # Bounds taken along the quartet engine's derivations, as the oracle
+    # took them before its own fixpoint, give the same outcome and never
+    # fewer LPs than the oracle's own bounds.
+    for seed in range(40):
+        tree, cords, _ = _case(seed)
+        lp_calls[0] = 0
+        got = _outcome(topological_lasso_oracle, tree, cords)
+        own = lp_calls[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(treelasso.lasso, "_forbidden_pairings", engine_forbidden_pairings)
+            lp_calls[0] = 0
+            assert _outcome(topological_lasso_oracle, tree, cords) == got, f"seed {seed}"
+        assert own <= lp_calls[0], f"seed {seed}"
 
 
 def test_errors_identical_to_exhaustive():
@@ -180,3 +247,21 @@ def test_remark1_still_refuted(quartet_abcd, remark1_cords, lp_calls):
     witness = topological_lasso_oracle(quartet_abcd, remark1_cords)
     assert witness is not None and witness.splits() != quartet_abcd.splits()
     assert lp_calls[0] >= 1
+
+
+def test_any_sure_quartet_bounds_a_cord(lp_calls, monkeypatch):
+    # A stable cover of (t01,((t02,t05),t03):7e-7,t04).  The engine derives
+    # t01-t03 across the 7e-7 edge, a quartet that is not sure, then t01-t05
+    # from t01-t03 and t04-t05 from t01-t05, so none of the three is
+    # bounded.  The quartet {t02, t03, t04, t05} bounds t04-t05 surely,
+    # which forbids two pairings of {t01, t02, t04, t05} and saves two LPs.
+    tree, cords, _ = _case(180)
+    assert Cord("t04", "t05") not in cords and Cord("t01", "t03") not in cords
+    expected = _outcome(exhaustive_oracle, tree, cords)
+    lp_calls[0] = 0
+    assert _outcome(topological_lasso_oracle, tree, cords) == expected
+    assert lp_calls[0] == 2
+    monkeypatch.setattr(treelasso.lasso, "_forbidden_pairings", engine_forbidden_pairings)
+    lp_calls[0] = 0
+    assert _outcome(topological_lasso_oracle, tree, cords) == expected
+    assert lp_calls[0] == 4
