@@ -6,6 +6,11 @@ distance map assigns a non-negative value to each cord of its domain.  The
 file formats are line oriented: ``taxonA<TAB>taxonB`` for cord sets and
 ``taxonA<TAB>taxonB<TAB>decimal`` for distances, with '#' comments and blank
 lines ignored.
+
+A distance map is stored on taxon indices, not on Cords: the sorted taxa,
+two index arrays i < j and a float64 value array, in cord order (see
+PartialDistance).  Parsing, formatting and the tree distances write or read
+those arrays in bulk; a Cord is made only when the map is read as a Mapping.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .tolerance import DEFAULT_EPSILON, approx_equal
 from .tree import LABEL_PATTERN, XTree
@@ -70,7 +76,18 @@ def cord_taxa(cords: Iterable[Cord]) -> frozenset[str]:
 
 
 class PartialDistance(Mapping):
-    """Immutable map from cords to non-negative distances."""
+    """Immutable map from cords to non-negative distances.
+
+    Stored form: the sorted taxa its cords mention, and three arrays in cord
+    order, one entry per cord (taxa[i], taxa[j]): indices i < j and float64
+    values.  As the taxa are sorted, cord order is the order of the codes
+    i*n + j, so the arrays are the sorted iteration itself.  The library's
+    producers (parse_cord_distances, induced_distance, full_distance, the
+    closure's *final*) write the arrays and its readers (format, NJ,
+    reconstruct's check and blocks, the closure engine) read them, with no
+    Cord per pair.  The Cord-keyed dict is a view, built in cord order on
+    the first Mapping access (d[c], iteration, *cords*, *value*) and kept.
+    """
 
     def __init__(self, entries: Mapping[Cord, float] | Iterable[tuple[Cord, float]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -79,24 +96,58 @@ class PartialDistance(Mapping):
             value = float(value)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"distance for {cord} must be finite and >= 0, got {value}")
-            data[cord] = value
-        self._data = data
+            data[cord if type(cord) is Cord else Cord(*cord)] = value
+        self._store(*_arrays(data))
 
     @classmethod
-    def _of(cls, data: dict[Cord, float]) -> PartialDistance:
-        """The map over *data*, whose values the caller has checked."""
+    def _of(cls, taxa: Sequence[str], i: np.ndarray, j: np.ndarray, v: np.ndarray) -> PartialDistance:
+        """The map of the cords (taxa[i[k]], taxa[j[k]]), i[k] < j[k] over
+        the sorted *taxa*, to the values v[k], which the caller has checked,
+        no cord twice; put in cord order here, and the taxa of no cord left
+        out."""
         d = cls.__new__(cls)
-        d._data = data
+        d._store(taxa, i, j, v)
         return d
+
+    def _store(self, taxa: Sequence[str], i: np.ndarray, j: np.ndarray, v: np.ndarray) -> None:
+        n = len(taxa)
+        used = np.zeros(n, dtype=bool)
+        used[i] = used[j] = True
+        if not used.all():  # renumber the taxa that some cord mentions
+            renumber = np.cumsum(used) - 1
+            taxa, i, j = list(itertools.compress(taxa, used.tolist())), renumber[i], renumber[j]
+            n = len(taxa)
+        codes = i * n + j
+        if not (codes[1:] > codes[:-1]).all():
+            order = np.argsort(codes, kind="stable")
+            i, j, v = i[order], j[order], v[order]
+        self._taxa, self._i, self._j, self._v = list(taxa), i, j, v
+
+    @functools.cached_property
+    def _data(self) -> dict[Cord, float]:
+        """The Cord-keyed view, in cord order."""
+        taxa, new = self._taxa, tuple.__new__
+        pairs = zip(map(taxa.__getitem__, self._i.tolist()), map(taxa.__getitem__, self._j.tolist()))
+        return dict(zip(map(functools.partial(new, Cord), pairs), self._v.tolist()))
+
+    def _partners(self) -> list[int]:
+        """The graph of the cords as one partner bitset per taxon, bit j of
+        entry i set when taxa[i] and taxa[j] share a cord (_partner_bits)."""
+        n = len(self._taxa)
+        known = np.zeros((n, n), dtype=bool)
+        known[self._i, self._j] = known[self._j, self._i] = True
+        width = (n + 7) // 8
+        packed = np.packbits(known, axis=1, bitorder="little").tobytes()
+        return [int.from_bytes(packed[k:k + width], "little") for k in range(0, n * width, width)]
 
     def __getitem__(self, cord: Cord) -> float:
         return self._data[cord]
 
     def __iter__(self) -> Iterator[Cord]:
-        return iter(sorted(self._data))
+        return iter(self._data)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._v)
 
     @property
     def cords(self) -> frozenset[Cord]:
@@ -104,13 +155,21 @@ class PartialDistance(Mapping):
 
     @functools.cached_property
     def taxa(self) -> frozenset[str]:
-        return cord_taxa(self._data)
+        return frozenset(self._taxa)
 
     def value(self, x: str, y: str) -> float:
         return self._data[Cord(x, y)]
 
     def __repr__(self) -> str:
-        return f"<PartialDistance: {len(self._data)} cords on {len(self.taxa)} taxa>"
+        return f"<PartialDistance: {len(self)} cords on {len(self._taxa)} taxa>"
+
+
+def _arrays(data: Mapping[Cord, float]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The stored form of a dict of Cords: sorted taxa, index arrays, values."""
+    taxa = sorted(cord_taxa(data))
+    index = {t: k for k, t in enumerate(taxa)}
+    ends = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(data)), np.intp, 2 * len(data))
+    return taxa, ends[0::2], ends[1::2], np.fromiter(data.values(), float, len(data))
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -139,8 +198,15 @@ def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDist
 
     Duplicate cords with consistent values (within eps) are deduplicated;
     conflicting duplicates, self-cords, negative distances and malformed
-    lines raise CordFormatError with the line number.
+    lines raise CordFormatError with the line number.  A clean file, every
+    line exactly 'taxonA<TAB>taxonB<TAB>decimal' with no comment, blank line,
+    padded label or repeated cord, is read in bulk (_parse_clean); any other
+    goes whole through the line-by-line loop, which gives the same map on
+    what both accept and alone raises the errors.
     """
+    clean = _parse_clean(text)
+    if clean is not None:
+        return clean
     data: dict[Cord, float] = {}
     valid: set[str] = set()
     for lineno, line in _content_lines(text):
@@ -162,13 +228,51 @@ def parse_cord_distances(text: str, eps: float = DEFAULT_EPSILON) -> PartialDist
         kept = data.setdefault(cord, value)  # the first value given for the cord
         if kept is not value and not approx_equal(kept, value, eps):
             raise CordFormatError(f"conflicting duplicate for {cord}: {kept} vs {value}", lineno)
-    return PartialDistance._of(data)
+    return PartialDistance._of(*_arrays(data))
+
+
+def _parse_clean(text: str) -> PartialDistance | None:
+    """The map of a clean distance file in one pass per column, or None when
+    the file is not clean.  Each line holds exactly two tabs; each distinct
+    label meets the pattern, which admits no whitespace or '#', so no line
+    is blank, a comment or padded before a value; each value is float() of
+    its field, finite and >= 0 (float() strips the same whitespace that the
+    line loop strips); no cord is a self-cord or repeats.  On such a file
+    the line loop keeps every line as it stands: the same map."""
+    lines = text.splitlines()
+    if not lines or set(map(str.count, lines, itertools.repeat("\t"))) != {2}:
+        return None
+    joined = "\t".join(lines)
+    del lines  # each copy of the text is dropped once read: a lower peak
+    fields = joined.split("\t")
+    del joined
+    firsts, seconds = fields[0::3], fields[1::3]
+    taxa = sorted(set(firsts).union(seconds))
+    if not all(map(LABEL_PATTERN.match, taxa)):
+        return None
+    try:
+        values = np.fromiter(map(float, itertools.islice(fields, 2, None, 3)), float, len(firsts))
+    except ValueError:
+        return None
+    del fields
+    if not ((values >= 0) & (values < math.inf)).all():
+        return None
+    index = dict(zip(taxa, itertools.count()))
+    a = np.fromiter(map(index.__getitem__, firsts), np.intp, len(firsts))
+    b = np.fromiter(map(index.__getitem__, seconds), np.intp, len(seconds))
+    if (a == b).any():
+        return None
+    d = PartialDistance._of(taxa, np.minimum(a, b), np.maximum(a, b), values)
+    codes = d._i * len(taxa) + d._j
+    return None if (codes[1:] == codes[:-1]).any() else d
 
 
 def format_cord_distances(d: PartialDistance) -> str:
     """Serialise a distance map as sorted TSV lines, one pass over its
-    items sorted by cord."""
-    return "".join([f"{a}\t{b}\t{v!r}\n" for (a, b), v in sorted(d._data.items(), key=itemgetter(0))])
+    arrays, which are in cord order."""
+    taxa = d._taxa
+    firsts, seconds = map(taxa.__getitem__, d._i.tolist()), map(taxa.__getitem__, d._j.tolist())
+    return "".join([f"{a}\t{b}\t{v!r}\n" for a, b, v in zip(firsts, seconds, d._v.tolist())])
 
 
 def parse_cord_set(text: str) -> frozenset[Cord]:
@@ -193,22 +297,24 @@ def induced_distance(tree: XTree, cords: Iterable[Cord]) -> PartialDistance:
     pair of labels; KeyError when one names a taxon outside the tree.  The
     values are bit-identical to ``tree.distance``, found in one pass."""
     cords = _cords_over(cords, tree)
-    return PartialDistance._of(_distances(tree, _partner_bits(cords, tree._index.taxa)))
+    return _distances(tree, _partner_bits(cords, tree._index.taxa))
 
 
 def full_distance(tree: XTree) -> PartialDistance:
     """The complete tree metric on all leaf pairs, bit-identical to
     ``tree.distance`` on each, found in one pass."""
     full = tree._index.full
-    return PartialDistance._of(_distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)]))
+    return _distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)])
 
 
-def _distances(tree: XTree, partners: list[int]) -> dict[Cord, float]:
+def _distances(tree: XTree, partners: list[int]) -> PartialDistance:
     """``tree.distance`` of every cord in the partner bitsets over the tree's
-    sorted taxa: path sums of finite non-negative weights, so finite and
-    non-negative themselves (an overflow raises), as PartialDistance needs."""
-    new = tuple.__new__
-    return {new(Cord, pair): d for pair, d in tree._pair_distances(partners)}
+    sorted taxa, written straight into the arrays: path sums of finite
+    non-negative weights, so finite and non-negative themselves (an
+    overflow raises), as PartialDistance needs."""
+    a, b, values = tree._pair_distances(partners)
+    a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+    return PartialDistance._of(tree._index.taxa, np.minimum(a, b), np.maximum(a, b), np.array(values, dtype=float))
 
 
 def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:

@@ -145,19 +145,21 @@ class ClosureStep(NamedTuple):
 @dataclass(frozen=True)
 class ClosureTrace:
     """A closure's derivations and final distances; closure gives *steps* as
-    a lazy view (_Steps) over its derivation rows, with a cheap len."""
+    a lazy view (_Steps) over its derivation rows, with a cheap len, and
+    *final* as a PartialDistance on its index arrays: the given map's plus
+    one entry per derivation, with no Cord made until it is read as a
+    Mapping."""
 
     steps: Sequence[ClosureStep]
     final: PartialDistance
 
     @cached_property
     def missing(self) -> frozenset[Cord]:
-        taxa = sorted(self.final.taxa)
-        return frozenset(_MissingCords(taxa, _partner_bits(self.final._data, taxa)))
+        return frozenset(_MissingCords(self.final._taxa, self.final._partners()))
 
     @property
     def is_complete(self) -> bool:
-        n = len(self.final.taxa)
+        n = len(self.final._taxa)
         return len(self.final) == n * (n - 1) // 2
 
     def lines(self) -> list[str]:
@@ -182,7 +184,7 @@ def closure(
     """
     if not len(d):
         raise ValueError("closure needs a non-empty distance map")
-    taxa = sorted(d.taxa)
+    taxa = d._taxa
     if len(d) == len(taxa) * (len(taxa) - 1) // 2:
         return ClosureTrace((), d)
     cords = {c: Fraction(v) for c, v in d.items()} if exact_rational else d
@@ -191,30 +193,42 @@ def closure(
 
 
 def _closure_trace(d: PartialDistance, taxa: Sequence[str], rows) -> ClosureTrace:
-    """The trace over d of _extend's *rows* over the sorted *taxa*, its steps
-    a view over the rows and *final*.  Each value is checked here: a derived
-    value below 0 fits no tree metric, and an exact one beyond the float
-    range (where float sums overflow and never pass four_point) cannot be
+    """The trace over d of _extend's *rows* over the sorted *taxa* (d's own),
+    its steps a view over the rows and *final* d's arrays plus one entry per
+    row, with no Cord made.  Each value is checked here: a derived value
+    below 0 fits no tree metric, and an exact one beyond the float range
+    (where float sums overflow and never pass four_point) cannot be
     returned; either raises InconsistentDistanceError naming cord, value
-    and quadruple."""
-    final = dict(d)
-    for z, x, y, s, v in rows:
-        try:
-            value = float(v)
-        except OverflowError:
-            value = math.inf
-        if not 0 <= value < math.inf:
-            why = "below 0" if value < 0 else "beyond the float range"
-            (q, _), = _named(taxa, [(z, x, y, s, v)])
-            raise InconsistentDistanceError(f"{Cord(q[0], q[3])} derivable as {_shown(v)} via ({','.join(q)}), {why}")
-        final[tuple.__new__(Cord, (taxa[z], taxa[s]) if z < s else (taxa[s], taxa[z]))] = value
-    return ClosureTrace(_Steps(len(rows), _closure_steps, taxa, rows, final), PartialDistance._of(final))
+    and quadruple, at the first such row."""
+    try:
+        values = np.fromiter(map(itemgetter(4), rows), float, len(rows))
+    except OverflowError:  # an exact value beyond the float range
+        values = None
+    if values is None or not ((values >= 0) & (values < math.inf)).all():
+        for z, x, y, s, v in rows:
+            try:
+                value = float(v)
+            except OverflowError:
+                value = math.inf
+            if not 0 <= value < math.inf:
+                why = "below 0" if value < 0 else "beyond the float range"
+                (q, _), = _named(taxa, [(z, x, y, s, v)])
+                raise InconsistentDistanceError(f"{Cord(q[0], q[3])} derivable as {_shown(v)} via ({','.join(q)}), {why}")
+    ends = np.fromiter(itertools.chain.from_iterable(map(itemgetter(0, 3), rows)), np.intp, 2 * len(rows))
+    z, s = ends[0::2], ends[1::2]
+    final = PartialDistance._of(
+        taxa,
+        np.concatenate([d._i, np.minimum(z, s)]),
+        np.concatenate([d._j, np.maximum(z, s)]),
+        np.concatenate([d._v, values]),
+    )
+    return ClosureTrace(_Steps(len(rows), _closure_steps, taxa, rows), final)
 
 
-def _closure_steps(taxa: Sequence[str], rows, final: Mapping[Cord, float]) -> Iterator[ClosureStep]:
-    for q, _ in _named(taxa, rows):
-        cord = tuple.__new__(Cord, q[::3])  # lower index first, and the taxa are sorted
-        yield ClosureStep(cord, q, final[cord])
+def _closure_steps(taxa: Sequence[str], rows) -> Iterator[ClosureStep]:
+    for q, v in _named(taxa, rows):
+        # lower index first, and the taxa are sorted; *final* holds float(v)
+        yield ClosureStep(tuple.__new__(Cord, q[::3]), q, float(v))
 
 
 def _shown(value) -> str:
@@ -300,8 +314,12 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
-    i, j = np.array([(index[c.a], index[c.b]) for c in cords], dtype=np.intp).reshape(-1, 2).T
-    given = np.array(list(cords.values()))
+    if isinstance(cords, PartialDistance):  # its arrays, over its own sorted taxa
+        at = np.array([index[t] for t in cords._taxa], dtype=np.intp)
+        i, j, given = at[cords._i], at[cords._j], cords._v
+    else:
+        i, j = np.array([(index[c.a], index[c.b]) for c in cords], dtype=np.intp).reshape(-1, 2).T
+        given = np.array(list(cords.values()))
     value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
     value[i, j] = value[j, i] = given
     known[i, j] = known[j, i] = True
@@ -1325,7 +1343,7 @@ def topological_lasso_oracle(
         distances = induced_distance(tree, cords)
     except OverflowError:  # legal weights whose path sums pass the float range
         raise TreeError("topological oracle: a cord distance overflows the float range") from None
-    b = np.array([distances[c] for c in cords])
+    b = distances._v.copy()  # in cord order, as *cords* are sorted
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     accept = 2 * fit_tol
     index = {t: i for i, t in enumerate(taxa)}

@@ -42,8 +42,9 @@ docstring), these derivations in placement order; no closure or NJ runs.
 Closure.  Every other input is closed under the extension rule, and a
 complete closure goes through Neighbor-Joining; on additive (tree-metric)
 input NJ recovers the unique fully-resolved tree exactly, up to float
-accumulation.  exact_rational=True and complete inputs (where NJ is cheaper
-than placing) run lasso.closure.  An incomplete float input whose first
+accumulation.  exact_rational=True runs lasso.closure; a complete input
+(where NJ is cheaper than placing) needs no closure, and goes to NJ with the
+empty trace the closure would give it.  An incomplete float input whose first
 block stops short (fewer than 2n-3 cords, which cannot fix the 2n-3 edge
 weights, or a taxon that does not place) keeps growing blocks by the loop
 that grows lasso._hop_closure's on T (lasso._block_loop): for each taxon
@@ -99,7 +100,6 @@ unnoticed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -107,7 +107,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _partner_bits
+from .cords import Cord, PartialDistance
 from .lasso import (
     ClosureTrace,
     _block_loop,
@@ -137,7 +137,7 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
     two-point formulas, reduces the matrix, and solves the 3-taxon core in
     closed form.  Exact on additive input.  Branch-length estimates below
     -eps (relative) raise NonAdditiveError; estimates in [-eps, 0) clamp
-    to 0.  The matrix, filled in one pass over the map, is reduced in place:
+    to 0.  The matrix, filled from the map's index arrays, is reduced in place:
     a join keeps the new vertex in the lower row of the pair, and the rows
     and columns past the higher shift down by one, as if deleted.  Rows stay
     in sorted taxon order, so Q-ties break towards the first pair in it.
@@ -151,7 +151,7 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
     half and quotient exactly (subnormals aside), and the lengths are scaled
     back.  An overflow in that run proves the input is no tree metric.
     """
-    taxa = sorted(d.taxa)
+    taxa = d._taxa
     n = len(taxa)
     if n < 2:
         raise ValueError("neighbor joining needs at least 2 taxa")
@@ -159,11 +159,7 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
     if missing:
         raise ValueError(f"distance map is not total: {missing} cord(s) missing")
 
-    index = {t: i for i, t in enumerate(taxa)}
-    ends = itertools.chain.from_iterable(d._data)
-    pairs = np.fromiter(map(index.__getitem__, ends), np.intp, 2 * len(d))
-    rows, cols = pairs[0::2], pairs[1::2]
-    values = np.fromiter(d._data.values(), float, len(d))
+    rows, cols, values = d._i, d._j, d._v
     largest = float(values.max())
     shift = math.frexp(4 * n * (largest / sys.float_info.max))[1]  # 4nM < 2^shift * largest float
     for scale in (1.0, math.ldexp(1.0, -shift)) if shift > 0 else (1.0,):
@@ -267,13 +263,33 @@ def reconstruct(
     cords say which distances to measure next), not an error.  Inconsistent
     or non-additive input raises InconsistentDistanceError /
     NonAdditiveError; a tree that misses an input distance by more than
-    verify_eps raises NonAdditiveError naming the smallest such cord; the
-    tree's distances come from one pass over its rooted index.
+    verify_eps raises NonAdditiveError naming the smallest such cord.
+
+    The check.  The verdict and message are those of the exact test, |D -
+    v| > verify_eps in floats, D the tree distance summed exactly and
+    rounded once (fsum, XTree.distance's value) and v the input value.
+    That test runs only where a dense float pass cannot vouch for a pass.
+    The pass reads every cord's distance as F = up[x] + up[y] - 2 up[m],
+    up the root-path sums in float along the rooted index and m the
+    lowest common ancestor (_leaf_distances).  With u = 2^-53, depth h the
+    most edges on a root path and M the largest up, each up is off its
+    exact value by at most h*u*M (one rounding of at most u*M per edge),
+    and the last two operations add at most 2u*(2M): |F - D| <= (4h + 6)
+    u*M, to first order.  Both tests then round one subtraction and one
+    comparison of values near verify_eps, which moves them by at most a
+    few u*verify_eps more.  So delta = (h + 3) * 4u * (M + verify_eps)
+    covers all of it with room for the second-order terms, and a cord with
+    |F - v| <= verify_eps - delta passes the exact test too.  Every other
+    cord, a non-finite F included (M is then infinite and nothing passes
+    outright), is summed exactly: on a good tree that is no cord at all,
+    and on a bad one the failures and the smallest failing cord are those
+    of the exact test alone.
     """
-    n, data = len(d.taxa), d._data
-    complete = len(d) == n * (n - 1) // 2
-    if exact_rational or complete:
+    n = len(d._taxa)
+    if exact_rational or not d:  # an empty map is closure's error
         trace, placement = closure(d, eps=eps, exact_rational=exact_rational), None
+    elif len(d) == n * (n - 1) // 2:
+        trace, placement = ClosureTrace((), d), None  # what closure returns on a complete map
     else:
         trace, placement = _blocks(d, eps)
     if placement is None:
@@ -282,32 +298,107 @@ def reconstruct(
         tree = neighbor_joining(trace.final, eps=eps)
     else:
         tree, placement_trace = placement
-    full = tree._index.full
-    partners = [full ^ (1 << i) for i in range(n)] if complete else _partner_bits(data, tree._index.taxa)
-    failed = [(pair, got) for pair, got in tree._pair_distances(partners) if abs(got - data[pair]) > verify_eps]
-    if failed:
-        pair, reproduced = min(failed)  # the cord a sorted walk over d would fail first
-        raise NonAdditiveError(
-            f"reconstructed tree gives {reproduced} for {Cord(*pair)}, input says {data[pair]}"
-        )
+    _check(tree, d, verify_eps)
     if placement is not None:  # derived only now: corrupt values fail the check above first
         trace = placement_trace()
     return Reconstruction(tree, trace, frozenset())
 
 
+def _check(tree: XTree, d: PartialDistance, verify_eps: float) -> None:
+    """Raise NonAdditiveError naming the smallest cord of d whose value the
+    tree misses by more than verify_eps, with the tree's distance, fsum's
+    exact one.  A cord passes outright when its float distance
+    (_leaf_distances) is within verify_eps less the rounding bound delta;
+    only the others are summed exactly (reconstruct's docstring)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is unsure
+        got, delta = _leaf_distances(tree, d._i, d._j, verify_eps)
+        unsure = np.flatnonzero(~(np.abs(got - d._v) <= verify_eps - delta))
+    if not unsure.size:
+        return
+    partners = [0] * len(d._taxa)
+    given = {}
+    for i, j, v in zip(d._i[unsure].tolist(), d._j[unsure].tolist(), d._v[unsure].tolist()):
+        partners[i] |= 1 << j
+        partners[j] |= 1 << i
+        given[i, j] = v
+    firsts, seconds, exact = tree._pair_distances(partners)
+    failed = [
+        (pair, reproduced)
+        for pair, reproduced in zip(map(_ordered, firsts, seconds), exact)
+        if abs(reproduced - given[pair]) > verify_eps
+    ]
+    if failed:
+        (i, j), reproduced = min(failed)  # the cord a sorted walk over d would fail first
+        taxa = d._taxa
+        raise NonAdditiveError(
+            f"reconstructed tree gives {reproduced} for {Cord(taxa[i], taxa[j])}, input says {given[i, j]}"
+        )
+
+
+def _ordered(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
+
+
+def _leaf_distances(tree: XTree, i: np.ndarray, j: np.ndarray, verify_eps: float) -> tuple[np.ndarray, float]:
+    """The tree's distances between taxa i[k] and j[k] of its sorted taxa,
+    each up[x] + up[y] - 2 up[v] from float root-path sums up on the rooted
+    index, v the lowest common ancestor; and the bound delta on how far
+    |distance - value| may lie from the exact check's float, (depth + 3) *
+    4u * (M + verify_eps), M the largest up and u = 2^-53.
+
+    The weights of reconstruct's trees are >= 0, so up never falls going
+    down the tree.  In preorder, the lowest common ancestor of two leaves
+    is the shallowest of those of the consecutive leaves between them, and
+    that of consecutive leaves is the parent of the vertex visited after
+    the first.  So up of a pair's lowest common ancestor is the least up
+    over the gaps between them, read off a sparse table of range minima."""
+    index, adj, leaf = tree._index, tree._adj, tree._label_by_leaf
+    parent, order = index.parent, index.order
+    up = {order[0]: 0.0}
+    for v in order[1:]:
+        up[v] = up[parent[v]] + adj[v][parent[v]]
+    position = {}  # taxon -> preorder position among the leaves
+    ups, gaps = [], []  # up of each leaf, and of the ancestor of each consecutive pair
+    after_leaf = False
+    stack = [order[0]]
+    while stack:
+        v = stack.pop()
+        if after_leaf:
+            gaps.append(up[parent[v]])
+            after_leaf = False
+        if v in leaf:
+            position[leaf[v]] = len(ups)
+            ups.append(up[v])
+            after_leaf = True
+        stack += [c for c in adj[v] if c != parent[v]]
+    at = np.array([position[t] for t in index.taxa], dtype=np.intp)
+    p, q = at[i], at[j]
+    p, q = np.minimum(p, q), np.maximum(p, q)
+    # table[k][x]: the least of gaps[x : x + 2^k], padded with inf
+    table = [np.array(gaps + [math.inf])]
+    while 2 ** len(table) < len(ups):
+        last, step = table[-1], 2 ** (len(table) - 1)
+        table.append(np.minimum(last, np.concatenate([last[step:], np.full(step, math.inf)])))
+    span = np.frexp(np.maximum(q - p, 1))[1] - 1  # floor(log2(q - p))
+    stacked = np.stack(table)
+    lowest = np.minimum(stacked[span, p], stacked[span, q - 2 ** span])
+    ups = np.array(ups)
+    got = ups[p] + ups[q] - 2 * lowest
+    depth = max(index.depth.values())
+    delta = (depth + 3) * 4 * 2.0**-53 * (float(ups.max()) + verify_eps)
+    return got, delta
 def _blocks(
     d: PartialDistance, eps: float
 ) -> tuple[ClosureTrace | None, tuple[XTree, Callable[[], ClosureTrace]] | None]:
     """The closure of an incomplete float input by metric blocks, then the
     engine, as (trace, None); or, when the first block spans X, (None, (its
     tree, a function that builds its trace from the block's derivations))."""
-    taxa = sorted(d.taxa)
+    taxa = d._taxa
     n = len(taxa)
     value = [[0.0] * n for _ in range(n)]  # given values, then each block's derived ones
-    index = {t: i for i, t in enumerate(taxa)}
-    for (a, b), v in d.items():
-        value[index[a]][index[b]] = value[index[b]][index[a]] = v
-    given = _partner_bits(d.cords, taxa)
+    for a, b, v in zip(d._i.tolist(), d._j.tolist(), d._v.tolist()):
+        value[a][b] = value[b][a] = v
+    given = d._partners()
     grown = []  # (placer, its rows, its taxa) per block
 
     def grow(start, known):

@@ -53,7 +53,7 @@ import math
 import random
 import re
 from collections import deque
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -112,6 +112,13 @@ def _grow_expansion(e: list[float], w: float) -> list[float]:
     if w:
         out.append(w)
     return out
+
+
+def _fsum_or_inf(terms: list[float]) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 class _RootedIndex(NamedTuple):
@@ -245,17 +252,22 @@ class XTree:
         path = self._path(self.leaf_vertex(x), self.leaf_vertex(y))
         return math.fsum(self._adj[a][b] for a, b in zip(path, path[1:]))
 
-    def _pair_distances(self, partners: list[int]) -> Iterator[tuple[tuple[str, str], float]]:
-        """((x, y), distance(x, y)) for every pair of taxa x < y where
-        partners[i] holds bit j, i and j their indices in the sorted taxa;
-        in one pass over the rooted index (see the module docstring)."""
+    def _pair_distances(self, partners: list[int]) -> tuple[list[int], list[int], list[float]]:
+        """distance(x, y) for every pair of taxa where partners[i] holds bit
+        j, i and j their indices in the sorted taxa, as three lists: one end's
+        index, the other's (in either order) and the distance; in one pass
+        over the rooted index (see the module docstring)."""
         index, adj = self._index, self._adj
         parent, below, taxa = index.parent, index.below, index.taxa
         up = {index.order[0]: []}  # each vertex's root-path weight, exactly
         for v in index.order[1:]:
             up[v] = _grow_expansion(up[parent[v]], adj[v][parent[v]])
-        leaves = [(i, t, up[self._leaf_by_label[t]]) for i, t in enumerate(taxa)]
-        fsum, isfinite = math.fsum, math.isfinite
+        ups = [up[self._leaf_by_label[t]] for t in taxa]
+        ends = list(range(len(taxa)))
+        firsts: list[int] = []
+        seconds: list[int] = []
+        values: list[float] = []
+        fsum = math.fsum
         for v in index.order:
             # The taxa below v in different groups have v as their lowest
             # common ancestor.  A leaf has children only as the root of a
@@ -272,19 +284,24 @@ class XTree:
             seen = groups[0]
             for group in groups[1:]:
                 small, large = (group, seen) if group.bit_count() <= seen.bit_count() else (seen, group)
-                for i, x, up_x in itertools.compress(leaves, _bit_selectors(small)):
+                for i, up_x in itertools.compress(zip(ends, ups), _bit_selectors(small)):
                     hits = partners[i] & large
                     if not hits:
                         continue
                     ex = up_x + neg
-                    for j, y, up_y in itertools.compress(leaves, _bit_selectors(hits)):
-                        try:
-                            d = fsum(ex + up_y)
-                        except (OverflowError, ValueError):  # an overflowed root path
-                            d = math.inf
-                        pair = (x, y) if i < j else (y, x)
-                        yield pair, d if isfinite(d) else self.distance(*pair)
+                    chosen = _bit_selectors(hits)
+                    try:
+                        found = list(map(fsum, map(ex.__add__, itertools.compress(ups, chosen))))
+                    except (OverflowError, ValueError):  # an overflowed root path
+                        found = [_fsum_or_inf(ex + up_y) for up_y in itertools.compress(ups, chosen)]
+                    firsts += [i] * len(found)
+                    seconds += itertools.compress(ends, chosen)
+                    values += found
                 seen |= group
+        if not all(map(math.isfinite, values)):  # left to distance, which raises on an overflow
+            for k in [k for k, d in enumerate(values) if not math.isfinite(d)]:
+                values[k] = self.distance(taxa[firsts[k]], taxa[seconds[k]])
+        return firsts, seconds, values
 
     def _rooted_index(self) -> _RootedIndex:
         # With |V| - 1 edges, the graph is a tree exactly when it is

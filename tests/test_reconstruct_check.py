@@ -7,6 +7,7 @@ on values near the largest float; and exact closures that derive values
 beyond it."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -14,7 +15,10 @@ import warnings
 
 import pytest
 
+import numpy as np
+
 from reference_reconstruct import closure_nj_reconstruct
+from test_pair_distances import TREES, _id
 from treelasso import (
     Cord,
     InconsistentDistanceError,
@@ -34,6 +38,7 @@ from treelasso import (
     triplet_cover,
 )
 from treelasso.cli import main
+from treelasso.reconstruct import _leaf_distances
 
 
 def _complete(seed):
@@ -116,13 +121,58 @@ def _message(d):
     return str(caught.value)
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(40))
 def test_complete_input_names_the_cord_closure_and_nj_names(seed):
     d = _complete(seed)
     with pytest.raises(NonAdditiveError) as expected:
         closure_nj_reconstruct(d)
     assert str(expected.value).startswith("reconstructed tree gives")
     assert _message(d) == str(expected.value)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=_id)
+def test_float_leaf_distances_lie_within_the_rounding_bound(tree):
+    # full_distance is the exact sum, rounded once: the float root-path sums
+    # stay within delta of it (delta at verify_eps = 0).
+    exact = full_distance(tree)
+    got, delta = _leaf_distances(tree, exact._i, exact._j, 0.0)
+    assert np.all(np.abs(got - exact._v) <= delta)
+    assert delta < 1e-10 * max(1.0, float(exact._v.max()))
+
+
+def _verdict(run, d, verify_eps):
+    try:
+        return run(d, verify_eps=verify_eps).tree.newick()
+    except NonAdditiveError as exc:
+        return str(exc)
+
+
+def _on_the_boundary(seed):
+    """A tree metric with one value moved, and the largest gap by which the
+    NJ tree misses a value: the float |distance - value| the exact check
+    compares."""
+    rng = random.Random(f"boundary:{seed}")
+    d = dict(full_distance(random_tree(rng.randrange(4, 30), seed=seed)))
+    cord = rng.choice(sorted(d))
+    d[cord] += rng.choice((1e-9, 1e-6, 1e-3, 0.3))
+    d = PartialDistance(d)
+    nj = neighbor_joining(d)
+    return d, max(abs(nj.distance(*c) - v) for c, v in d.items())
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_verdicts_a_few_ulps_either_side_of_verify_eps(seed):
+    # verify_eps set k ulps from the gap: the moved value then lies k ulps
+    # inside or outside it, where only the exact sums decide.
+    d, gap = _on_the_boundary(seed)
+    verdicts = []
+    for k in range(-2, 3):
+        verify_eps = gap
+        for _ in range(abs(k)):
+            verify_eps = math.nextafter(verify_eps, math.inf if k > 0 else 0.0)
+        verdicts.append(_verdict(reconstruct, d, verify_eps))
+        assert verdicts[-1] == _verdict(closure_nj_reconstruct, d, verify_eps), (seed, k)
+    assert verdicts[0].startswith("reconstructed tree gives") and not verdicts[2].startswith("reconstructed")
 
 
 @pytest.mark.parametrize("k", range(len(RECORDED)))
