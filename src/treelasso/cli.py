@@ -36,8 +36,8 @@ from .cover import (
 )
 from .lasso import (
     InconsistentDistanceError,
-    _full_rank,
     closure,
+    edge_weight_lasso_certificate,
     is_2dtree,
     is_shellable,
     topological_lasso_oracle,
@@ -141,9 +141,7 @@ def cmd_classify(args) -> int:
         print("2d-tree\tno")
     else:
         print(f"2d-tree\tyes\t{','.join(ordering)}")
-    # Shellable => lasso; otherwise the certificate's shelling shortcut
-    # would only rerun the closure behind is_shellable, so the rank decides.
-    lasso = shelling.is_complete or _full_rank(tree, cords)
+    lasso = edge_weight_lasso_certificate(tree, cords)
     print(f"edge-weight-lasso\t{_yes(lasso)}\trank-target={len(tree.edges())}")
     if args.oracle_topological:
         if witness is None:

@@ -327,6 +327,35 @@ def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:
     return cords
 
 
+class _Bound(NamedTuple):
+    """A cord set bound to a tree (_bind): its Cords, their partner bitsets
+    and is_shellable's verdict once known; *key*, the slot's frozenset."""
+
+    key: frozenset | None
+    cords: set[Cord]
+    partners: list[int]
+    shellable: bool | None = None
+
+    def record(self, tree: XTree, shellable: bool) -> None:
+        if self.key is not None:  # the binding that the tree's cord slot keeps
+            tree._cord_slot = self._replace(shellable=shellable)
+
+
+def _bind(cords: Iterable[Cord], tree: XTree) -> _Bound:
+    """The cords bound to the tree: a frozenset once per tree, in its cord
+    slot, keyed by identity (see XTree), any other iterable on each call.
+    The slot is replaced by one assignment, never changed in place."""
+    slot = tree._cord_slot
+    if slot is not None and slot.key is cords:
+        return slot
+    checked = _cords_over(cords, tree)
+    key = cords if type(cords) is frozenset else None
+    bound = _Bound(key, checked, _partner_bits(checked, tree._index.taxa))
+    if key is not None:
+        tree._cord_slot = bound
+    return bound
+
+
 def _partner_bits(cords: Collection[Cord], taxa: Sequence[str]) -> list[int]:
     """The graph (X, L) as one bitset per taxon: entry i holds bit j when
     taxa[i] and taxa[j] share a cord.  Callers pass X sorted, so bit order is

@@ -24,7 +24,7 @@ from collections.abc import ItemsView, MutableMapping
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .cords import Cord, _bit_indices, _cords_over, _partner_bits
+from .cords import Cord, _bind, _bit_indices
 from .tolerance import DEFAULT_EPSILON
 from .tree import TreeError, XTree
 
@@ -375,14 +375,14 @@ def is_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
     if not tree.is_fully_resolved():
         raise TreeError("covers are defined for fully-resolved trees")
     index = tree._index
-    partners = _partner_bits(_cords_over(cords, tree), index.taxa)
+    partners = _bind(cords, tree).partners
     reach = dict.fromkeys(index.order, 0)
     reach.update((tree.leaf_vertex(t), bits) for t, bits in zip(index.taxa, partners))
     for v in reversed(index.order[1:]):
         reach[index.parent[v]] |= reach[v]
     return all(
         reach[c] & other
-        for children, sides in _sides(tree)
+        for children, sides in tree._vertex_sides
         for i, c in enumerate(children)
         for other in sides[i + 1 :]
     )
@@ -395,8 +395,8 @@ def is_triplet_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
     partner in the third; only the smallest sides, O(n log n), are walked."""
     if not tree.is_fully_resolved():
         raise TreeError("triplet covers are defined for fully-resolved trees")
-    partners = _partner_bits(_cords_over(cords, tree), tree._index.taxa)
-    for _, sides in _sides(tree):
+    partners = _bind(cords, tree).partners
+    for _, sides in tree._vertex_sides:
         first, second, third = sorted(sides, key=int.bit_count)
         if not any(
             partners[a] & partners[b] & third
@@ -405,13 +405,4 @@ def is_triplet_cover(tree: XTree, cords: Iterable[Cord]) -> bool:
         ):
             return False
     return True
-
-
-def _sides(tree: XTree) -> Iterator[tuple[list[int], list[int]]]:
-    """Per interior vertex: its children, and its sides' bitsets, theirs first."""
-    index = tree._index
-    for v in tree.interior_vertices():
-        children = [w for w in tree.neighbors(v) if index.parent[w] == v]
-        up = [] if index.parent[v] is None else [index.full ^ index.below[v]]
-        yield children, [index.below[w] for w in children] + up
 

@@ -79,7 +79,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bit_indices, _cords_over, _partner_bits, all_cords, cord_taxa, induced_distance
+from .cords import Cord, PartialDistance, _bind, _bit_indices, _Bound, _cords_over, _partner_bits, all_cords, cord_taxa, induced_distance
 from .tolerance import DEFAULT_EPSILON, approx_equal, margin
 from .tree import TreeError, XTree
 
@@ -557,15 +557,21 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     permutes the taxon order in which the closure grows its blocks and
     takes up its pending cords; the steps change with it, the verdict and
     *missing* do not (the closure is monotone), which the test suite
-    exercises.
+    exercises.  The verdict is kept with the tree for a frozenset of cords
+    (see XTree), where edge_weight_lasso_certificate reads it.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
-    cords = _cords_over(cords, tree)
-    known, blocks, derivations = _hop_closure(tree, cords, rng)
+    return _shelling(tree, _bind(cords, tree), rng)
+
+
+def _shelling(tree: XTree, bound: _Bound, rng=None) -> ShellingResult:
+    """is_shellable on cords bound to the tree; records the verdict."""
+    known, blocks, derivations = _hop_closure(tree, bound.partners, rng)
     taxa = tree._index.taxa
     missing = _MissingCords(taxa, known)
-    size = len(taxa) * (len(taxa) - 1) // 2 - len(missing) - len(cords)
+    bound.record(tree, not missing)
+    size = len(taxa) * (len(taxa) - 1) // 2 - len(missing) - len(bound.cords)
     return ShellingResult(_Steps(size, _shelling_steps, taxa, blocks, derivations), missing)
 
 
@@ -653,13 +659,13 @@ def _grow(partners, start, place) -> tuple[list, int]:
     return placed, prefix
 
 
-def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
-    """The shelling closure of L on the tree, as (known, blocks,
-    derivations): the final partner bitsets of the known cords, and the
-    material of the steps that derive every derivable cord, which only
-    is_shellable's view turns into ShellingSteps.  Each block is (start,
-    placement, before), *before* mapping each placed taxon to its known
-    partners before the block was grown (see _shelling_steps).
+def _hop_closure(tree: XTree, given: list[int], rng=None):
+    """The shelling closure of L, *given* as partner bitsets, on the tree,
+    as (known, blocks, derivations): the final partner bitsets of the known
+    cords, and the material of the steps that derive every derivable cord,
+    which only is_shellable's view turns into ShellingSteps.  Each block is
+    (start, placement, before), *before* mapping each placed taxon to its
+    known partners before the block was grown (see _shelling_steps).
     Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
     pivots x, y, the quartet u x || y v.
 
@@ -693,9 +699,7 @@ def _hop_closure(tree: XTree, cords: Collection[Cord], rng=None):
     """
     placer = _Placer(tree)
     parent, depth, below, full, leaf = placer.parent, placer.depth, placer.below, placer.full, placer.leaf
-    taxa = tree._index.taxa
-    n = len(taxa)
-    given = _partner_bits(cords, taxa)
+    n = len(given)
     order = list(range(n))
     if rng is not None:
         rng.shuffle(order)
@@ -1136,22 +1140,23 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
     d(x,u)+d(y,z)-d(y,u) holds for every weighting of T, so it is a linear
     identity between rows, and the rows of L span the row of every pair,
     whose matrix has full column rank on a tree without degree-2 vertices.
-    The argument holds for any complete shelling.  Otherwise the rank
-    decides.
+    The argument holds for any complete shelling, and a verdict that
+    is_shellable recorded is read first.  Otherwise the rank decides.
     """
     if not tree.is_fully_resolved():
         raise TreeError("the rank certificate assumes a fully-resolved tree")
-    cords = _cords_over(cords, tree)
-    if len(cords) >= len(tree.edges()) and is_shellable(tree, cords).is_complete:
-        return True
-    return _full_rank(tree, cords)
+    bound = _bind(cords, tree)
+    shellable = bound.shellable
+    if shellable is None and len(bound.cords) >= len(tree._edges):
+        shellable = _shelling(tree, bound).is_complete
+    return shellable or _full_rank(tree, bound.cords)
 
 
 def _full_rank(tree: XTree, cords: Collection[Cord]) -> bool:
     """The certificate past its shelling shortcut: whether the path-incidence
     matrix has full column rank, with no elimination when L has fewer cords
     than T has edges."""
-    n_edges = len(tree.edges())
+    n_edges = len(tree._edges)
     return len(cords) >= n_edges and integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
 
 

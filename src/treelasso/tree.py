@@ -43,6 +43,13 @@ the other side, so any cord set costs O(n log n) bitset steps plus one
 ``fsum`` per cord.  A pair whose sums overflow is left to ``distance``.
 Newick parsing and writing are iterative, so nesting depth is bounded by
 memory, not by the interpreter's recursion limit.
+
+``parse_newick`` reads the text in one compiled regular-expression scan, a
+match per token (a label, ':' and a length, or one other character) after
+the whitespace before it.  A state machine over the tokens numbers each
+vertex in preorder at its first token and raises each error at its token's
+line and column; single-child roots are then dropped, degree-2 vertices
+suppressed and missing lengths set to 1.0.
 """
 
 from __future__ import annotations
@@ -136,7 +143,17 @@ class _RootedIndex(NamedTuple):
 
 
 class XTree:
-    """Unrooted edge-weighted tree with labelled leaves and no degree-2 vertices."""
+    """Unrooted edge-weighted tree with labelled leaves and no degree-2 vertices.
+
+    What the tree fixes is computed once and kept: its taxa, whether it is
+    fully resolved, its rooted index and, on first use, its sorted edges
+    (``edges()`` copies them) and the sides of each edge and interior vertex.
+    Its one cord slot binds one frozenset of cords, keyed by identity (the
+    set is immutable, and the slot keeps it alive): the Cords, their partner
+    bitsets and is_shellable's verdict (cords._bind).  Other iterables are
+    bound per call.  One slot bounds the memory, and it is replaced by one
+    atomic assignment, so a tree shared between threads stays safe.
+    """
 
     def __init__(
         self,
@@ -162,6 +179,7 @@ class XTree:
             raise TreeError("edges do not form a single tree")
 
         leaf_map: dict[str, int] = {}
+        resolved = True
         for vertex, nbrs in adj.items():
             deg = len(nbrs)
             if deg == 2:
@@ -171,6 +189,8 @@ class XTree:
                     raise TreeError(f"leaf vertex {vertex} carries no taxon")
             elif vertex in leaf_labels:
                 raise TreeError(f"labelled vertex {vertex} is not a leaf")
+            elif deg > 3:
+                resolved = False
         for vertex, label in leaf_labels.items():
             _check_label(label)
             if vertex not in adj or len(adj[vertex]) != 1:
@@ -180,15 +200,18 @@ class XTree:
             leaf_map[label] = vertex
 
         self._adj = adj
+        self._resolved = resolved
         self._leaf_by_label = leaf_map
         self._label_by_leaf = {v: lab for lab, v in leaf_map.items()}
+        self._taxa = frozenset(leaf_map)
         self._index = self._rooted_index()
+        self._cord_slot = None  # see the class docstring
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def taxa(self) -> frozenset[str]:
-        return frozenset(self._leaf_by_label)
+        return self._taxa
 
     @property
     def n_leaves(self) -> int:
@@ -199,13 +222,11 @@ class XTree:
 
     def edges(self) -> list[tuple[int, int, float]]:
         """All edges as (u, v, weight) with u < v, sorted."""
-        out = []
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    out.append((u, v, w))
-        out.sort()
-        return out
+        return list(self._edges)
+
+    @functools.cached_property
+    def _edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(sorted((u, v, w) for u, nbrs in self._adj.items() for v, w in nbrs.items() if u < v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj[v]))
@@ -233,11 +254,11 @@ class XTree:
 
     def is_fully_resolved(self) -> bool:
         """Every interior vertex has degree exactly three."""
-        return all(len(nb) in (1, 3) for nb in self._adj.values())
+        return self._resolved
 
     def is_properly_weighted(self) -> bool:
         """Every edge not incident with a leaf has strictly positive weight."""
-        for u, v, w in self.edges():
+        for u, v, w in self._edges:
             if not self.is_leaf(u) and not self.is_leaf(v) and w <= 0.0:
                 return False
         return True
@@ -380,10 +401,20 @@ class XTree:
         index = self._index
         parent, below, full = index.parent, index.below, index.full
         side = {}
-        for u, v, _ in self.edges():
+        for u, v, _ in self._edges:
             side[u, v] = bits = below[u] if parent[u] == v else full ^ below[v]
             side[v, u] = full ^ bits
         return side
+
+    @functools.cached_property
+    def _vertex_sides(self) -> list[tuple[list[int], list[int]]]:
+        """Per interior vertex: its children, and its sides' bitsets, theirs first."""
+        parent, below, full = self._index.parent, self._index.below, self._index.full
+        out = []
+        for v in self.interior_vertices():
+            children = [w for w in self._adj[v] if parent[w] == v]
+            out.append((children, [below[w] for w in children] + [full ^ below[v]] * (parent[v] is not None)))
+        return out
 
     def _side_table(self) -> dict[tuple[int, int], frozenset[str]]:
         """u's side of each edge {u, v}, keyed (u, v): ``edges()`` order, u's side first."""
@@ -406,7 +437,7 @@ class XTree:
     def split_weights(self) -> dict[Split, float]:
         """Map each edge-induced split (one per edge: no degree 2) to its weight."""
         side = self._side_table()
-        return {frozenset({side[u, v], side[v, u]}): w for u, v, w in self.edges()}
+        return {frozenset({side[u, v], side[v, u]}): w for u, v, w in self._edges}
 
     def cherries(self) -> list[tuple[str, str]]:
         """All leaf pairs sharing a neighbour, each pair sorted, list sorted."""
@@ -520,7 +551,7 @@ class XTree:
 
     def __repr__(self) -> str:
         taxa = ",".join(sorted(self.taxa))
-        return f"<XTree on {{{taxa}}} with {len(self.edges())} edges>"
+        return f"<XTree on {{{taxa}}} with {len(self._edges)} edges>"
 
 
 def _format_weight(w: float) -> str:
@@ -531,108 +562,32 @@ def _format_weight(w: float) -> str:
 
 # -- Newick parsing ----------------------------------------------------------
 
+# One token per match, after the whitespace before it: group 1 a branch
+# length (':' and the number characters after it, group 2), group 3 a label,
+# group 4 any other character, or '' at the end of the text.
+_NEWICK_TOKEN = re.compile(r"[ \t\r\n]*(?:(:[ \t\r\n]*([0-9.eE+\-]*))|([A-Za-z0-9_.\-]+)|(.|\Z))", re.S)
+_LENGTH, _LABEL = 1, 3
+# What the next token may be: a subtree; after a ')', an internal label;
+# after a label, a branch length; after a length, ',' ')' or ';'; the end.
+_NODE, _CLOSED, _LABELLED, _SEPARATOR, _END = range(5)
 
-class _RawNode:
-    __slots__ = ("children", "label", "length")
 
-    def __init__(self):
-        self.children: list[_RawNode] = []
-        self.label: str | None = None
-        self.length: float | None = None
+def _newick_error(text: str, message: str, pos: int) -> NewickError:
+    line = text.count("\n", 0, pos) + 1
+    column = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return NewickError(message, line, column)
 
 
-class _NewickParser:
-    """Newick parser tracking position for error messages."""
-
-    _LABEL_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
-    _NUMBER_CHARS = set("0123456789.eE+-")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str, pos: int | None = None) -> None:
-        pos = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, pos) + 1
-        column = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        raise NewickError(message, line, column)
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> _RawNode:
-        root = self._subtree()
-        if self._peek() != ";":
-            self.fail("expected ';'")
-        self.pos += 1
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self.fail("trailing characters after ';'")
-        return root
-
-    def _subtree(self) -> _RawNode:
-        # Recursive descent with an explicit stack of the open '(' nodes.
-        open_nodes: list[_RawNode] = []
-        while True:
-            node = _RawNode()
-            ch = self._peek()
-            if ch == "(":
-                self.pos += 1
-                open_nodes.append(node)
-                continue
-            if ch in self._LABEL_CHARS:
-                node.label = self._read_label()
-            else:
-                self.fail("expected '(' or a taxon label" if ch else "unexpected end of input")
-            self._read_length(node)
-            while open_nodes:  # close the nodes this one completes
-                open_nodes[-1].children.append(node)
-                if self._peek() == ",":
-                    self.pos += 1
-                    break
-                if self._peek() != ")":
-                    self.fail("unbalanced parenthesis: expected ')' or ','")
-                self.pos += 1
-                # Internal node labels are tolerated and discarded.
-                if self._peek() in self._LABEL_CHARS:
-                    self._read_label()
-                node = open_nodes.pop()
-                self._read_length(node)
-            else:  # no '(' left open: node is the whole tree
-                return node
-
-    def _read_length(self, node: _RawNode) -> None:
-        if self._peek() == ":":
-            self.pos += 1
-            node.length = self._read_number()
-
-    def _read_label(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in self._LABEL_CHARS:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def _read_number(self) -> float:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in self._NUMBER_CHARS:
-            self.pos += 1
-        token = self.text[start : self.pos]
-        try:
-            value = float(token)
-        except ValueError:
-            self.fail(f"invalid branch length {token!r}", start)
-        if not math.isfinite(value):
-            self.fail(f"non-finite branch length {token!r}", start)
-        if value < 0:
-            self.fail(f"negative branch length {token!r}", start)
-        return value
+def _branch_length(text: str, token: re.Match) -> float:
+    number, start = token[2], token.start(2)
+    try:
+        value = float(number)
+    except ValueError:
+        raise _newick_error(text, f"invalid branch length {number!r}", start) from None
+    if not 0 <= value < math.inf:
+        kind = "negative" if math.isfinite(value) else "non-finite"
+        raise _newick_error(text, f"{kind} branch length {number!r}", start)
+    return value
 
 
 def parse_newick(text: str) -> XTree:
@@ -647,38 +602,65 @@ def parse_newick(text: str) -> XTree:
     Raises NewickError on syntax problems (with line/column), duplicate or
     invalid leaf labels, fewer than three leaves, or negative lengths.
     """
-    root = _NewickParser(text).parse()
-
-    while len(root.children) == 1:
-        child = root.children[0]
-        if child.length is not None:
-            raise NewickError("branch length on a single-child root has no unrooted meaning")
-        root = child
-    if not root.children:
-        raise NewickError("fewer than 3 leaves")
-
-    counter = itertools.count()
     adj: dict[int, dict[int, float | None]] = {}
     labels: dict[int, str] = {}
-
-    # Vertex ids in preorder, children in their written order.
-    stack: list[tuple[_RawNode, int | None]] = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        vid = next(counter)
-        adj[vid] = {}
-        if parent is not None:
-            adj[parent][vid] = adj[vid][parent] = node.length
-        if node.children:
-            stack.extend((child, vid) for child in reversed(node.children))
+    open_: list[int] = []  # the vertices of the '(' not yet closed
+    last = parent = None  # the vertex whose length may come next, and its parent
+    stage = _NODE
+    for token in _NEWICK_TOKEN.finditer(text):
+        kind = token.lastindex
+        tok = token[kind]
+        if stage == _NODE:
+            if tok != "(" and kind != _LABEL:
+                message = "expected '(' or a taxon label" if tok else "unexpected end of input"
+                raise _newick_error(text, message, token.start(kind))
+            # Vertex ids in preorder, children in their written order.
+            last, parent = len(adj), open_[-1] if open_ else None
+            adj[last] = {}
+            if parent is not None:
+                adj[parent][last] = adj[last][parent] = None
+            if kind == _LABEL:
+                labels[last] = tok
+                stage = _LABELLED
+            else:
+                open_.append(last)
+        elif stage == _CLOSED and kind == _LABEL:
+            stage = _LABELLED  # internal labels are tolerated and discarded
+        elif stage <= _LABELLED and kind == _LENGTH:
+            length = _branch_length(text, token)
+            if parent is not None:  # the root's length has no unrooted meaning
+                adj[parent][last] = adj[last][parent] = length
+            stage = _SEPARATOR
+        elif stage == _END:  # the last token, '' at the end of the text, ends the loop
+            if tok:
+                raise _newick_error(text, "trailing characters after ';'", token.start(kind))
+        elif not open_:
+            if tok != ";":
+                raise _newick_error(text, "expected ';'", token.start(kind))
+            stage = _END
+        elif tok == ",":
+            stage = _NODE
+        elif tok == ")":
+            last = open_.pop()
+            parent = open_[-1] if open_ else None
+            stage = _CLOSED
         else:
-            if node.label is None:
-                raise NewickError("leaf without a label")
-            labels[vid] = node.label
+            raise _newick_error(text, "unbalanced parenthesis: expected ')' or ','", token.start(kind))
 
-    for vid, label in labels.items():
-        if not LABEL_PATTERN.match(label):
-            raise NewickError(f"invalid taxon label {label!r}")
+    # A root with one child is dropped, as often as it recurs; in preorder
+    # the child of vertex r is r + 1, and r's parent r - 1.
+    root = 0
+    while len(adj[root]) - bool(root) == 1:
+        if adj[root][root + 1] is not None:
+            raise NewickError("branch length on a single-child root has no unrooted meaning")
+        root += 1
+    if len(adj[root]) == bool(root):
+        raise NewickError("fewer than 3 leaves")
+    if root:
+        del adj[root][root - 1]
+        adj = {v - root: {u - root: w for u, w in nbrs.items()} for v, nbrs in adj.items() if v >= root}
+        labels = {v - root: label for v, label in labels.items()}
+
     seen: set[str] = set()
     for label in labels.values():
         if label in seen:
@@ -698,12 +680,7 @@ def parse_newick(text: str) -> XTree:
             merged = (1.0 if wp is None else wp) + (1.0 if wq is None else wq)
         adj[p][q] = adj[q][p] = merged
 
-    edges = [
-        (u, v, 1.0 if w is None else w)
-        for u, nbrs in adj.items()
-        for v, w in nbrs.items()
-        if u < v
-    ]
+    edges = [(u, v, 1.0 if w is None else w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v]
     return XTree(edges, labels)
 
 

@@ -133,7 +133,7 @@ class TestClassifyCommand:
         def refuse(tree, cords):
             raise AssertionError("the rank ran on a shellable cord set")
 
-        monkeypatch.setattr(treelasso.cli, "_full_rank", refuse)
+        monkeypatch.setattr(treelasso.lasso, "_full_rank", refuse)
         assert run(capsys, *argv) == expected
         assert "edge-weight-lasso\tyes\trank-target=9\n" in expected[1]
         cords_path.write_text("".join(f"{c.a}\t{c.b}\n" for c in sorted(cover9)[1:]))

@@ -31,7 +31,7 @@ from treelasso import (
     reconstruct,
     triplet_cover,
 )
-from treelasso.cords import _cords_over
+from treelasso.cords import _cords_over, _partner_bits
 from treelasso.lasso import _extend, _hop_closure
 
 
@@ -39,7 +39,7 @@ def _same_shelling(tree, cords, seed=None):
     """is_shellable's view against the eager steps of the same closure run,
     under the taxon order random.Random(seed) gives, if any."""
     rng = None if seed is None else random.Random(seed)
-    _, blocks, derivations = _hop_closure(tree, _cords_over(cords, tree), rng)
+    _, blocks, derivations = _hop_closure(tree, _partner_bits(_cords_over(cords, tree), tree._index.taxa), rng)
     expected = eager_shelling_steps(tree, blocks, derivations)
     got = is_shellable(tree, cords, None if seed is None else random.Random(seed)).steps
     assert len(got) == len(expected)
