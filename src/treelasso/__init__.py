@@ -38,7 +38,6 @@ from .lasso import (
     ShellingResult,
     ShellingStep,
     all_topologies,
-    closure,
     edge_weight_lasso_certificate,
     integer_matrix_rank,
     is_2dtree,
@@ -52,6 +51,7 @@ from .lasso import (
 from .reconstruct import (
     NonAdditiveError,
     Reconstruction,
+    closure,
     neighbor_joining,
     reconstruct,
 )

@@ -36,14 +36,13 @@ from .cover import (
 )
 from .lasso import (
     InconsistentDistanceError,
-    closure,
     edge_weight_lasso_certificate,
     is_2dtree,
     is_shellable,
     topological_lasso_oracle,
     tree_from_2dtree,
 )
-from .reconstruct import NonAdditiveError, reconstruct
+from .reconstruct import NonAdditiveError, closure, reconstruct
 from .tolerance import DEFAULT_EPSILON
 from .tree import NewickError, TreeError, parse_newick, random_tree, split_weight_delta, is_equivalent
 

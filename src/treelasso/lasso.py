@@ -11,10 +11,11 @@ and the missing value follows from the four-point equality:
 
 Iterating to a fixpoint yields the closure of the cord set.  When the input
 cords contain a shellable lasso of the source tree, the closure reaches all
-pairs, after which the whole tree is recoverable (see reconstruct).  One
-engine computes the fixpoint on dense taxon indices, re-examining only the
-4-taxon sets that contain each inserted cord; derivations come in the order
-of a lexicographic rescan of all 4-taxon sets, pass after pass.
+pairs, after which the whole tree is recoverable (see reconstruct, whose
+one route grows metric blocks, then runs the engine here seeded by them).
+The engine works on dense taxon indices, re-examining only the 4-taxon
+sets that contain each inserted cord; its derivations come in the order of
+a lexicographic rescan of all 4-taxon sets, pass after pass.
 
 Shellability
 ------------
@@ -73,7 +74,6 @@ from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -166,32 +166,6 @@ class ClosureTrace:
         return [s.line() for s in self.steps]
 
 
-def closure(
-    d: PartialDistance,
-    eps: float = DEFAULT_EPSILON,
-    exact_rational: bool = False,
-) -> ClosureTrace:
-    """Fixpoint of the distance-extension rule, with a step-by-step trace.
-
-    Derivations come in the order of a lexicographic rescan: the 4-taxon
-    sets are scanned in sorted taxon order, pass after pass, and each
-    derived cord is inserted immediately, so the trace is deterministic.
-    Whenever a cord becomes derivable, every quadruple able to derive it at
-    that moment is cross-checked; disagreement beyond tolerance raises
-    InconsistentDistanceError.  With exact_rational=True all arithmetic and
-    comparisons are exact (for adversarial fixtures); values convert back to
-    float in the result.
-    """
-    if not len(d):
-        raise ValueError("closure needs a non-empty distance map")
-    taxa = d._taxa
-    if len(d) == len(taxa) * (len(taxa) - 1) // 2:
-        return ClosureTrace((), d)
-    cords = {c: Fraction(v) for c, v in d.items()} if exact_rational else d
-    rows, _ = _extend(taxa, cords, 0.0 if exact_rational else eps)
-    return _closure_trace(d, taxa, rows)
-
-
 def _closure_trace(d: PartialDistance, taxa: Sequence[str], rows) -> ClosureTrace:
     """The trace over d of _extend's *rows* over the sorted *taxa* (d's own),
     its steps a view over the rows and *final* d's arrays plus one entry per
@@ -267,15 +241,17 @@ def _named(taxa: Sequence[str], rows) -> Iterator:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
-def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross_check: bool = True,
-            blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0):
-    """The extension rule's fixpoint over *taxa* from the values on *cords*
-    (floats or ints, or Fractions with eps=0).  Returns the derivations as
-    rows (x, y, u, z, value) over taxon indices, quartet xy||uz giving cord
-    xz (the form of the blocks' rows below; _named puts labels on them), and
-    the final n x n known-mask over *taxa*.  With *cross_check* each derived
-    value is compared with every set able to derive its cord at that moment,
-    and a clash raises InconsistentDistanceError.
+def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bool = True,
+            blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0, values: Sequence | None = None):
+    """The extension rule's fixpoint over *taxa* from the distance map *d*
+    (over some of them), on its floats, or on *values*, its values in cord
+    order as Fractions, with eps=0; reconstruct._close is the one library
+    caller.  Returns the derivations as rows (x, y, u, z, value) over taxon
+    indices, quartet xy||uz giving cord xz (the form of the blocks' rows
+    below; _named puts labels on them), and the final n x n known-mask over
+    *taxa*.  With *cross_check* each derived value is compared with every set
+    able to derive its cord at that moment, and a clash raises
+    InconsistentDistanceError.
 
     A 4-taxon set is ready once exactly one of its cords is missing; its five
     values never change after that, so its four-point test runs once, when
@@ -283,7 +259,7 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     index 4-tuple; one made ready behind the set that fired waits for the
     next pass, as in a lexicographic rescan, pass after pass.
 
-    *blocks* are reconstruct's metric blocks in the order they grew, each
+    *blocks* are the route's metric blocks in the order they grew, each
     (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
     each taxon z it placed after its start cord, in placement order, with
     z's anchors a, b and its known partners before the block grew; and its
@@ -314,12 +290,9 @@ def _extend(taxa: Sequence[str], cords: Mapping[Cord, object], eps: float, cross
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
-    if isinstance(cords, PartialDistance):  # its arrays, over its own sorted taxa
-        at = np.array([index[t] for t in cords._taxa], dtype=np.intp)
-        i, j, given = at[cords._i], at[cords._j], cords._v
-    else:
-        i, j = np.array([(index[c.a], index[c.b]) for c in cords], dtype=np.intp).reshape(-1, 2).T
-        given = np.array(list(cords.values()))
+    at = np.array([index[t] for t in d._taxa], dtype=np.intp)  # d's arrays are over its own sorted taxa
+    i, j = at[d._i], at[d._j]
+    given = d._v if values is None else np.array(values, dtype=object)
     value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
     value[i, j] = value[j, i] = given
     known[i, j] = known[j, i] = True

@@ -1,10 +1,10 @@
 """End-to-end reconstruction: rebuild the tree and its edge weights from
 partial distances, and verify the result against every input distance.
 
-Two paths, and the input decides between them.
+One route (_close), float or exact, for reconstruct and closure alike.
 
-Placement.  An incomplete float input grows metric blocks, and the first
-of them may span X.  A block is grown from a known cord by the greedy loop
+Placement.  An incomplete input grows metric blocks, and the first of
+them may span X.  A block is grown from a known cord by the greedy loop
 that places blocks for shellability (lasso._grow), with a distance test in
 place of the index test: the classical additive-tree insertion (Waterman,
 Smith, Singh & Beyer, "Additive evolutionary trees", 1977) along a 2d-
@@ -18,7 +18,8 @@ from a on that path.  z places only when each quartet {z, a, b, s}, s a
 placed taxon other than a and b, is strict under the engine's own test
 (lasso.four_point) at eps, d(z,a)+d(s,b) against d(z,b)+d(s,a), on the
 values given or derived before.  Float guards (p >= 0, the point strictly
-inside the edge it splits) keep the tree well formed.
+inside the edge it splits) keep the tree well formed.  It only adds,
+halves and compares, so exact_rational=True places on Fractions, eps=0.
 
 Soundness.  Let the values be the metric of a tree T, every edge of
 positive weight, and by induction let the tree built on the placed taxa S
@@ -39,38 +40,40 @@ places every taxon, the tree is T, the cords are a shellable lasso of it,
 and the trace holds the shelling the placement certifies (lasso's module
 docstring), these derivations in placement order; no closure or NJ runs.
 
-Closure.  Every other input is closed under the extension rule, and a
-complete closure goes through Neighbor-Joining; on additive (tree-metric)
-input NJ recovers the unique fully-resolved tree exactly, up to float
-accumulation.  exact_rational=True runs lasso.closure; a complete input
-(where NJ is cheaper than placing) needs no closure, and goes to NJ with the
-empty trace the closure would give it.  An incomplete float input whose first
-block stops short (fewer than 2n-3 cords, which cannot fix the 2n-3 edge
-weights, or a taxon that does not place) keeps growing blocks by the loop
-that grows lasso._hop_closure's on T (lasso._block_loop): for each taxon
-in turn, each known cord in a triangle of the known cords and in no block
-with it starts one, over the given cords, and the pairs within a block
-become known.  The blocks' derivations, each one the engine's test passed
-on the engine's values, seed the quartet engine (lasso._extend).  The
-derivable set only grows, so the fixpoint from the cords plus the block
-cords is the fixpoint from the cords: the same missing cords, and the
-engine finishes it.  Values may differ in their last bits from a run of
-the engine alone.  The engine checks the seeds in two parts.  Each cord
-zs inside a block that was known before the block grew (given, or derived
-by an earlier block), z placed after s and s no anchor of z, is compared
-once, at eps, with the value that z's placing quartet {z, a, b, s}
-derives.  When every such cord of the block agrees, each block cord is
-cross-checked, as the engine checks a derivation, against the quartets
-deriving it at that turn that hold a taxon outside the block; a clash
-raises InconsistentDistanceError.  A block with a cord that disagrees is
-cross-checked against every quartet, and a clash there names that cord.
-The engine's first arrivals skip the cords with a quiet end, a taxon whose
-known partners plus itself are exactly one of its blocks: a ready 4-taxon
-set whose missing cord is xy has two other taxa that know x, y and each
-other, and were one of them quiet, x and y would lie in its block and xy
-would be known.  So the cord between those two, both not quiet, arrives
-and offers the set.  The trace lists the block cords in placement order,
-then the engine's derivations.
+Closure.  A complete input needs no closure: reconstruct sends it to
+Neighbor-Joining (cheaper there than placing), with the empty trace that
+closure returns for it.  When the first block of an incomplete input spans
+X, reconstruct answers with its tree.  Otherwise, and always for closure,
+the route keeps growing blocks by the loop that grows lasso._hop_closure's
+on T (lasso._block_loop): for each taxon in turn, each known cord in a
+triangle of the known cords and in no block with it starts one, over the
+given cords, and the pairs within a block become known.  The first block
+stops short when there are fewer than 2n-3 cords, which cannot fix the
+2n-3 edge weights, or a taxon does not place.  The blocks' derivations,
+each one the engine's test passed on the engine's values, seed the quartet
+engine (lasso._extend).  The derivable set only grows, so the fixpoint
+from the cords plus the block cords is the fixpoint from the cords: the
+same missing cords, and the engine finishes it.  Float values may differ
+in their last bits from a run of the engine alone.  A complete closure
+goes through NJ; on additive (tree-metric) input NJ recovers the unique
+fully-resolved tree exactly, up to float accumulation.  The engine checks
+the seeds in two parts.  Each cord zs inside a block that was known before
+the block grew (given, or derived by an earlier block), z placed after s
+and s no anchor of z, is compared once, at eps, with the value that z's
+placing quartet {z, a, b, s} derives.  When every such cord of the block
+agrees, each block cord is cross-checked, as the engine checks a
+derivation, against the quartets deriving it at that turn that hold a
+taxon outside the block; a clash raises InconsistentDistanceError.  A
+block with a cord that disagrees is cross-checked against every quartet,
+and a clash there names that cord.  On a first block that spans X, closure
+builds no tree to check, and these checks stand in for it.  The engine's
+first arrivals skip the cords with a quiet end, a taxon whose known
+partners plus itself are exactly one of its blocks: a ready 4-taxon set
+whose missing cord is xy has two other taxa that know x, y and each other,
+and were one of them quiet, x and y would lie in its block and xy would be
+known.  So the cord between those two, both not quiet, arrives and offers
+the set.  The trace lists the block cords in placement order, then the
+engine's derivations.
 
 Soundness of the skip.  Take exact arithmetic, eps = 0, and a block B
 whose known cords all agree.  By induction on placement order, every value
@@ -103,6 +106,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -116,7 +120,6 @@ from .lasso import (
     _grow,
     _parent_tree,
     _path_edges,
-    closure,
     four_point,
 )
 from .tolerance import DEFAULT_EPSILON
@@ -253,13 +256,14 @@ def reconstruct(
 ) -> Reconstruction:
     """Rebuild the tree from the distances and verify it.
 
-    An incomplete float input grows metric blocks first (see the module
-    docstring); when the first spans X, that tree is the answer and the
-    trace lists its derivations in placement order.  Otherwise the block
-    cords seed the closure under the extension rule, and a complete closure
-    goes through NJ.  Either way succeeds whenever the cord set contains a
-    shellable lasso of the source tree and the values are its induced
-    metric.  An incomplete closure is a structured result (the missing
+    An incomplete input grows metric blocks first, on Fractions with
+    exact_rational=True (see the module docstring); when the first spans X,
+    that tree, its weights rounded to float, is the answer and the trace
+    lists its derivations in placement order.  Otherwise the block cords
+    seed the closure under the extension rule, as closure() runs it, and a
+    complete closure goes through NJ.  Either way succeeds whenever the cord
+    set contains a shellable lasso of the source tree and the values are its
+    induced metric.  An incomplete closure is a structured result (the missing
     cords say which distances to measure next), not an error.  Inconsistent
     or non-additive input raises InconsistentDistanceError /
     NonAdditiveError; a tree that misses an input distance by more than
@@ -285,31 +289,24 @@ def reconstruct(
     and on a bad one the failures and the smallest failing cord are those
     of the exact test alone.
     """
-    n = len(d._taxa)
-    if exact_rational or not d:  # an empty map is closure's error
-        trace, placement = closure(d, eps=eps, exact_rational=exact_rational), None
-    elif len(d) == n * (n - 1) // 2:
-        trace, placement = ClosureTrace((), d), None  # what closure returns on a complete map
-    else:
-        trace, placement = _blocks(d, eps)
-    if placement is None:
+    trace, tree = _close(d, eps, exact_rational)
+    if tree is None:
         if not trace.is_complete:
             return Reconstruction(None, trace, trace.missing)
         tree = neighbor_joining(trace.final, eps=eps)
-    else:
-        tree, placement_trace = placement
     _check(tree, d, verify_eps)
-    if placement is not None:  # derived only now: corrupt values fail the check above first
-        trace = placement_trace()
+    if callable(trace):  # a placement's, derived only now: corrupt values fail the check above first
+        trace = trace()
     return Reconstruction(tree, trace, frozenset())
 
 
 def _check(tree: XTree, d: PartialDistance, verify_eps: float) -> None:
     """Raise NonAdditiveError naming the smallest cord of d whose value the
     tree misses by more than verify_eps, with the tree's distance, fsum's
-    exact one.  A cord passes outright when its float distance
-    (_leaf_distances) is within verify_eps less the rounding bound delta;
-    only the others are summed exactly (reconstruct's docstring)."""
+    exact one, or saying that the path of a cord passes the float range.  A
+    cord passes outright when its float distance (_leaf_distances) is within
+    verify_eps less the rounding bound delta; only the others are summed
+    exactly (reconstruct's docstring)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is unsure
         got, delta = _leaf_distances(tree, d._i, d._j, verify_eps)
         unsure = np.flatnonzero(~(np.abs(got - d._v) <= verify_eps - delta))
@@ -321,7 +318,10 @@ def _check(tree: XTree, d: PartialDistance, verify_eps: float) -> None:
         partners[i] |= 1 << j
         partners[j] |= 1 << i
         given[i, j] = v
-    firsts, seconds, exact = tree._pair_distances(partners)
+    try:
+        firsts, seconds, exact = tree._pair_distances(partners)
+    except OverflowError:  # a path sum past the float range, which no input value fits
+        raise NonAdditiveError("reconstructed tree has a cord's path beyond the float range") from None
     failed = [
         (pair, reproduced)
         for pair, reproduced in zip(map(_ordered, firsts, seconds), exact)
@@ -387,33 +387,59 @@ def _leaf_distances(tree: XTree, i: np.ndarray, j: np.ndarray, verify_eps: float
     depth = max(index.depth.values())
     delta = (depth + 3) * 4 * 2.0**-53 * (float(ups.max()) + verify_eps)
     return got, delta
-def _blocks(
-    d: PartialDistance, eps: float
-) -> tuple[ClosureTrace | None, tuple[XTree, Callable[[], ClosureTrace]] | None]:
-    """The closure of an incomplete float input by metric blocks, then the
-    engine, as (trace, None); or, when the first block spans X, (None, (its
-    tree, a function that builds its trace from the block's derivations))."""
+
+
+def closure(d: PartialDistance, eps: float = DEFAULT_EPSILON, exact_rational: bool = False) -> ClosureTrace:
+    """Fixpoint of the distance-extension rule, with a step-by-step trace:
+    reconstruct's route (the module docstring's Closure paragraph), metric
+    blocks first, their cords in placement order, then the quartet engine's
+    derivations in the order of a lexicographic rescan.  Each passes the
+    rule's test at eps on the values given or derived before it; a cord
+    found derivable as values that differ beyond tolerance raises
+    InconsistentDistanceError.  With exact_rational=True the same route runs
+    on Fractions with eps=0, all exact (for adversarial fixtures); values
+    convert back to float in the result."""
+    return _close(d, eps, exact_rational, place=False)[0]
+
+
+def _close(d: PartialDistance, eps: float, exact: bool = False, place: bool = True
+           ) -> tuple[ClosureTrace | Callable[[], ClosureTrace], XTree | None]:
+    """The closure of d, on Fractions with eps=0 if *exact*: (trace, None),
+    with nothing to derive on a complete map, else metric blocks, then the
+    engine seeded by them.  With *place*, when the first block spans X,
+    (a builder of its trace, its tree) instead, and no engine runs.
+    No exact weight of that tree passes the largest given value (a given
+    start cord, pendants of half two given values, splits), so none
+    overflows as it is rounded to float."""
+    if not len(d):
+        raise ValueError("closure needs a non-empty distance map")
     taxa = d._taxa
     n = len(taxa)
-    value = [[0.0] * n for _ in range(n)]  # given values, then each block's derived ones
-    for a, b, v in zip(d._i.tolist(), d._j.tolist(), d._v.tolist()):
+    if len(d) == n * (n - 1) // 2:
+        return ClosureTrace((), d), None
+    given = d._v.tolist()
+    if exact:
+        given, eps = list(map(Fraction, given)), 0.0
+    value = [[0] * n for _ in range(n)]  # given values, then each block's derived ones
+    for a, b, v in zip(d._i.tolist(), d._j.tolist(), given):
         value[a][b] = value[b][a] = v
-    given = d._partners()
+    partners = d._partners()
     grown = []  # (placer, its rows, its taxa) per block
 
     def grow(start, known):
         placer = _MetricPlacer(value, start, eps, known)
-        rows, block = _grow(given, start, placer.place)
+        rows, block = _grow(partners, start, placer.place)
         grown.append((placer, rows, block))
         return block
 
-    _, _, quiet = _block_loop(given, range(n), grow)
-    if len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
+    _, _, quiet = _block_loop(partners, range(n), grow)
+    if place and len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
         placer, rows, _ = grown[0]
-        tree = _parent_tree(placer.parent, placer.weight, {taxa[i]: v for i, v in placer.leaf_of.items()})
-        return None, (tree, lambda: _closure_trace(d, taxa, rows))
+        leaf_of = {taxa[i]: v for i, v in placer.leaf_of.items()}
+        tree = _parent_tree(placer.parent, list(map(float, placer.weight)), leaf_of)
+        return lambda: _closure_trace(d, taxa, rows), tree
     blocks = [(block, placer.anchors, rows) for placer, rows, block in grown]
-    derivations, _ = _extend(taxa, d, eps, blocks=blocks, quiet=quiet)
+    derivations, _ = _extend(taxa, d, eps, blocks=blocks, quiet=quiet, values=given if exact else None)
     return _closure_trace(d, taxa, derivations), None
 
 
@@ -422,7 +448,8 @@ class _MetricPlacer:
     the tree it grows: parent pointers with each vertex's weight to its
     parent, from the edge of the start cord.  Its entries are _extend's
     seed rows (z, x, y, s, v), the cords zs beyond *known*, written to
-    *value*; *anchors* lists (z, a, b, known[z]) for each taxon it places."""
+    *value*; *anchors* lists (z, a, b, known[z]) for each taxon it places.
+    The values may be floats or Fractions; it brings in no float of its own."""
 
     def __init__(self, value: list[list[float]], start: tuple[int, int], eps: float, known: list[int]):
         a, b = start
@@ -430,7 +457,7 @@ class _MetricPlacer:
         self.leaf_of = {a: 0, b: 1}  # the placed taxa, in placement order
         self.anchors: list[tuple[int, int, int, int]] = []
         self.parent: list[int | None] = [None, 0]
-        self.weight = [0.0, value[a][b]]  # to the parent; unused at the root
+        self.weight = [0, value[a][b]]  # to the parent; unused at the root
 
     def place(self, z, a, b, prefix, placed) -> bool:
         parent, weight, value, eps = self.parent, self.weight, self.value, self.eps
@@ -448,7 +475,7 @@ class _MetricPlacer:
         lower = _path_edges(parent, self.leaf_of[a], self.leaf_of[b])
         length = sum(weight[v] for v in lower)
         at = (za - zb + length) / 2  # the attachment point, as its distance from a
-        pos, end = 0.0, self.leaf_of[a]  # end: the path vertex pos from a
+        pos, end = 0, self.leaf_of[a]  # end: the path vertex pos from a
         for v in lower:  # the edge the point splits
             after = pos + weight[v]
             if at < after:

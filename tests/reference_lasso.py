@@ -14,7 +14,9 @@ trace that the lazy step views replaced, and the cross-check of every
 block seed against every quartet that checking each block cord against its
 own block replaced, and the oracle's pruning bounds taken along the quartet
 engine's derivations that the oracle's own fixpoint of sure derivations
-replaced.  The differential tests compare each pair on seeded sweeps;
+replaced, and the closure that ran the quartet engine from the cords
+alone, float or exact, until closure took reconstruct's route through
+metric blocks.  The differential tests compare each pair on seeded sweeps;
 nothing in the library imports this module.
 """
 
@@ -34,6 +36,7 @@ from treelasso.lasso import (
     ShellingResult,
     ShellingStep,
     _back_neighbours,
+    _closure_trace,
     _contract_tiny_interior,
     _extend,
     _grow,
@@ -96,6 +99,22 @@ def rescan_closure(d, eps=DEFAULT_EPSILON, exact_rational=False):
 
     final = PartialDistance({c: float(v) for c, v in known.items()})
     return ClosureTrace(tuple(steps), final)
+
+
+def engine_closure(d, eps=DEFAULT_EPSILON, exact_rational=False):
+    """closure as it ran before it took reconstruct's route through metric
+    blocks: the quartet engine (lasso._extend) from the cords alone, every
+    derivation cross-checked against every set able to derive its cord at
+    that moment, in the order of a lexicographic rescan; with
+    exact_rational=True on Fractions with eps=0."""
+    if not len(d):
+        raise ValueError("closure needs a non-empty distance map")
+    taxa = d._taxa
+    if len(d) == len(taxa) * (len(taxa) - 1) // 2:
+        return ClosureTrace((), d)
+    values = list(map(Fraction, d._v.tolist())) if exact_rational else None
+    rows, _ = _extend(taxa, d, 0.0 if exact_rational else eps, values=values)
+    return _closure_trace(d, taxa, rows)
 
 
 def _derive(quad, known, eps):
@@ -214,7 +233,7 @@ def engine_is_shellable(tree, cords, rng=None):
     if rng is not None:
         rng.shuffle(taxa)
     hops = {c: tree._hops(c.a, c.b) for c in present}
-    rows, known = _extend(taxa, hops, 0.0, cross_check=False)
+    rows, known = _extend(taxa, PartialDistance(hops), 0.0, cross_check=False)
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in _named(taxa, rows))
     missing = frozenset(Cord(taxa[i], taxa[j]) for i, j in zip(*np.nonzero(np.triu(~known, 1))))
     return ShellingResult(steps, missing)
@@ -293,14 +312,16 @@ def eager_shelling_steps(tree, blocks, derivations):
 _CHECK_ELEMENTS = 2**20
 
 
-def full_check_extend(taxa, cords, eps, cross_check=True, blocks=(), quiet=0):
+def full_check_extend(taxa, cords, eps, cross_check=True, blocks=(), quiet=0, values=None):
     """lasso._extend as reconstruct's closure path ran it before each block
     was checked against its own block tree: each seed row (z, x, y, s, v),
     in order, cross-checked against every set {z, s, q1, q2} with q1, q2
     known to both and q1q2 known, one z's rows in one vectorised pass (for
     row k, q ranges over z's partners before the rows and the s of earlier
     rows); then the engine from the cords plus the seeds, whose
-    derivations follow the seeds.  The signature is _extend's."""
+    derivations follow the seeds.  The signature is _extend's, on float
+    values only."""
+    assert values is None, "float values only"
     seeds = [row for _, _, rows in blocks for row in rows]
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -344,6 +365,8 @@ def full_check_extend(taxa, cords, eps, cross_check=True, blocks=(), quiet=0):
             known[z, s] = known[s, z] = True
     merged = dict(cords)
     merged.update((Cord(taxa[z], taxa[s]), v) for z, _, _, s, v in seeds)
+    ends = np.array([(index[c.a], index[c.b]) for c in merged], dtype=np.intp).reshape(-1, 2)
+    merged = PartialDistance._of(taxa, ends.min(axis=1), ends.max(axis=1), np.array(list(merged.values())))
     derivations, known = _extend(taxa, merged, eps, cross_check, quiet=quiet)
     return seeds + derivations, known
 
@@ -453,7 +476,7 @@ def engine_forbidden_pairings(n, pairs, values, accept):
     taxa = [f"t{i:02d}" for i in range(n)]
     cords = [Cord(taxa[p], taxa[q]) for p, q in pairs]
     bound = {c: (v, accept + _ROUNDING * (v + accept)) for c, v in zip(cords, values)}
-    rows, _ = _extend(taxa, dict(zip(cords, values)), 0.0, cross_check=False)
+    rows, _ = _extend(taxa, PartialDistance(dict(zip(cords, values))), 0.0, cross_check=False)
     for (x, y, u, z), v in _named(taxa, rows):
         xy, uz, xu, yz, yu = (bound.get(Cord(p, q)) for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
         if None not in (xy, uz, xu, yz, yu) and _surely_below((xy, uz), (xu, yz)):

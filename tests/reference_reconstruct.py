@@ -8,7 +8,8 @@ library imports this module.
 
 import numpy as np
 
-from treelasso import Cord, NonAdditiveError, PartialDistance, Reconstruction, XTree, closure
+from reference_lasso import engine_closure
+from treelasso import Cord, NonAdditiveError, PartialDistance, Reconstruction, XTree
 from treelasso.reconstruct import VERIFY_EPSILON
 from treelasso.tolerance import DEFAULT_EPSILON
 
@@ -83,8 +84,9 @@ def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
 
 
 def closure_nj_reconstruct(d, eps=DEFAULT_EPSILON, exact_rational=False, verify_eps=VERIFY_EPSILON):
-    """Close the distances under the extension rule, then run NJ and verify."""
-    trace = closure(d, eps=eps, exact_rational=exact_rational)
+    """Close the distances under the extension rule with the quartet engine
+    alone (reference_lasso.engine_closure), then run NJ and verify."""
+    trace = engine_closure(d, eps=eps, exact_rational=exact_rational)
     if not trace.is_complete:
         return Reconstruction(None, trace, trace.missing)
     tree = neighbor_joining(trace.final, eps=eps)

@@ -1,14 +1,18 @@
-"""Differential tests: the dense fixpoint engine behind closure against the
-rescan engine it replaced, and is_shellable against the counting engine
-(reference_lasso.py), on seeded sweeps."""
+"""Differential tests (reference_lasso.py) on seeded sweeps: the dense
+fixpoint engine run from the cords alone against the rescan engine it
+replaced; closure, which grows metric blocks and seeds the engine with
+them, against that engine alone; and is_shellable against the counting
+engine."""
 
 import gc
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from treelasso import (
+    DEFAULT_EPSILON,
     Cord,
     InconsistentDistanceError,
     PartialDistance,
@@ -23,7 +27,9 @@ from treelasso import (
     triplet_cover,
     verify_shelling,
 )
-from reference_lasso import counting_is_shellable, rescan_closure
+from treelasso.lasso import four_point
+from treelasso.tolerance import approx_equal
+from reference_lasso import counting_is_shellable, engine_closure, rescan_closure
 
 
 def _outcome(fn, *args, **kwargs):
@@ -71,23 +77,74 @@ def _case(seed):
     return rng, tree, cords
 
 
+def _swept(seed):
+    """_case's distances, with one value perturbed (often inconsistent) when
+    seed % 3 == 0; and whether it was."""
+    rng, tree, cords = _case(seed)
+    d = dict(induced_distance(tree, cords))
+    if seed % 3 == 0:
+        cord = rng.choice(sorted(d))
+        d[cord] *= rng.uniform(0.5, 1.5)
+    return PartialDistance(d), seed % 3 == 0
+
+
 @pytest.mark.parametrize("exact_rational", [False, True])
 def test_closure_trace_identical_to_rescan(exact_rational):
+    # The engine run from the cords alone, closure before it took
+    # reconstruct's route, is pinned to the rescan byte for byte.
     outcomes = set()
     for seed in range(80):
-        rng, tree, cords = _case(seed)
-        d = dict(induced_distance(tree, cords))
-        if seed % 3 == 0:  # perturb one value: often inconsistent
-            cord = rng.choice(sorted(d))
-            d[cord] *= rng.uniform(0.5, 1.5)
-        d = PartialDistance(d)
+        d, _ = _swept(seed)
         expected = _outcome(rescan_closure, d, exact_rational=exact_rational)
-        got = _outcome(closure, d, exact_rational=exact_rational)
+        got = _outcome(engine_closure, d, exact_rational=exact_rational)
         assert got == expected, f"seed {seed}"
         outcomes.add(expected[0] if isinstance(expected[0], type) else len(expected[0]) > 0)
     # the sweep reaches derivations, and the inconsistency error with the
     # same message
     assert {True, InconsistentDistanceError} <= outcomes
+
+
+def _assert_rederived(d, trace, exact_rational):
+    """Each step's other five cords are given or derived by an earlier step,
+    its quartet is strict the way its pivots say, and its value is the
+    four-point formula on them: in floats bit for bit, or exactly."""
+    number, eps = (Fraction, 0.0) if exact_rational else (float, DEFAULT_EPSILON)
+    known = {c: number(v) for c, v in d.items()}
+    for step in trace.steps:
+        x, y, u, z = step.quadruple
+        xy, uz, xu, yz, yu = (known[Cord(p, q)] for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
+        assert four_point(xy + uz, xu + yz, eps) == (True, True), step
+        assert step.cord == Cord(x, z) and step.cord not in known, step
+        known[step.cord] = xu + yz - yu
+        assert float(known[step.cord]) == step.value, step
+
+
+@pytest.mark.parametrize("exact_rational", [False, True])
+def test_closure_reaches_the_engine_fixpoint(exact_rational):
+    # closure grows metric blocks and seeds the engine with them: the same
+    # missing cords and final cords as the engine alone, values within eps
+    # (exactly equal on exact input), a trace of the same length in another
+    # order, and the same kind of error, which may name another clash.
+    kinds = set()
+    for seed in range(80):
+        d, perturbed = _swept(seed)
+        try:
+            expected = engine_closure(d, exact_rational=exact_rational)
+        except InconsistentDistanceError:
+            with pytest.raises(InconsistentDistanceError):
+                closure(d, exact_rational=exact_rational)
+            kinds.add("raised")
+            continue
+        got = closure(d, exact_rational=exact_rational)
+        assert got.missing == expected.missing, f"seed {seed}"
+        assert got.final.cords == expected.final.cords, f"seed {seed}"
+        assert len(got.steps) == len(expected.steps), f"seed {seed}"
+        for cord in expected.final:
+            a, b = got.final[cord], expected.final[cord]
+            assert (a == b) if exact_rational else approx_equal(a, b), f"seed {seed}, {cord}"
+        _assert_rederived(d, got, exact_rational)
+        kinds.add((perturbed, bool(got.missing), bool(got.steps)))
+    assert {"raised", (False, True, True), (False, False, True)} <= kinds
 
 
 def test_closure_missing_is_every_pair_not_final():
@@ -113,10 +170,11 @@ def test_zero_interior_edge_ties_match_rescan():
         d = induced_distance(tree, cover)
         for exact_rational in (False, True):
             expected = rescan_closure(d, exact_rational=exact_rational)
-            got = closure(d, exact_rational=exact_rational)
+            got = engine_closure(d, exact_rational=exact_rational)
             assert got.steps == expected.steps, f"seed {seed}"
             assert dict(got.final) == dict(expected.final)
             assert got.missing == expected.missing
+            assert closure(d, exact_rational=exact_rational).missing == expected.missing
             # Within eps the tied quartets block some cord; exact arithmetic
             # may still see last-bit differences in the float inputs.
             assert got.missing or exact_rational

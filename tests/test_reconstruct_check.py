@@ -237,7 +237,10 @@ def test_huge_star_on_the_command_line(tmp_path):
 BEYOND_FLOAT = "t02\tt03\t1e+308\nt01\tt02\t5e-324\nt01\tt03\t1e+308\nt02\tt06\t0.0\nt01\tt06\t1e+308\n"
 BEYOND_FLOAT_ERROR = "t03-t06 derivable as 2.0000000000000000e+308 via (t03,t01,t02,t06), beyond the float range"
 
-#: Two quartets derive ae exactly, as about 2e308 and 3e308.
+#: Two quartets derive ae exactly, as about 2e308 and 3e308.  Exact metric
+#: blocks place all five taxa first, on a tree whose b-d distance is 1e308
+#: where the input says 1: the block check names bd, as does the check of
+#: the placed tree.
 BEYOND_FLOAT_CLASH = (
     "a\tb\t1e308\na\tc\t1.5e308\na\td\t1.5e308\nb\tc\t1e308\nb\td\t1\n"
     "c\td\t1\nb\te\t1.5e308\nc\te\t1e308\nd\te\t1e308\n"
@@ -245,22 +248,51 @@ BEYOND_FLOAT_CLASH = (
 
 
 @pytest.mark.parametrize(
-    "text, cord, message",
+    "text, cord, errors",
     [
-        (BEYOND_FLOAT, Cord("t03", "t06"), BEYOND_FLOAT_ERROR),
-        (BEYOND_FLOAT_CLASH, Cord("a", "e"), "ae derivable as both 2.0000000000000000e+308 and 3.0000000000000000e+308"),
+        (BEYOND_FLOAT, Cord("t03", "t06"), [(InconsistentDistanceError, BEYOND_FLOAT_ERROR)] * 2),
+        (
+            BEYOND_FLOAT_CLASH,
+            Cord("a", "e"),
+            [
+                (InconsistentDistanceError, "bd derivable as both 1.0 and 1e+308"),
+                (NonAdditiveError, "reconstructed tree gives 1e+308 for bd, input says 1.0"),
+            ],
+        ),
     ],
     ids=["derived", "clash"],
 )
-def test_exact_values_beyond_the_float_range_are_inconsistent(text, cord, message):
+def test_exact_values_beyond_the_float_range_are_inconsistent(text, cord, errors):
     d = parse_cord_distances(text)
-    for run in (closure, reconstruct):
-        with pytest.raises(InconsistentDistanceError) as raised:
+    for run, (error, message) in zip((closure, reconstruct), errors):
+        with pytest.raises(error) as raised:
             run(d, exact_rational=True)
         assert str(raised.value) == message
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the float sums overflow
         assert reconstruct(d).missing == {cord}
+
+
+#: Values that fit no tree metric, on which exact metric blocks place all six
+#: taxa: the placed tree's path between the ends of a given cord passes the
+#: float range, where its exact sum overflows.
+BEYOND_FLOAT_PATH = (
+    "t0\tt1\t1.5e+308\nt0\tt2\t1e+308\nt0\tt5\t1e+308\nt1\tt2\t1.5e+308\nt1\tt3\t1e+308\n"
+    "t1\tt4\t5e+307\nt2\tt4\t1e+308\nt2\tt5\t1.7e+308\nt3\tt4\t7.104680596865936e+307\nt3\tt5\t5e+307\n"
+)
+
+
+def test_a_placed_path_beyond_the_float_range_exits_3(tmp_path):
+    message = "reconstructed tree has a cord's path beyond the float range"
+    with pytest.raises(NonAdditiveError) as raised:
+        reconstruct(parse_cord_distances(BEYOND_FLOAT_PATH), exact_rational=True)
+    assert str(raised.value) == message
+    path = tmp_path / "path.tsv"
+    path.write_text(BEYOND_FLOAT_PATH)
+    proc = subprocess.run(
+        [sys.executable, "-m", "treelasso", "reconstruct", "--exact-rational", str(path)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: inconsistent distances: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "closure"])

@@ -22,12 +22,13 @@ from treelasso import (
     min_order_transversal,
     random_tree,
     reconstruct,
+    split_weight_delta,
     tree_from_2dtree,
     triplet_cover,
     verify_shelling,
 )
 from treelasso.cli import main
-from treelasso.reconstruct import _blocks
+from treelasso.reconstruct import _close
 
 FAMILIES = ("min", "closest", "extra", "half", "2d", "minus")
 
@@ -93,7 +94,7 @@ def test_placement_agrees_with_closure_and_nj():
         assert got.ok == expected.ok and got.missing == expected.missing, k
         assert len(got.trace.steps) == len(expected.trace.steps), k
         assert set(got.trace.final) == set(expected.trace.final), k
-        if _blocks(d, DEFAULT_EPSILON)[1] is None:  # the closure path itself
+        if _close(d, DEFAULT_EPSILON)[1] is None:  # the closure path itself
             _assert_four_point_steps(d, got.trace, k)
             if got.ok:  # NJ on values that may differ in their last bits
                 _assert_same_tree(got.tree, expected.tree, k)
@@ -109,6 +110,24 @@ def test_placement_agrees_with_closure_and_nj():
     for family in ("min", "closest", "extra", "half"):
         assert placed[family] >= 0.9 * cases[family], family
     assert placed["2d"] >= 0.5 * cases["2d"]
+
+
+def test_exact_placement_gives_the_float_verdict_and_the_source_tree():
+    # exact_rational=True places on Fractions.  With at most 2n-3 cords each
+    # given cord is an anchor, so no 1-ulp disagreement between the float
+    # inputs can reject the input; a placement is the source tree.
+    families = Counter()
+    for k in range(0, 1000, 5):
+        family, tree, cords = _case(k)
+        if family in ("min", "closest", "2d", "minus"):
+            d = induced_distance(tree, cords)
+            got, expected = reconstruct(d, exact_rational=True), reconstruct(d)
+            assert got.ok == expected.ok and got.missing == expected.missing, k
+            assert len(got.trace.steps) == len(expected.trace.steps), k
+            if got.ok:
+                assert is_equivalent(got.tree, tree) and split_weight_delta(got.tree, tree) <= 1e-6, k
+            families[family, got.ok] += 1
+    assert set(families) == {("min", True), ("closest", True), ("2d", True), ("minus", False)}
 
 
 def _half_of_all_cords(n, seed):
@@ -127,7 +146,7 @@ def test_a_corrupt_cord_on_the_placement_path_is_caught(tmp_path, capsys):
         values = dict(clean)
         values[cord] += 0.37
         d = PartialDistance(values)
-        placed += _blocks(d, DEFAULT_EPSILON)[1] is not None
+        placed += _close(d, DEFAULT_EPSILON)[1] is not None
         try:
             closure_nj_reconstruct(d)
         except (NonAdditiveError, InconsistentDistanceError):
