@@ -13,9 +13,9 @@ Iterating to a fixpoint yields the closure of the cord set.  When the input
 cords contain a shellable lasso of the source tree, the closure reaches all
 pairs, after which the whole tree is recoverable (see reconstruct, whose
 one route grows metric blocks, then runs the engine here seeded by them).
-The engine works on dense taxon indices, re-examining only the 4-taxon
-sets that contain each inserted cord; its derivations come in the order of
-a lexicographic rescan of all 4-taxon sets, pass after pass.
+The engine works on dense taxon indices and examines each known cord once,
+as the cord that may complete the quartets holding it (_extend): the same
+per-cord scheme as the shelling closure below, read on distances.
 
 Shellability
 ------------
@@ -214,19 +214,16 @@ def _shown(value) -> str:
         return format(Decimal(value.numerator) / value.denominator, ".17g")
 
 
-#: Row g: positions in a sorted 4-taxon set of the ends of its g-th cord,
-#: then of the other two taxa.
-_ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
-
 #: Largest element count of one intermediate array of the seeds' cross-check.
 _CHECK_ELEMENTS = 2**20
 
 
 def four_point(s1, s2, eps: float):
-    """The extension rule's test, for the engine and the metric placer, on
-    s1 = d(x,p)+d(z,q) and s2 = d(x,q)+d(z,p), cord xz and pivots p, q:
-    (strict, lt), strict when one sum is definitely less than the other, lt
-    when s1 is (quartet xp||qz, d(x,z) = s2 - d(p,q)); elementwise."""
+    """The extension rule's test, for the closure engine (_extend) and the
+    metric placer, on s1 = d(x,p)+d(z,q) and s2 = d(x,q)+d(z,p), cord xz
+    and pivots p, q: (strict, lt), strict when one sum is definitely less
+    than the other, lt when s1 is (quartet xp||qz, d(x,z) = s2 - d(p,q));
+    elementwise."""
     tol = margin(s1, s2, eps)  # one margin serves both definitely_less tests
     lt = s1 < s2 - tol
     return lt | (s2 < s1 - tol), lt
@@ -241,7 +238,7 @@ def _named(taxa: Sequence[str], rows) -> Iterator:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
-def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bool = True,
+def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
             blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0, values: Sequence | None = None):
     """The extension rule's fixpoint over *taxa* from the distance map *d*
     (over some of them), on its floats, or on *values*, its values in cord
@@ -249,15 +246,25 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bo
     caller.  Returns the derivations as rows (x, y, u, z, value) over taxon
     indices, quartet xy||uz giving cord xz (the form of the blocks' rows
     below; _named puts labels on them), and the final n x n known-mask over
-    *taxa*.  With *cross_check* each derived value is compared with every set
-    able to derive its cord at that moment, and a clash raises
-    InconsistentDistanceError.
+    *taxa*.  Each derived value is compared with every set able to derive
+    its cord at that moment, and a clash raises InconsistentDistanceError.
 
-    A 4-taxon set is ready once exactly one of its cords is missing; its five
-    values never change after that, so its four-point test runs once, when
-    it becomes ready.  Strict ready sets wait in a heap keyed by their sorted
-    index 4-tuple; one made ready behind the set that fired waits for the
-    next pass, as in a lexicographic rescan, pass after pass.
+    Each known cord pq is examined once, as _hop_closure examines it on the
+    tree's index, here on the values: a FIFO queue holds the cords to
+    examine, and takes each cord as it is derived.  With W = K(p) & K(q),
+    the quartets with five known cords including pq whose sixth cord is
+    missing are of three kinds:
+    - uv for u, v in W, with pivots p and q;
+    - pt for t in K(q) \\ K(p), with pivots q and s, s in W & K(t);
+    - qt for t in K(p) \\ K(q), with pivots p and s, s in W & K(t).
+    All are tested at once by four_point on the values known when pq is
+    examined, and each strict one derives its cord unless an earlier one
+    did.  A known value never changes, so a quartet's test gives the same
+    answer whenever it runs.  Completeness: a missing cord becomes
+    derivable only when the last of its quartet's five cords becomes known;
+    that cord is examined afterwards, with the other four known, and the
+    three kinds cover each of the five places it can hold.  A derivable
+    cord is therefore derived before the queue runs dry.
 
     *blocks* are the route's metric blocks in the order they grew, each
     (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
@@ -268,9 +275,9 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bo
     at eps on the values known at its turn.  The rows seed the engine: they
     become known and head the derivations.  The derivable set only grows,
     so the fixpoint from the cords plus the seeds is the one from the cords.
-    With *cross_check* the seeds are checked in two parts, which in exact
-    arithmetic raise where the cross-check of each row against every set
-    raises (reconstruct's module docstring):
+    The seeds are checked in two parts, which in exact arithmetic raise
+    where the cross-check of each row against every set raises
+    (reconstruct's module docstring):
     - each cord zs inside a block, known before it grew, z the later placed
       and s no anchor of z, is compared with the value that z's placing
       quartet {z, a, b, s} derives, all blocks in one vectorised pass;
@@ -284,9 +291,13 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bo
       that disagrees every set is, and a clash names that cord.
 
     *quiet* is a bitset of taxa whose known partners, after the seeds, are
-    pairwise known.  A ready set's two taxa off its missing cord xy both
-    know x and y, so neither is quiet, and the known cord between them
-    offers the set: the first arrivals skip every cord with a quiet end.
+    pairwise known, and the queue starts with the known cords that have no
+    quiet end, in index order.  The skip is sound: take a set ready at the
+    start, with xy missing.  Its pivot pair ab has no quiet end, since were
+    a quiet, x and y would share a's block and xy would be known; so ab is
+    queued, and examining it tests the set as one of the first kind.  A set
+    that becomes ready later does so when a derived cord, always queued,
+    completes it.
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -296,11 +307,6 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bo
     value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
     value[i, j] = value[j, i] = given
     known[i, j] = known[j, i] = True
-    first, second = np.triu_indices(n, 1)
-    # Heaps for this pass (keyed ahead of the cursor) and the next, each with
-    # the earliest key it holds per cord: a set keyed after that one would
-    # find its cord already derived, so it is not queued at all.
-    now, later = ([], {}), ([], {})
 
     def quartet(ma, mb, p1, p2):
         """Strict mask, ma-with-p1 flag and value for cords ma-mb."""
@@ -384,43 +390,36 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bo
         zs, ss = np.array([(row[0], row[3]) for row in derivations], dtype=np.intp).T
         vs = np.array([row[4] for row in derivations])
         value[zs, ss] = value[ss, zs] = vs
-        if cross_check:
-            cross_check_blocks(zs, ss, vs)
+        cross_check_blocks(zs, ss, vs)
         known[zs, ss] = known[ss, zs] = True
 
-    def offer(quads, cursor):
-        """Test ready 4-taxon sets (rows) and queue the strict ones."""
-        quads = np.sort(quads, axis=1)
-        gap = np.argmin(known[quads[:, _ROLES[:, 0]], quads[:, _ROLES[:, 1]]], axis=1)
-        ma, mb, p1, p2 = np.take_along_axis(quads, _ROLES[gap], axis=1).T
+    def examine(p, q):
+        """The strict quartets of the three kinds for the known cord pq, as
+        rows (x, y, u, z, value), x < z."""
+        w = np.flatnonzero(known[p] & known[q])
+        if not w.size:
+            return ()
+        kw = known[:, w]  # each taxon's known partners in W
+        u, v = np.nonzero(np.triu(~kw[w], 1))
+        kinds = [(w[u], w[v], np.full(u.size, p), np.full(u.size, q))]
+        for a, b in ((p, q), (q, p)):  # cords at, t in K(b) \ K(a), pivots b and s
+            ends = known[b] & ~known[a]
+            ends[a] = False
+            t, s = np.nonzero(kw & ends[:, None])
+            kinds.append((np.full(t.size, a), t, np.full(t.size, b), w[s]))
+        ma, mb, p1, p2 = map(np.concatenate, zip(*kinds))
+        ma, mb = np.minimum(ma, mb), np.maximum(ma, mb)
         strict, lt, derived = quartet(ma, mb, p1, p2)
-        keys = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
         pa, pb = np.where(lt, p1, p2)[strict], np.where(lt, p2, p1)[strict]
-        for entry in zip(keys[strict].tolist(), ma[strict].tolist(), pa.tolist(), pb.tolist(),
-                         mb[strict].tolist(), derived[strict].tolist()):
-            heap, earliest = now if entry[0] > cursor else later
-            if entry[0] < earliest.get((entry[1], entry[4]), entry[0] + 1):
-                earliest[entry[1], entry[4]] = entry[0]
-                heapq.heappush(heap, entry)
-
-    def arrived(a, b, cursor):
-        """Offer the sets {a, b, x, y} that the new cord ab left one cord short."""
-        gaps = (~known[a]).astype(np.int8) + ~known[b]
-        gaps[[a, b]] = 3
-        sel = np.flatnonzero(gaps[first] + gaps[second] + ~known[first, second] == 1)
-        if sel.size:
-            offer(np.stack(np.broadcast_arrays(a, b, first[sel], second[sel]), axis=1), cursor)
+        return zip(ma[strict].tolist(), pa.tolist(), pb.tolist(), mb[strict].tolist(), derived[strict].tolist())
 
     awake = np.array([not quiet >> t & 1 for t in range(n)], dtype=bool)
-    for a, b in np.argwhere(np.triu(known & awake & awake[:, None], 1)).tolist():  # every ready set holds one
-        arrived(a, b, -1)
-    while now[0] or later[0]:
-        if not now[0]:
-            now, later = later, ([], {})
-        key, x, y, u, z, v = heapq.heappop(now[0])
-        if known[x, z]:
-            continue
-        if cross_check:  # against every set {x, z, q1, q2} deriving xz right now
+    queue = deque(np.argwhere(np.triu(known & awake & awake[:, None], 1)).tolist())
+    while queue:
+        for x, y, u, z, v in examine(*queue.popleft()):
+            if known[x, z]:
+                continue
+            # against every set {x, z, q1, q2} deriving xz right now
             q = np.flatnonzero(known[x] & known[z])
             q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
             strict, _, other = quartet(x, z, q1, q2)
@@ -429,10 +428,10 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bo
                 raise InconsistentDistanceError(
                     f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(v)} and {_shown(other[clash[0]])}"
                 )
-        value[x, z] = value[z, x] = v
-        known[x, z] = known[z, x] = True
-        derivations.append((x, y, u, z, v))
-        arrived(x, z, key)
+            value[x, z] = value[z, x] = v
+            known[x, z] = known[z, x] = True
+            derivations.append((x, y, u, z, v))
+            queue.append((x, z))
     return derivations, known
 
 

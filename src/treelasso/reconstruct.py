@@ -50,30 +50,28 @@ triangle of the known cords and in no block with it starts one, over the
 given cords, and the pairs within a block become known.  The first block
 stops short when there are fewer than 2n-3 cords, which cannot fix the
 2n-3 edge weights, or a taxon does not place.  The blocks' derivations,
-each one the engine's test passed on the engine's values, seed the quartet
-engine (lasso._extend).  The derivable set only grows, so the fixpoint
-from the cords plus the block cords is the fixpoint from the cords: the
-same missing cords, and the engine finishes it.  Float values may differ
-in their last bits from a run of the engine alone.  A complete closure
-goes through NJ; on additive (tree-metric) input NJ recovers the unique
-fully-resolved tree exactly, up to float accumulation.  The engine checks
-the seeds in two parts.  Each cord zs inside a block that was known before
-the block grew (given, or derived by an earlier block), z placed after s
-and s no anchor of z, is compared once, at eps, with the value that z's
-placing quartet {z, a, b, s} derives.  When every such cord of the block
-agrees, each block cord is cross-checked, as the engine checks a
-derivation, against the quartets deriving it at that turn that hold a
-taxon outside the block; a clash raises InconsistentDistanceError.  A
-block with a cord that disagrees is cross-checked against every quartet,
-and a clash there names that cord.  On a first block that spans X, closure
-builds no tree to check, and these checks stand in for it.  The engine's
-first arrivals skip the cords with a quiet end, a taxon whose known
-partners plus itself are exactly one of its blocks: a ready 4-taxon set
-whose missing cord is xy has two other taxa that know x, y and each other,
-and were one of them quiet, x and y would lie in its block and xy would be
-known.  So the cord between those two, both not quiet, arrives and offers
-the set.  The trace lists the block cords in placement order, then the
-engine's derivations.
+each one the engine's test passed on the engine's values, seed the closure
+engine (lasso._extend), which examines each known cord once.  The
+derivable set only grows, so the fixpoint from the cords plus the block
+cords is the fixpoint from the cords: the same missing cords, and the
+engine finishes it.  Float values may differ in their last bits from a run
+of the engine alone.  A complete closure goes through NJ; on additive
+(tree-metric) input NJ recovers the unique fully-resolved tree exactly, up
+to float accumulation.  The engine checks the seeds in two parts.  Each
+cord zs inside a block that was known before the block grew (given, or
+derived by an earlier block), z placed after s and s no anchor of z, is
+compared once, at eps, with the value that z's placing quartet
+{z, a, b, s} derives.  When every such cord of the block agrees, each
+block cord is cross-checked, as the engine checks a derivation, against
+the quartets deriving it at that turn that hold a taxon outside the block;
+a clash raises InconsistentDistanceError.  A block with a cord that
+disagrees is cross-checked against every quartet, and a clash there names
+that cord.  On a first block that spans X, closure builds no tree to
+check, and these checks stand in for it.  The engine does not examine the
+given and block cords with a quiet end, a taxon whose known partners plus
+itself are exactly one of its blocks (lasso._extend says why none is
+missed).  The trace lists the block cords in placement order, then the
+engine's derivations, in the order it examines the cords.
 
 Soundness of the skip.  Take exact arithmetic, eps = 0, and a block B
 whose known cords all agree.  By induction on placement order, every value
@@ -392,13 +390,14 @@ def _leaf_distances(tree: XTree, i: np.ndarray, j: np.ndarray, verify_eps: float
 def closure(d: PartialDistance, eps: float = DEFAULT_EPSILON, exact_rational: bool = False) -> ClosureTrace:
     """Fixpoint of the distance-extension rule, with a step-by-step trace:
     reconstruct's route (the module docstring's Closure paragraph), metric
-    blocks first, their cords in placement order, then the quartet engine's
-    derivations in the order of a lexicographic rescan.  Each passes the
-    rule's test at eps on the values given or derived before it; a cord
-    found derivable as values that differ beyond tolerance raises
-    InconsistentDistanceError.  With exact_rational=True the same route runs
-    on Fractions with eps=0, all exact (for adversarial fixtures); values
-    convert back to float in the result."""
+    blocks first, their cords in placement order, then the closure engine's
+    derivations, cord by cord in the order it examines the known cords
+    (lasso._extend).  Each passes the rule's test at eps on the values
+    given or derived before it; a cord found derivable as values that
+    differ beyond tolerance raises InconsistentDistanceError.  With
+    exact_rational=True the same route runs on Fractions with eps=0, all
+    exact (for adversarial fixtures); values convert back to float in the
+    result."""
     return _close(d, eps, exact_rational, place=False)[0]
 
 

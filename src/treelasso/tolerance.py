@@ -7,7 +7,7 @@ epsilon can be overridden per call; the CLI additionally honours the
 LASSO_EPSILON environment variable.
 
 Reconstruction decides by one margin, eps on the two sums of lasso's
-four_point, which the quartet engine and the metric placer both apply to
+four_point, which the closure engine and the metric placer both apply to
 the same values.  The tree built is then checked against the input at the
 looser, absolute reconstruct.VERIFY_EPSILON: NJ's fitted edge lengths round
 more as n grows, and that check is there to catch values that fit no tree.

@@ -16,14 +16,20 @@ own block replaced, and the oracle's pruning bounds taken along the quartet
 engine's derivations that the oracle's own fixpoint of sure derivations
 replaced, and the closure that ran the quartet engine from the cords
 alone, float or exact, until closure took reconstruct's route through
-metric blocks.  The differential tests compare each pair on seeded sweeps;
-nothing in the library imports this module.
+metric blocks, and that quartet engine itself (heap_extend), which took
+ready 4-taxon sets from a heap in the order of a lexicographic rescan
+until lasso._extend examined each known cord once.  The differential
+tests compare each pair on seeded sweeps; nothing in the library imports
+this module.
 """
 
+import heapq
 import itertools
 import math
 from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -103,7 +109,7 @@ def rescan_closure(d, eps=DEFAULT_EPSILON, exact_rational=False):
 
 def engine_closure(d, eps=DEFAULT_EPSILON, exact_rational=False):
     """closure as it ran before it took reconstruct's route through metric
-    blocks: the quartet engine (lasso._extend) from the cords alone, every
+    blocks: the heap engine (heap_extend) from the cords alone, every
     derivation cross-checked against every set able to derive its cord at
     that moment, in the order of a lexicographic rescan; with
     exact_rational=True on Fractions with eps=0."""
@@ -113,7 +119,7 @@ def engine_closure(d, eps=DEFAULT_EPSILON, exact_rational=False):
     if len(d) == len(taxa) * (len(taxa) - 1) // 2:
         return ClosureTrace((), d)
     values = list(map(Fraction, d._v.tolist())) if exact_rational else None
-    rows, _ = _extend(taxa, d, 0.0 if exact_rational else eps, values=values)
+    rows, _ = heap_extend(taxa, d, 0.0 if exact_rational else eps, values=values)
     return _closure_trace(d, taxa, rows)
 
 
@@ -219,7 +225,7 @@ def counting_is_shellable(tree, cords, rng=None):
 
 
 def engine_is_shellable(tree, cords, rng=None):
-    """The dense closure engine on the tree's unit-hop distances with eps=0,
+    """The heap engine (heap_extend) on the tree's unit-hop distances with eps=0,
     steps in lexicographic-rescan order over the taxa, which *rng*
     permutes.  The cross-check is off: every value is an exact hop count,
     so all derivations of a cord agree."""
@@ -233,7 +239,7 @@ def engine_is_shellable(tree, cords, rng=None):
     if rng is not None:
         rng.shuffle(taxa)
     hops = {c: tree._hops(c.a, c.b) for c in present}
-    rows, known = _extend(taxa, PartialDistance(hops), 0.0, cross_check=False)
+    rows, known = heap_extend(taxa, PartialDistance(hops), 0.0, cross_check=False)
     steps = tuple(ShellingStep(Cord(x, z), (y, u) if x < z else (u, y)) for (x, y, u, z), _ in _named(taxa, rows))
     missing = frozenset(Cord(taxa[i], taxa[j]) for i, j in zip(*np.nonzero(np.triu(~known, 1))))
     return ShellingResult(steps, missing)
@@ -308,17 +314,218 @@ def eager_shelling_steps(tree, blocks, derivations):
     return tuple(steps)
 
 
-#: Largest element count of one intermediate array of full_check_extend.
+#: Largest element count of one intermediate array of full_check_extend and
+#: of heap_extend's seeds' cross-check.
 _CHECK_ELEMENTS = 2**20
 
+#: Row g: positions in a sorted 4-taxon set of the ends of its g-th cord,
+#: then of the other two taxa.
+_ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3, 0, 2], [2, 3, 0, 1]])
 
-def full_check_extend(taxa, cords, eps, cross_check=True, blocks=(), quiet=0, values=None):
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
+def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bool = True,
+                blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0, values: Sequence | None = None):
+    """lasso._extend as it was before it examined each known cord once: the
+    extension rule's fixpoint over *taxa* from the distance map *d* (over
+    some of them), on its floats, or on *values*, its values in cord order
+    as Fractions, with eps=0.  Returns the derivations as rows (x, y, u, z, value) over taxon
+    indices, quartet xy||uz giving cord xz (the form of the blocks' rows
+    below; _named puts labels on them), and the final n x n known-mask over
+    *taxa*.  With *cross_check* each derived value is compared with every set
+    able to derive its cord at that moment, and a clash raises
+    InconsistentDistanceError.
+
+    A 4-taxon set is ready once exactly one of its cords is missing; its five
+    values never change after that, so its four-point test runs once, when
+    it becomes ready.  Strict ready sets wait in a heap keyed by their sorted
+    index 4-tuple; one made ready behind the set that fired waits for the
+    next pass, as in a lexicographic rescan, pass after pass.
+
+    *blocks* are the route's metric blocks in the order they grew, each
+    (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
+    each taxon z it placed after its start cord, in placement order, with
+    z's anchors a, b and its known partners before the block grew; and its
+    derivations, rows (z, x, y, s, v) in order, cord zs of value v by the
+    quartet zx||ys, the rows of one z together.  Each row passed four_point
+    at eps on the values known at its turn.  The rows seed the engine: they
+    become known and head the derivations.  The derivable set only grows,
+    so the fixpoint from the cords plus the seeds is the one from the cords.
+    With *cross_check* the seeds are checked in two parts, which in exact
+    arithmetic raise where the cross-check of each row against every set
+    raises (reconstruct's module docstring):
+    - each cord zs inside a block, known before it grew, z the later placed
+      and s no anchor of z, is compared with the value that z's placing
+      quartet {z, a, b, s} derives, all blocks in one vectorised pass;
+    - each row is cross-checked, as a derivation is, against every set {z,
+      s, q1, q2} with q1, q2 known to both and q1q2 known (for row k, q
+      ranges over z's partners before the block and the s of earlier rows),
+      one z's rows in one vectorised pass in chunks of at most
+      _CHECK_ELEMENTS elements.  In a block whose known cords all agree,
+      only sets with q1 or q2 outside the block are checked, so a z with no
+      known partner outside has nothing to check.  In a block with a cord
+      that disagrees every set is, and a clash names that cord.
+
+    *quiet* is a bitset of taxa whose known partners, after the seeds, are
+    pairwise known.  A ready set's two taxa off its missing cord xy both
+    know x and y, so neither is quiet, and the known cord between them
+    offers the set: the first arrivals skip every cord with a quiet end.
+    """
+    n = len(taxa)
+    index = {t: i for i, t in enumerate(taxa)}
+    at = np.array([index[t] for t in d._taxa], dtype=np.intp)  # d's arrays are over its own sorted taxa
+    i, j = at[d._i], at[d._j]
+    given = d._v if values is None else np.array(values, dtype=object)
+    value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
+    value[i, j] = value[j, i] = given
+    known[i, j] = known[j, i] = True
+    first, second = np.triu_indices(n, 1)
+    # Heaps for this pass (keyed ahead of the cursor) and the next, each with
+    # the earliest key it holds per cord: a set keyed after that one would
+    # find its cord already derived, so it is not queued at all.
+    now, later = ([], {}), ([], {})
+
+    def quartet(ma, mb, p1, p2):
+        """Strict mask, ma-with-p1 flag and value for cords ma-mb."""
+        s1 = value[ma, p1] + value[mb, p2]
+        s2 = value[ma, p2] + value[mb, p1]
+        strict, lt = four_point(s1, s2, eps)
+        return strict, lt, np.where(lt, s2, s1) - value[p1, p2]
+
+    def contradicted():
+        """For each block, the message of its first cord zs known before it
+        grew, z the later placed and s no anchor of z, whose value z's
+        placing quartet {z, a, b, s} contradicts, or None."""
+        quads, owner = [], []
+        for k, (members, anchors, _) in enumerate(blocks):
+            placed = members
+            for z, _, _, _ in anchors:
+                placed ^= 1 << z  # the ends of the start cord
+            for z, a, b, joined in anchors:
+                for s in _bit_indices(joined & placed & ~(1 << a | 1 << b)):
+                    quads.append((z, s, a, b))
+                    owner.append(k)
+                placed |= 1 << z
+        first = [None] * len(blocks)
+        if quads:
+            z, s, a, b = np.array(quads, dtype=np.intp).T
+            had, derived = value[z, s], quartet(z, s, a, b)[2]
+            for q in reversed(np.flatnonzero(~tolerance.approx_equal(had, derived, eps)).tolist()):
+                first[owner[q]] = (
+                    f"{Cord(taxa[z[q]], taxa[s[q]])} derivable as both {_shown(had[q])} and {_shown(derived[q])}"
+                )
+        return first
+
+    def cross_check_seeds(z, s, v, inside):
+        """The message for the first k whose new cord zs[k], of value v[k],
+        derived after the cords z s[:k], fails the cross-check on a set with
+        a taxon off *inside* (a mask), naming the value that set gives; or
+        None."""
+        when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
+        when[s] = np.arange(len(s))
+        cols = np.flatnonzero(when < len(s))
+        out = np.flatnonzero(~inside[cols])  # positions in cols of the partners off it
+        # q1 off it, q2 any other partner; a set with both off it once
+        pairs = known[np.ix_(cols[out], cols)] & (inside[cols] | (out[:, None] < np.arange(cols.size)))
+        step = max(1, _CHECK_ELEMENTS // max(1, out.size * cols.size))
+        for lo in range(0, len(s), step):
+            ks = np.arange(lo, min(lo + step, len(s)))
+            mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
+            r, q1, q2 = np.nonzero(mask[:, out, None] & mask[:, None, :] & pairs)
+            q1, q2 = cols[out[q1]], cols[q2]
+            strict, _, other = quartet(z, s[ks[r]], q1, q2)
+            bad = np.flatnonzero(strict & ~tolerance.approx_equal(v[ks[r]], other, eps))
+            if bad.size:  # the first set in the order (k, lower q, higher q)
+                bad = bad[np.lexsort((np.maximum(q1, q2)[bad], np.minimum(q1, q2)[bad], r[bad]))[0]]
+                k = ks[r[bad]]
+                return f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad])}"
+        return None
+
+    def cross_check_blocks(zs, ss, vs):
+        """Raise InconsistentDistanceError at the first seed row (z, s, v
+        in *zs*, *ss*, *vs*) whose cross-check fails."""
+        done = at = 0  # the rows before *done* are known; z's rows start at *at*
+        for (members, anchors, rows), clash in zip(blocks, contradicted()):
+            # A block that agrees with its known cords is checked only on
+            # sets with a taxon off it; one that does not, on every set.
+            off, inside = (-1, np.zeros(n, dtype=bool)) if clash else (~members, None)
+            partners = {z: joined & off for z, _, _, joined in anchors}
+            for z, batch in itertools.groupby(rows, key=itemgetter(0)):
+                size = sum(1 for _ in batch)
+                if partners[z]:
+                    if inside is None:
+                        inside = np.zeros(n, dtype=bool)
+                        inside[list(_bit_indices(members))] = True
+                    known[zs[done:at], ss[done:at]] = known[ss[done:at], zs[done:at]] = True
+                    done = at
+                    if message := cross_check_seeds(z, ss[at:at + size], vs[at:at + size], inside):
+                        raise InconsistentDistanceError(clash or message)
+                at += size
+
+    derivations = [row for _, _, rows in blocks for row in rows]
+    if derivations:
+        zs, ss = np.array([(row[0], row[3]) for row in derivations], dtype=np.intp).T
+        vs = np.array([row[4] for row in derivations])
+        value[zs, ss] = value[ss, zs] = vs
+        if cross_check:
+            cross_check_blocks(zs, ss, vs)
+        known[zs, ss] = known[ss, zs] = True
+
+    def offer(quads, cursor):
+        """Test ready 4-taxon sets (rows) and queue the strict ones."""
+        quads = np.sort(quads, axis=1)
+        gap = np.argmin(known[quads[:, _ROLES[:, 0]], quads[:, _ROLES[:, 1]]], axis=1)
+        ma, mb, p1, p2 = np.take_along_axis(quads, _ROLES[gap], axis=1).T
+        strict, lt, derived = quartet(ma, mb, p1, p2)
+        keys = ((quads[:, 0] * n + quads[:, 1]) * n + quads[:, 2]) * n + quads[:, 3]
+        pa, pb = np.where(lt, p1, p2)[strict], np.where(lt, p2, p1)[strict]
+        for entry in zip(keys[strict].tolist(), ma[strict].tolist(), pa.tolist(), pb.tolist(),
+                         mb[strict].tolist(), derived[strict].tolist()):
+            heap, earliest = now if entry[0] > cursor else later
+            if entry[0] < earliest.get((entry[1], entry[4]), entry[0] + 1):
+                earliest[entry[1], entry[4]] = entry[0]
+                heapq.heappush(heap, entry)
+
+    def arrived(a, b, cursor):
+        """Offer the sets {a, b, x, y} that the new cord ab left one cord short."""
+        gaps = (~known[a]).astype(np.int8) + ~known[b]
+        gaps[[a, b]] = 3
+        sel = np.flatnonzero(gaps[first] + gaps[second] + ~known[first, second] == 1)
+        if sel.size:
+            offer(np.stack(np.broadcast_arrays(a, b, first[sel], second[sel]), axis=1), cursor)
+
+    awake = np.array([not quiet >> t & 1 for t in range(n)], dtype=bool)
+    for a, b in np.argwhere(np.triu(known & awake & awake[:, None], 1)).tolist():  # every ready set holds one
+        arrived(a, b, -1)
+    while now[0] or later[0]:
+        if not now[0]:
+            now, later = later, ([], {})
+        key, x, y, u, z, v = heapq.heappop(now[0])
+        if known[x, z]:
+            continue
+        if cross_check:  # against every set {x, z, q1, q2} deriving xz right now
+            q = np.flatnonzero(known[x] & known[z])
+            q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
+            strict, _, other = quartet(x, z, q1, q2)
+            clash = np.flatnonzero(strict & ~tolerance.approx_equal(v, other, eps))
+            if clash.size:
+                raise InconsistentDistanceError(
+                    f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(v)} and {_shown(other[clash[0]])}"
+                )
+        value[x, z] = value[z, x] = v
+        known[x, z] = known[z, x] = True
+        derivations.append((x, y, u, z, v))
+        arrived(x, z, key)
+    return derivations, known
+
+
+def full_check_extend(taxa, cords, eps, blocks=(), quiet=0, values=None):
     """lasso._extend as reconstruct's closure path ran it before each block
     was checked against its own block tree: each seed row (z, x, y, s, v),
     in order, cross-checked against every set {z, s, q1, q2} with q1, q2
     known to both and q1q2 known, one z's rows in one vectorised pass (for
     row k, q ranges over z's partners before the rows and the s of earlier
-    rows); then the engine from the cords plus the seeds, whose
+    rows); then lasso._extend from the cords plus the seeds, whose
     derivations follow the seeds.  The signature is _extend's, on float
     values only."""
     assert values is None, "float values only"
@@ -360,14 +567,13 @@ def full_check_extend(taxa, cords, eps, cross_check=True, blocks=(), quiet=0, va
             batch = list(batch)
             s, v = np.array([row[3] for row in batch], dtype=np.intp), np.array([row[4] for row in batch])
             value[z, s] = value[s, z] = v
-            if cross_check:
-                cross_check_seeds(z, s, v)
+            cross_check_seeds(z, s, v)
             known[z, s] = known[s, z] = True
     merged = dict(cords)
     merged.update((Cord(taxa[z], taxa[s]), v) for z, _, _, s, v in seeds)
     ends = np.array([(index[c.a], index[c.b]) for c in merged], dtype=np.intp).reshape(-1, 2)
     merged = PartialDistance._of(taxa, ends.min(axis=1), ends.max(axis=1), np.array(list(merged.values())))
-    derivations, known = _extend(taxa, merged, eps, cross_check, quiet=quiet)
+    derivations, known = _extend(taxa, merged, eps, quiet=quiet)
     return seeds + derivations, known
 
 
@@ -469,14 +675,14 @@ def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
 
 def engine_forbidden_pairings(n, pairs, values, accept):
     """The oracle's forbidden pairings, as treelasso.lasso._forbidden_pairings
-    gives them, with the bounds of derived cords taken from the quartet
-    engine (eps=0, no cross-check): a cord is bounded only when the quartet
+    gives them, with the bounds of derived cords taken from the heap engine
+    (heap_extend, eps=0, no cross-check): a cord is bounded only when the quartet
     the engine derived it by is sure for the bounds of its other five cords
     at that point of the engine's order."""
     taxa = [f"t{i:02d}" for i in range(n)]
     cords = [Cord(taxa[p], taxa[q]) for p, q in pairs]
     bound = {c: (v, accept + _ROUNDING * (v + accept)) for c, v in zip(cords, values)}
-    rows, _ = _extend(taxa, PartialDistance(dict(zip(cords, values))), 0.0, cross_check=False)
+    rows, _ = heap_extend(taxa, PartialDistance(dict(zip(cords, values))), 0.0, cross_check=False)
     for (x, y, u, z), v in _named(taxa, rows):
         xy, uz, xu, yz, yu = (bound.get(Cord(p, q)) for p, q in ((x, y), (u, z), (x, u), (y, z), (y, u)))
         if None not in (xy, uz, xu, yz, yu) and _surely_below((xy, uz), (xu, yz)):

@@ -44,9 +44,9 @@ def both(monkeypatch):
     reference runs that had block seeds."""
     runs = Counter()
 
-    def reference(taxa, cords, eps, cross_check=True, blocks=(), quiet=0, values=None):
+    def reference(taxa, cords, eps, blocks=(), quiet=0, values=None):
         runs["seeded"] += any(rows for _, _, rows in blocks)
-        return full_check_extend(taxa, cords, eps, cross_check, blocks, quiet, values)
+        return full_check_extend(taxa, cords, eps, blocks, quiet, values)
 
     def run(d):
         got = _outcome(d)

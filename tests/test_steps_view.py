@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import treelasso.lasso
-from reference_lasso import eager_closure_trace, eager_shelling_steps, engine_closure
+from reference_lasso import eager_closure_trace, eager_shelling_steps, engine_closure, heap_extend
 from test_engine_reference import _case as engine_case
 from test_hop_closure import _case as shelling_case
 from test_placement import _cases as placement_cases
@@ -32,7 +32,7 @@ from treelasso import (
     triplet_cover,
 )
 from treelasso.cords import _cords_over, _partner_bits
-from treelasso.lasso import _extend, _hop_closure
+from treelasso.lasso import _closure_trace, _extend, _hop_closure
 
 
 def _same_shelling(tree, cords, seed=None):
@@ -201,12 +201,14 @@ def test_the_views_act_as_tuples():
 
 
 def test_extend_rows_name_as_the_trace_does():
-    # _extend returns rows over taxon indices; the trace of the engine run
-    # from the cords alone names them lazily.
+    # _extend returns rows over taxon indices, lower end first, and its
+    # trace names them lazily; the heap engine's rows name as the trace of
+    # engine_closure, the heap engine run from the cords alone.
     tree = random_tree(9, seed=3)
     d = induced_distance(tree, set(triplet_cover(tree, min_order_transversal(tree))))
     taxa = sorted(d.taxa)
     rows, _ = _extend(taxa, d, 1e-9)
-    assert all(len(row) == 5 and row[0] < row[3] for row in rows)
-    steps = engine_closure(d).steps
-    assert [(taxa.index(s.quadruple[0]), taxa.index(s.quadruple[3])) for s in steps] == [(r[0], r[3]) for r in rows]
+    heap_rows, _ = heap_extend(taxa, d, 1e-9)
+    for rows, steps in ((rows, _closure_trace(d, taxa, rows).steps), (heap_rows, engine_closure(d).steps)):
+        assert rows and all(len(row) == 5 and row[0] < row[3] for row in rows)
+        assert [tuple(taxa.index(t) for t in s.quadruple) + (s.value,) for s in steps] == [tuple(r) for r in rows]
