@@ -60,9 +60,10 @@ vertex of the p-q path has one branch off the path, and the components in
 question are these branches; the test reads "r and s hang off different
 vertices of the p-q path".  Read from the other side, a known cord rs
 derives pq exactly when the p-q and r-s paths meet, so each known cord is
-examined once, when it becomes known, as the cord that may complete the
-quartets: with the off-path branches of its own path as bitsets, every cord
-it completes is a few bitset operations away (see _hop_closure).
+examined once, taken from a FIFO queue after it becomes known, as the cord
+that may complete the quartets: with the off-path branches of its own path
+as bitsets, one pass along the path from each end finds every cord it
+completes (see _hop_closure).
 """
 
 from __future__ import annotations
@@ -527,10 +528,11 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     is neither given nor derived earlier, and each known cord that is not
     given has one, so their len is a count of bits.  *rng* (a random.Random)
     permutes the taxon order in which the closure grows its blocks and
-    takes up its pending cords; the steps change with it, the verdict and
-    *missing* do not (the closure is monotone), which the test suite
-    exercises.  The verdict is kept with the tree for a frozenset of cords
-    (see XTree), where edge_weight_lasso_certificate reads it.
+    queues the known cords it examines first; the steps change with it,
+    the verdict and *missing* do not (the closure is monotone), which the
+    test suite exercises.  The verdict is kept with the tree for a
+    frozenset of cords (see XTree), where edge_weight_lasso_certificate
+    reads it.
     """
     if not tree.is_fully_resolved():
         raise TreeError("shellability is defined for fully-resolved trees")
@@ -649,30 +651,42 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
     spans X nothing is left to derive.
 
     Then each known cord pq is examined once, as the cord that completes
-    quartets (see the module docstring).  Let W = K(p) & K(q) and cut the
-    taxa by the off-path branches of the p-q path, numbered from p's end.
-    A quartet with five known cords including pq, whose sixth cord is
-    missing, is of one of three kinds:
+    quartets (see the module docstring), taken from a FIFO queue as _extend
+    takes its cords.  Let W = K(p) & K(q) and cut the taxa by the off-path
+    branches of the p-q path, numbered from p's end.  A quartet with five
+    known cords including pq, whose sixth cord is missing, is of one of
+    three kinds:
     - pivots p and q, missing cord uv with u, v in W: derivable exactly
       when u and v lie in different branches;
     - pivots q and s, missing cord pt with s in W and t in K(q) & K(s):
       derivable exactly when t's branch is not nearer p than s's;
     - pivots p and s, missing cord qt, the same from q's end.
     A missing pair with both ends in a block is impossible, so for pq inside
-    a block only u outside it is tried; t's branch test runs on the union of
-    the K(s) cut to the allowed branches, one OR per s in W.  Each derived
-    cord joins the pending ones, kept as one bitset per taxon (cord pq at
-    the end that comes first in the taxon order), and the closure ends when
-    none is pending.  A cord becomes derivable only when the last of its
-    quartet's five cords becomes known, and that cord is examined after it,
-    so nothing derivable is left.  Cords within a block whose ends have no
-    known partner outside it complete no quartet with a missing cord, and
-    are never pending.
+    a block only u outside it is tried.  An end t of the other two kinds
+    needs a partner in W, so the ends without one are dropped before the
+    branches are climbed.  One pass over the branches from p's end derives
+    the first two kinds, with s the lowest taxon of W & K(t) in t's branch
+    or nearer p; one pass from q's end derives the third, with s the lowest
+    in t's branch or nearer q.  Two facts make this sound:
+    - the branches partition X minus {p, q}, and W excludes p and q, so
+      each s in W lies in one branch, and on W the branches from t's to
+      q's end are the complement of those nearer p;
+    - while pq is examined, K(t) & W does not change for an end t: the
+      first kind pairs taxa inside W, and the other two add only p or q
+      to t's partners.  So the filter holds through both passes, and each
+      cord pt or qt is still missing when the pass reaches its end t.
+
+    The queue starts with every known cord that has an end that is not
+    quiet, each once, in the taxon order, and takes each derived cord; the
+    closure ends when it runs dry.  A cord becomes derivable only when the
+    last of its quartet's five cords becomes known, and that cord is
+    examined afterwards, so nothing derivable is left (_extend's argument).
+    Cords within a block whose ends have no known partner outside it
+    complete no quartet with a missing cord, and are never queued.
     """
     placer = _Placer(tree)
     parent, depth, below, full, leaf = placer.parent, placer.depth, placer.below, placer.full, placer.leaf
-    n = len(given)
-    order = list(range(n))
+    order = list(range(len(given)))
     if rng is not None:
         rng.shuffle(order)
     blocks, derivations = [], []
@@ -683,95 +697,62 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
         return block
 
     known, home, quiet = _block_loop(given, order, grow)
-    if quiet == full:  # nothing is pending
+    if quiet == full:  # nothing is left to examine
         return known, blocks, derivations
-    rank = [0] * n  # position in the taxon order
-    for k, p in enumerate(order):
-        rank[p] = k
-    pending, due = [0] * n, 0  # due: bit rank[p] set while pending[p] is not empty
-
-    def note(u, v):
-        nonlocal due
-        if rank[u] > rank[v]:
-            u, v = v, u
-        pending[u] |= 1 << v
-        due |= 1 << rank[u]
+    queue, seen = deque(), 0  # seen: the taxa whose cords are queued
+    for p in order:
+        seen |= 1 << p
+        queue.extend((p, q) for q in _bit_indices(known[p] & ~seen & ~(quiet if quiet >> p & 1 else 0)))
 
     def derive(u, v, x, y):  # x pairs with u, y with v
         known[u] |= 1 << v
         known[v] |= 1 << u
-        note(u, v)
+        queue.append((u, v))
         derivations.append((u, v, x, y) if u < v else (v, u, y, x))
 
-    for p in order:
-        for q in _bit_indices(known[p] & ~(quiet if quiet >> p & 1 else 0)):
-            if rank[p] < rank[q]:
-                note(p, q)
-
-    while due:
-        k = _lowest(due)
-        p = order[k]
-        batch, pending[p] = pending[p], 0
-        due ^= 1 << k
-        for q in _bit_indices(batch):
-            kp, kq = known[p], known[q]
-            w = kp & kq
-            if not w:
-                continue
-            outside = full ^ next((blk for blk in home[p] if blk >> q & 1), 0)
-            tp, tq, wz = kq & ~kp & ~(1 << p), kp & ~kq & ~(1 << q), w & outside
-            if not (tp or tq or wz):
-                continue
-            # The off-path branches of the p-q path, from p's end: climb from
-            # both leaves to their lowest common ancestor, which has the
-            # rest of the tree as its branch.
-            ca, a, cb, b = leaf[p], parent[leaf[p]], leaf[q], parent[leaf[q]]
-            branches, from_q = [], []
-            while a != b:
-                if depth[a] >= depth[b]:
-                    branches.append(below[a] ^ below[ca])
-                    ca, a = a, parent[a]
-                else:
-                    from_q.append(below[b] ^ below[cb])
-                    cb, b = b, parent[b]
-            branches.append(full ^ below[ca] ^ below[cb])
-            branches.extend(reversed(from_q))
-            # Each u in W, in branch g: an end of the first kind, and as the
-            # pivot s of the other two, the taxa t its branch allows.  Only a
-            # partner of some t can be that pivot.
-            ends, pivots = tp | tq, full
-            if ends.bit_count() < w.bit_count():
-                pivots = 0
-                for t in _bit_indices(ends):
-                    pivots |= known[t]
-            before, reach_p, reach_q = 0, 0, 0  # before: the branches nearer p
-            for g in branches:
-                for u in _bit_indices(w & g & (pivots | outside)):
-                    ku = known[u]
-                    reach_p |= ku & ~before
-                    reach_q |= ku & (before | g)
-                    if outside >> u & 1:
-                        for v in _bit_indices(w & ~g & ~ku):
-                            x, y = (q, p) if before >> v & 1 else (p, q)  # v nearer p: v p || u q
-                            derive(u, v, x, y)
-                before |= g
-            tp &= reach_p
-            tq &= reach_q
-            if not tp | tq:
-                continue
-            before = 0
-            for g in branches:
-                for t in _bit_indices(tp & g):
-                    if not known[p] >> t & 1:
-                        s = _lowest(w & known[t] & (before | g))
-                        x, y = (s, q) if before >> s & 1 else (q, s)  # s nearer p: p s || t q
-                        derive(p, t, x, y)
-                for t in _bit_indices(tq & g):
-                    if not known[q] >> t & 1:
-                        s = _lowest(w & known[t] & ~before)
-                        x, y = (p, s) if g >> s & 1 else (s, p)  # s in t's branch: q p || t s
-                        derive(q, t, x, y)
-                before |= g
+    while queue:
+        p, q = queue.popleft()
+        kp, kq = known[p], known[q]
+        w = kp & kq
+        if not w:
+            continue
+        outside = full ^ next((blk for blk in home[p] if blk >> q & 1), 0)
+        tp = sum(1 << t for t in _bit_indices(kq & ~(kp | 1 << p)) if known[t] & w)
+        tq = sum(1 << t for t in _bit_indices(kp & ~(kq | 1 << q)) if known[t] & w)
+        if not (tp or tq or w & outside):
+            continue
+        # The off-path branches of the p-q path, from p's end: climb from
+        # both leaves to their lowest common ancestor, which has the rest
+        # of the tree as its branch.
+        ca, a, cb, b = leaf[p], parent[leaf[p]], leaf[q], parent[leaf[q]]
+        branches, from_q = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                branches.append(below[a] ^ below[ca])
+                ca, a = a, parent[a]
+            else:
+                from_q.append(below[b] ^ below[cb])
+                cb, b = b, parent[b]
+        branches.append(full ^ below[ca] ^ below[cb])
+        branches.extend(reversed(from_q))
+        before = 0  # the branches nearer p
+        for g in branches:
+            for u in _bit_indices(w & g & outside):
+                for v in _bit_indices(w & ~g & ~known[u]):
+                    x, y = (q, p) if before >> v & 1 else (p, q)  # v nearer p: v p || u q
+                    derive(u, v, x, y)
+            for t in _bit_indices(tp & g):
+                if (s := _lowest(w & known[t] & (before | g))) >= 0:
+                    x, y = (s, q) if before >> s & 1 else (q, s)  # s nearer p: p s || t q
+                    derive(p, t, x, y)
+            before |= g
+        after = 0  # the branches nearer q
+        for g in reversed(branches):
+            for t in _bit_indices(tq & g):
+                if (s := _lowest(w & known[t] & (after | g))) >= 0:
+                    x, y = (p, s) if g >> s & 1 else (s, p)  # s in t's branch: q p || t s
+                    derive(q, t, x, y)
+            after |= g
     return known, blocks, derivations
 
 
@@ -807,6 +788,7 @@ def _block_loop(given: list[int], order: Iterable[int], grow) -> tuple[list[int]
 
 
 def _lowest(bits: int) -> int:
+    """The index of the lowest set bit of *bits*, or -1 when there is none."""
     return (bits & -bits).bit_length() - 1
 
 

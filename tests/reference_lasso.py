@@ -18,7 +18,9 @@ replaced, and the closure that ran the quartet engine from the cords
 alone, float or exact, until closure took reconstruct's route through
 metric blocks, and that quartet engine itself (heap_extend), which took
 ready 4-taxon sets from a heap in the order of a lexicographic rescan
-until lasso._extend examined each known cord once.  The differential
+until lasso._extend examined each known cord once, and the second phase
+of the shelling closure (pending_hop_closure) that kept its pending cords
+as rank-ordered bitsets until a FIFO queue replaced them.  The differential
 tests compare each pair on seeded sweeps; nothing in the library imports
 this module.
 """
@@ -42,10 +44,12 @@ from treelasso.lasso import (
     ShellingResult,
     ShellingStep,
     _back_neighbours,
+    _block_loop,
     _closure_trace,
     _contract_tiny_interior,
     _extend,
     _grow,
+    _lowest,
     _named,
     _peel,
     _Placer,
@@ -312,6 +316,151 @@ def eager_shelling_steps(tree, blocks, derivations):
     steps = [step for block in blocks for step in eager_placement_steps(tree, *block)]
     steps += (ShellingStep(Cord(taxa[u], taxa[v]), (taxa[x], taxa[y])) for u, v, x, y in derivations)
     return tuple(steps)
+
+
+def pending_hop_closure(tree: XTree, given: list[int], rng=None):
+    """lasso._hop_closure as it was before its second phase took the known
+    cords from a FIFO queue: the shelling closure of L, *given* as partner
+    bitsets, on the tree, as (known, blocks, derivations): the final
+    partner bitsets of the known cords, and the material of the steps that derive every derivable cord,
+    which only is_shellable's view turns into ShellingSteps.  Each block is
+    (start, placement, before), *before* mapping each placed taxon to its
+    known partners before the block was grown (see _shelling_steps).
+    Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
+    pivots x, y, the quartet u x || y v.
+
+    Blocks first (_block_loop): for each taxon i in turn, each known cord
+    ij not inside a block and in a triangle of the known cords starts a
+    greedy placement over L (_grow), which need not reach all of X; the
+    pairs within the block it places become known.  With no *rng* the first
+    block starts from the smallest cord in a triangle of L, and when it
+    spans X nothing is left to derive.
+
+    Then each known cord pq is examined once, as the cord that completes
+    quartets (see the module docstring).  Let W = K(p) & K(q) and cut the
+    taxa by the off-path branches of the p-q path, numbered from p's end.
+    A quartet with five known cords including pq, whose sixth cord is
+    missing, is of one of three kinds:
+    - pivots p and q, missing cord uv with u, v in W: derivable exactly
+      when u and v lie in different branches;
+    - pivots q and s, missing cord pt with s in W and t in K(q) & K(s):
+      derivable exactly when t's branch is not nearer p than s's;
+    - pivots p and s, missing cord qt, the same from q's end.
+    A missing pair with both ends in a block is impossible, so for pq inside
+    a block only u outside it is tried; t's branch test runs on the union of
+    the K(s) cut to the allowed branches, one OR per s in W.  Each derived
+    cord joins the pending ones, kept as one bitset per taxon (cord pq at
+    the end that comes first in the taxon order), and the closure ends when
+    none is pending.  A cord becomes derivable only when the last of its
+    quartet's five cords becomes known, and that cord is examined after it,
+    so nothing derivable is left.  Cords within a block whose ends have no
+    known partner outside it complete no quartet with a missing cord, and
+    are never pending.
+    """
+    placer = _Placer(tree)
+    parent, depth, below, full, leaf = placer.parent, placer.depth, placer.below, placer.full, placer.leaf
+    n = len(given)
+    order = list(range(n))
+    if rng is not None:
+        rng.shuffle(order)
+    blocks, derivations = [], []
+
+    def grow(start, known):
+        placed, block = _grow(given, start, placer.place)
+        blocks.append((start, placed, {z: known[z] for z, _, _, _ in placed}))
+        return block
+
+    known, home, quiet = _block_loop(given, order, grow)
+    if quiet == full:  # nothing is pending
+        return known, blocks, derivations
+    rank = [0] * n  # position in the taxon order
+    for k, p in enumerate(order):
+        rank[p] = k
+    pending, due = [0] * n, 0  # due: bit rank[p] set while pending[p] is not empty
+
+    def note(u, v):
+        nonlocal due
+        if rank[u] > rank[v]:
+            u, v = v, u
+        pending[u] |= 1 << v
+        due |= 1 << rank[u]
+
+    def derive(u, v, x, y):  # x pairs with u, y with v
+        known[u] |= 1 << v
+        known[v] |= 1 << u
+        note(u, v)
+        derivations.append((u, v, x, y) if u < v else (v, u, y, x))
+
+    for p in order:
+        for q in _bit_indices(known[p] & ~(quiet if quiet >> p & 1 else 0)):
+            if rank[p] < rank[q]:
+                note(p, q)
+
+    while due:
+        k = _lowest(due)
+        p = order[k]
+        batch, pending[p] = pending[p], 0
+        due ^= 1 << k
+        for q in _bit_indices(batch):
+            kp, kq = known[p], known[q]
+            w = kp & kq
+            if not w:
+                continue
+            outside = full ^ next((blk for blk in home[p] if blk >> q & 1), 0)
+            tp, tq, wz = kq & ~kp & ~(1 << p), kp & ~kq & ~(1 << q), w & outside
+            if not (tp or tq or wz):
+                continue
+            # The off-path branches of the p-q path, from p's end: climb from
+            # both leaves to their lowest common ancestor, which has the
+            # rest of the tree as its branch.
+            ca, a, cb, b = leaf[p], parent[leaf[p]], leaf[q], parent[leaf[q]]
+            branches, from_q = [], []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    branches.append(below[a] ^ below[ca])
+                    ca, a = a, parent[a]
+                else:
+                    from_q.append(below[b] ^ below[cb])
+                    cb, b = b, parent[b]
+            branches.append(full ^ below[ca] ^ below[cb])
+            branches.extend(reversed(from_q))
+            # Each u in W, in branch g: an end of the first kind, and as the
+            # pivot s of the other two, the taxa t its branch allows.  Only a
+            # partner of some t can be that pivot.
+            ends, pivots = tp | tq, full
+            if ends.bit_count() < w.bit_count():
+                pivots = 0
+                for t in _bit_indices(ends):
+                    pivots |= known[t]
+            before, reach_p, reach_q = 0, 0, 0  # before: the branches nearer p
+            for g in branches:
+                for u in _bit_indices(w & g & (pivots | outside)):
+                    ku = known[u]
+                    reach_p |= ku & ~before
+                    reach_q |= ku & (before | g)
+                    if outside >> u & 1:
+                        for v in _bit_indices(w & ~g & ~ku):
+                            x, y = (q, p) if before >> v & 1 else (p, q)  # v nearer p: v p || u q
+                            derive(u, v, x, y)
+                before |= g
+            tp &= reach_p
+            tq &= reach_q
+            if not tp | tq:
+                continue
+            before = 0
+            for g in branches:
+                for t in _bit_indices(tp & g):
+                    if not known[p] >> t & 1:
+                        s = _lowest(w & known[t] & (before | g))
+                        x, y = (s, q) if before >> s & 1 else (q, s)  # s nearer p: p s || t q
+                        derive(p, t, x, y)
+                for t in _bit_indices(tq & g):
+                    if not known[q] >> t & 1:
+                        s = _lowest(w & known[t] & ~before)
+                        x, y = (p, s) if g >> s & 1 else (s, p)  # s in t's branch: q p || t s
+                        derive(q, t, x, y)
+                before |= g
+    return known, blocks, derivations
 
 
 #: Largest element count of one intermediate array of full_check_extend and
