@@ -239,8 +239,8 @@ def _named(taxa: Sequence[str], rows) -> Iterator:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
-def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
-            blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0, values: Sequence | None = None):
+def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue: deque,
+            blocks: Sequence[tuple[int, list, list]] = (), values: Sequence | None = None):
     """The extension rule's fixpoint over *taxa* from the distance map *d*
     (over some of them), on its floats, or on *values*, its values in cord
     order as Fractions, with eps=0; reconstruct._close is the one library
@@ -291,14 +291,8 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
       known partner outside has nothing to check.  In a block with a cord
       that disagrees every set is, and a clash names that cord.
 
-    *quiet* is a bitset of taxa whose known partners, after the seeds, are
-    pairwise known, and the queue starts with the known cords that have no
-    quiet end, in index order.  The skip is sound: take a set ready at the
-    start, with xy missing.  Its pivot pair ab has no quiet end, since were
-    a quiet, x and y would share a's block and xy would be known; so ab is
-    queued, and examining it tests the set as one of the first kind.  A set
-    that becomes ready later does so when a derived cord, always queued,
-    completes it.
+    *queue* holds the known cords to examine first, as _block_loop builds
+    it (which says why no ready set is missed).
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -414,8 +408,6 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
         pa, pb = np.where(lt, p1, p2)[strict], np.where(lt, p2, p1)[strict]
         return zip(ma[strict].tolist(), pa.tolist(), pb.tolist(), mb[strict].tolist(), derived[strict].tolist())
 
-    awake = np.array([not quiet >> t & 1 for t in range(n)], dtype=bool)
-    queue = deque(np.argwhere(np.triu(known & awake & awake[:, None], 1)).tolist())
     while queue:
         for x, y, u, z, v in examine(*queue.popleft()):
             if known[x, z]:
@@ -643,10 +635,10 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
     Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
     pivots x, y, the quartet u x || y v.
 
-    Blocks first (_block_loop): for each taxon i in turn, each known cord
-    ij not inside a block and in a triangle of the known cords starts a
-    greedy placement over L (_grow), which need not reach all of X; the
-    pairs within the block it places become known.  With no *rng* the first
+    Blocks first (_block_loop): each taxon that no block holds yet, in
+    turn, starts a greedy placement over L (_grow) from a known cord in a
+    triangle of the known cords; it need not reach all of X, and the pairs
+    within the block it places become known.  With no *rng* the first
     block starts from the smallest cord in a triangle of L, and when it
     spans X nothing is left to derive.
 
@@ -676,13 +668,11 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
       to t's partners.  So the filter holds through both passes, and each
       cord pt or qt is still missing when the pass reaches its end t.
 
-    The queue starts with every known cord that has an end that is not
-    quiet, each once, in the taxon order, and takes each derived cord; the
-    closure ends when it runs dry.  A cord becomes derivable only when the
-    last of its quartet's five cords becomes known, and that cord is
-    examined afterwards, so nothing derivable is left (_extend's argument).
-    Cords within a block whose ends have no known partner outside it
-    complete no quartet with a missing cord, and are never queued.
+    The queue starts as _block_loop builds it for both closures, and takes
+    each derived cord; the closure ends when it runs dry.  A cord becomes
+    derivable only when the last of its quartet's five cords becomes known,
+    and that cord is examined afterwards, so nothing derivable is left
+    (_extend's argument).
     """
     placer = _Placer(tree)
     parent, depth, below, full, leaf = placer.parent, placer.depth, placer.below, placer.full, placer.leaf
@@ -696,13 +686,7 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
         blocks.append((start, placed, {z: known[z] for z, _, _, _ in placed}))
         return block
 
-    known, home, quiet = _block_loop(given, order, grow)
-    if quiet == full:  # nothing is left to examine
-        return known, blocks, derivations
-    queue, seen = deque(), 0  # seen: the taxa whose cords are queued
-    for p in order:
-        seen |= 1 << p
-        queue.extend((p, q) for q in _bit_indices(known[p] & ~seen & ~(quiet if quiet >> p & 1 else 0)))
+    known, home, queue = _block_loop(given, order, grow)
 
     def derive(u, v, x, y):  # x pairs with u, y with v
         known[u] |= 1 << v
@@ -756,35 +740,49 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
     return known, blocks, derivations
 
 
-def _block_loop(given: list[int], order: Iterable[int], grow) -> tuple[list[int], list[list[int]], int]:
-    """The blocks of a closure over the partner bitsets *given*, as
-    (known, home, quiet): the partner bitsets of the known cords after
-    them, the blocks holding each taxon, and the bitset of the quiet taxa,
-    those whose known partners plus itself are exactly one of their blocks.
-    For each taxon i in *order*, each known cord ij in no block with i and
-    in a triangle of the known cords starts grow((i, j), known), which
-    grows a block from it and returns the bitset of its taxa; the pairs
-    within the block then become known."""
+def _block_loop(given: list[int], order: Sequence[int], grow) -> tuple[list[int], list[list[int]], deque]:
+    """Where both closures start, over the partner bitsets *given*, as
+    (known, home, queue): the partner bitsets of the known cords after the
+    blocks, the blocks holding each taxon, and the known cords to examine
+    first.  Each taxon i in *order* that no block holds yet, with j its
+    lowest known partner that shares a known partner with it, starts
+    grow((i, j), known), which grows a block and returns the bitset of its
+    taxa; the pairs within the block then become known.  In index order the
+    first block starts from the smallest cord in a triangle.  Blocks mark
+    only derivable cords, so which of them grow never moves the fixpoint.
+
+    The queue holds every known cord with no quiet end, each once, in
+    *order*; a taxon is quiet when its known partners plus itself are
+    exactly one of its blocks.  The skip is sound for both closures (_extend
+    on the distances, _hop_closure on the tree's index): a 4-taxon set ready
+    at the start, with xy missing, has a pivot pair ab with no quiet end,
+    since were a quiet, x and y would share a's block and xy would be known;
+    so ab is queued, and examining it tests the set, x and y in K(a) & K(b).
+    A set that becomes ready later does so when a derived cord, always
+    queued, completes it."""
     n = len(given)
     full = (1 << n) - 1
     known = list(given)
     home: list[list[int]] = [[] for _ in range(n)]
-    covered = [0] * n  # the union of each taxon's blocks
+    covered = 0  # the taxa of every block
     for i in order:
-        untried = known[i]
-        while untried := untried & ~covered[i]:
-            j = _lowest(untried)
-            untried ^= 1 << j
-            if known[i] & known[j]:
-                block = grow((i, j), known)
-                if block == full:  # every pair is known, and every taxon quiet
-                    return [full ^ 1 << b for b in range(n)], [[full] for _ in range(n)], full
-                for b in _bit_indices(block):
-                    known[b] |= block ^ 1 << b
-                    covered[b] |= block
-                    home[b].append(block)
+        j = None if covered >> i & 1 else next((j for j in _bit_indices(known[i]) if known[i] & known[j]), None)
+        if j is None:  # i is in a block, or in no triangle
+            continue
+        block = grow((i, j), known)
+        if block == full:  # every pair is known, and every taxon quiet
+            return [full ^ 1 << b for b in range(n)], [[full] for _ in range(n)], deque()
+        covered |= block
+        for b in _bit_indices(block):
+            known[b] |= block ^ 1 << b
+            home[b].append(block)
     quiet = sum(1 << b for b in range(n) if (known[b] | 1 << b) in home[b])
-    return known, home, quiet
+    queue, seen = deque(), quiet  # seen: the quiet taxa and those whose cords are queued
+    for p in order:
+        if not seen >> p & 1:
+            seen |= 1 << p
+            queue.extend((p, q) for q in _bit_indices(known[p] & ~seen))
+    return known, home, queue
 
 
 def _lowest(bits: int) -> int:

@@ -45,8 +45,8 @@ Neighbor-Joining (cheaper there than placing), with the empty trace that
 closure returns for it.  When the first block of an incomplete input spans
 X, reconstruct answers with its tree.  Otherwise, and always for closure,
 the route keeps growing blocks by the loop that grows lasso._hop_closure's
-on T (lasso._block_loop): for each taxon in turn, each known cord in a
-triangle of the known cords and in no block with it starts one, over the
+on T (lasso._block_loop): each taxon in turn that no block holds yet
+starts one from a known cord in a triangle of the known cords, over the
 given cords, and the pairs within a block become known.  The first block
 stops short when there are fewer than 2n-3 cords, which cannot fix the
 2n-3 edge weights, or a taxon does not place.  The blocks' derivations,
@@ -67,11 +67,11 @@ the quartets deriving it at that turn that hold a taxon outside the block;
 a clash raises InconsistentDistanceError.  A block with a cord that
 disagrees is cross-checked against every quartet, and a clash there names
 that cord.  On a first block that spans X, closure builds no tree to
-check, and these checks stand in for it.  The engine does not examine the
-given and block cords with a quiet end, a taxon whose known partners plus
-itself are exactly one of its blocks (lasso._extend says why none is
-missed).  The trace lists the block cords in placement order, then the
-engine's derivations, in the order it examines the cords.
+check, and these checks stand in for it.  The engine starts from the
+loop's queue, which skips the given and block cords with a quiet end
+(lasso._block_loop says why none is missed).  The trace lists the block
+cords in placement order, then the engine's derivations, in the order it
+examines the cords.
 
 Soundness of the skip.  Take exact arithmetic, eps = 0, and a block B
 whose known cords all agree.  By induction on placement order, every value
@@ -431,14 +431,14 @@ def _close(d: PartialDistance, eps: float, exact: bool = False, place: bool = Tr
         grown.append((placer, rows, block))
         return block
 
-    _, _, quiet = _block_loop(partners, range(n), grow)
+    _, _, queue = _block_loop(partners, range(n), grow)
     if place and len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
         placer, rows, _ = grown[0]
         leaf_of = {taxa[i]: v for i, v in placer.leaf_of.items()}
         tree = _parent_tree(placer.parent, list(map(float, placer.weight)), leaf_of)
         return lambda: _closure_trace(d, taxa, rows), tree
     blocks = [(block, placer.anchors, rows) for placer, rows, block in grown]
-    derivations, _ = _extend(taxa, d, eps, blocks=blocks, quiet=quiet, values=given if exact else None)
+    derivations, _ = _extend(taxa, d, eps, queue, blocks, given if exact else None)
     return _closure_trace(d, taxa, derivations), None
 
 

@@ -20,9 +20,11 @@ metric blocks, and that quartet engine itself (heap_extend), which took
 ready 4-taxon sets from a heap in the order of a lexicographic rescan
 until lasso._extend examined each known cord once, and the second phase
 of the shelling closure (pending_hop_closure) that kept its pending cords
-as rank-ordered bitsets until a FIFO queue replaced them.  The differential
-tests compare each pair on seeded sweeps; nothing in the library imports
-this module.
+as rank-ordered bitsets until a FIFO queue replaced them, and the block
+loop (per_cord_block_loop) that started a block from every known cord in
+a triangle and in no block with its first end, until one block per taxon
+that no block holds replaced it.  The differential tests compare each pair
+on seeded sweeps; nothing in the library imports this module.
 """
 
 import heapq
@@ -44,7 +46,6 @@ from treelasso.lasso import (
     ShellingResult,
     ShellingStep,
     _back_neighbours,
-    _block_loop,
     _closure_trace,
     _contract_tiny_interior,
     _extend,
@@ -318,6 +319,39 @@ def eager_shelling_steps(tree, blocks, derivations):
     return tuple(steps)
 
 
+def per_cord_block_loop(given: list[int], order, grow) -> tuple[list[int], list[list[int]], int]:
+    """lasso._block_loop as it was before it grew one block per taxon that
+    no block holds and built the closures' starting queue: the blocks of a
+    closure over the partner bitsets *given*, as (known, home, quiet): the
+    partner bitsets of the known cords after them, the blocks holding each
+    taxon, and the bitset of the quiet taxa, those whose known partners
+    plus itself are exactly one of their blocks.  For each taxon i in
+    *order*, each known cord ij in no block with i and in a triangle of the
+    known cords starts grow((i, j), known), which grows a block from it and
+    returns the bitset of its taxa; the pairs within the block then become
+    known."""
+    n = len(given)
+    full = (1 << n) - 1
+    known = list(given)
+    home: list[list[int]] = [[] for _ in range(n)]
+    covered = [0] * n  # the union of each taxon's blocks
+    for i in order:
+        untried = known[i]
+        while untried := untried & ~covered[i]:
+            j = _lowest(untried)
+            untried ^= 1 << j
+            if known[i] & known[j]:
+                block = grow((i, j), known)
+                if block == full:  # every pair is known, and every taxon quiet
+                    return [full ^ 1 << b for b in range(n)], [[full] for _ in range(n)], full
+                for b in _bit_indices(block):
+                    known[b] |= block ^ 1 << b
+                    covered[b] |= block
+                    home[b].append(block)
+    quiet = sum(1 << b for b in range(n) if (known[b] | 1 << b) in home[b])
+    return known, home, quiet
+
+
 def pending_hop_closure(tree: XTree, given: list[int], rng=None):
     """lasso._hop_closure as it was before its second phase took the known
     cords from a FIFO queue: the shelling closure of L, *given* as partner
@@ -329,12 +363,12 @@ def pending_hop_closure(tree: XTree, given: list[int], rng=None):
     Each derivation is (u, v, x, y) in taxon indices, u < v: cord uv with
     pivots x, y, the quartet u x || y v.
 
-    Blocks first (_block_loop): for each taxon i in turn, each known cord
-    ij not inside a block and in a triangle of the known cords starts a
-    greedy placement over L (_grow), which need not reach all of X; the
-    pairs within the block it places become known.  With no *rng* the first
-    block starts from the smallest cord in a triangle of L, and when it
-    spans X nothing is left to derive.
+    Blocks first (per_cord_block_loop): for each taxon i in turn, each
+    known cord ij not inside a block and in a triangle of the known cords
+    starts a greedy placement over L (_grow), which need not reach all of
+    X; the pairs within the block it places become known.  With no *rng*
+    the first block starts from the smallest cord in a triangle of L, and
+    when it spans X nothing is left to derive.
 
     Then each known cord pq is examined once, as the cord that completes
     quartets (see the module docstring).  Let W = K(p) & K(q) and cut the
@@ -370,7 +404,7 @@ def pending_hop_closure(tree: XTree, given: list[int], rng=None):
         blocks.append((start, placed, {z: known[z] for z, _, _, _ in placed}))
         return block
 
-    known, home, quiet = _block_loop(given, order, grow)
+    known, home, quiet = per_cord_block_loop(given, order, grow)
     if quiet == full:  # nothing is pending
         return known, blocks, derivations
     rank = [0] * n  # position in the taxon order
@@ -473,8 +507,9 @@ _ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
-def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check: bool = True,
-                blocks: Sequence[tuple[int, list, list]] = (), quiet: int = 0, values: Sequence | None = None):
+def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue=None,
+                blocks: Sequence[tuple[int, list, list]] = (), values: Sequence | None = None,
+                cross_check: bool = True):
     """lasso._extend as it was before it examined each known cord once: the
     extension rule's fixpoint over *taxa* from the distance map *d* (over
     some of them), on its floats, or on *values*, its values in cord order
@@ -515,10 +550,12 @@ def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check
       known partner outside has nothing to check.  In a block with a cord
       that disagrees every set is, and a clash names that cord.
 
-    *quiet* is a bitset of taxa whose known partners, after the seeds, are
-    pairwise known.  A ready set's two taxa off its missing cord xy both
-    know x and y, so neither is quiet, and the known cord between them
-    offers the set: the first arrivals skip every cord with a quiet end.
+    *queue* holds the known cords that arrive first, as lasso._block_loop
+    builds it, or None for every known cord.  A ready set's two taxa off
+    its missing cord xy both know x and y, so neither is quiet, and the
+    known cord between them offers the set: the first arrivals may skip
+    every cord with a quiet end.  The signature is lasso._extend's, plus
+    *cross_check*.
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -643,8 +680,9 @@ def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check
         if sel.size:
             offer(np.stack(np.broadcast_arrays(a, b, first[sel], second[sel]), axis=1), cursor)
 
-    awake = np.array([not quiet >> t & 1 for t in range(n)], dtype=bool)
-    for a, b in np.argwhere(np.triu(known & awake & awake[:, None], 1)).tolist():  # every ready set holds one
+    if queue is None:
+        queue = np.argwhere(np.triu(known, 1)).tolist()
+    for a, b in queue:  # every ready set holds one
         arrived(a, b, -1)
     while now[0] or later[0]:
         if not now[0]:
@@ -668,7 +706,7 @@ def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, cross_check
     return derivations, known
 
 
-def full_check_extend(taxa, cords, eps, blocks=(), quiet=0, values=None):
+def full_check_extend(taxa, cords, eps, queue, blocks=(), values=None):
     """lasso._extend as reconstruct's closure path ran it before each block
     was checked against its own block tree: each seed row (z, x, y, s, v),
     in order, cross-checked against every set {z, s, q1, q2} with q1, q2
@@ -722,7 +760,7 @@ def full_check_extend(taxa, cords, eps, blocks=(), quiet=0, values=None):
     merged.update((Cord(taxa[z], taxa[s]), v) for z, _, _, s, v in seeds)
     ends = np.array([(index[c.a], index[c.b]) for c in merged], dtype=np.intp).reshape(-1, 2)
     merged = PartialDistance._of(taxa, ends.min(axis=1), ends.max(axis=1), np.array(list(merged.values())))
-    derivations, known = _extend(taxa, merged, eps, quiet=quiet)
+    derivations, known = _extend(taxa, merged, eps, queue)
     return seeds + derivations, known
 
 

@@ -44,9 +44,9 @@ def both(monkeypatch):
     reference runs that had block seeds."""
     runs = Counter()
 
-    def reference(taxa, cords, eps, blocks=(), quiet=0, values=None):
+    def reference(taxa, cords, eps, queue, blocks=(), values=None):
         runs["seeded"] += any(rows for _, _, rows in blocks)
-        return full_check_extend(taxa, cords, eps, blocks, quiet, values)
+        return full_check_extend(taxa, cords, eps, queue, blocks, values)
 
     def run(d):
         got = _outcome(d)
@@ -109,16 +109,16 @@ def test_a_corrupt_known_cord_inside_a_block_is_named(both):
     assert expected[0] == 3  # the full cross-check names a cord the block derives from ef
 
 
-#: Three overlapping blocks, each consistent on its own: {t01, t03, t06},
-#: {t01, t02, t04, t06} deriving t01-t02, and {t02, t03, t04, t05}
-#: deriving t03-t04 from t02-t04, which is raised by 1.  Only a quartet
-#: with t01 or t06, outside the last block, sees the clash.
+#: Two overlapping blocks, each consistent on its own: {t01, t04, t05,
+#: t06} deriving t05-t06, and {t02, t03, t04, t05} deriving t03-t04 from
+#: t04-t05, which is raised by 1.  Only a quartet with t01 or t06, outside
+#: the second block, sees the clash.
 OVERLAP = parse_newick("(t01:3,t02:2,((t03:3,t04:1):2,(t05:3,t06:3):3):2);")
-OVERLAP_CORDS = ("01-03", "01-04", "01-06", "02-03", "02-04", "02-05", "02-06", "03-05", "03-06", "04-05", "04-06")
+OVERLAP_CORDS = ("01-04", "01-05", "01-06", "02-03", "02-04", "02-05", "03-05", "03-06", "04-05", "04-06")
 
 
 def test_a_clash_between_overlapping_blocks_is_raised(both):
     d = dict(induced_distance(OVERLAP, {Cord(*(f"t{x}" for x in c.split("-"))) for c in OVERLAP_CORDS}))
-    d[Cord("t02", "t04")] += 1.0
+    d[Cord("t04", "t05")] += 1.0
     got, expected = both(PartialDistance(d))
     assert got == expected == (3, "t03-t04 derivable as both 9.0 and 8.0")
