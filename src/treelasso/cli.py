@@ -18,6 +18,7 @@ import time
 
 from .cords import (
     CordFormatError,
+    _content_lines,
     all_cords,
     cord_taxa,
     format_cord_distances,
@@ -182,10 +183,7 @@ def _parse_assignment(text: str, tree, order):
     """Transversal file: per line 'taxon1,taxon2,...<TAB>image-taxon'.
     Clusters not listed fall back to the min rule under *order*."""
     f = min_order_transversal(tree, order)  # its keys are the clusters of the tree
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         fields = line.split("\t")
         if len(fields) != 2:
             raise CordFormatError("expected 'taxa,...<TAB>image'", lineno)

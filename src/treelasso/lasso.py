@@ -33,7 +33,7 @@ X that starts with a cord of L and gives each later taxon z two earlier
 neighbours a, b in L, and let S be the taxa before z.  z places when it
 hangs off the a-b path of T restricted to S+{z}: when the component of T-m
 holding z, m the median of a, b and z, holds no taxon of S.  On the tree's
-rooted index that is a lowest-common-ancestor walk for m and one AND of
+rooted index that is the index's lca climb for m and one AND of
 that component's leaf bitset with the bitset of S.  If every z places, L is
 shellable.  By induction all cords within S are available, and for s in S
 other than a, b, s lies in the component of T-m holding a or the one
@@ -64,6 +64,11 @@ examined once, taken from a FIFO queue after it becomes known, as the cord
 that may complete the quartets: with the off-path branches of its own path
 as bitsets, one pass along the path from each end finds every cord it
 completes (see _hop_closure).
+
+The rank certificate's path-incidence matrix and the oracle's LPs read the
+edges on each cord's path from edge sides (_path_rows): the tree's, or each
+candidate topology's as _topologies grows it, so no path is walked, and the
+oracle builds no XTree but its witness.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .cords import Cord, PartialDistance, _bind, _bit_indices, _Bound, _cords_over, _partner_bits, all_cords, cord_taxa, induced_distance
+from .cover import is_cover
 from .tolerance import DEFAULT_EPSILON, approx_equal, margin
 from .tree import TreeError, XTree
 
@@ -563,22 +569,14 @@ class _Placer:
     """Placement on the tree's rooted index, taxa as bit positions as in its
     leaf bitsets.  A placement lists, for each taxon z after the first two,
     (z, a, b, a_side): z's two earlier neighbours a and b, and the leaf
-    bitset of the component of T-m holding a, m the median of a, b and z."""
+    bitset of the component of T-m holding a, m the median of a, b and z,
+    the deepest of the three lowest common ancestors (the index's lca)."""
 
     def __init__(self, tree: XTree):
         index = tree._index
         self.parent, self.depth, self.below, self.full = index.parent, index.depth, index.below, index.full
+        self.lca = index.lca
         self.leaf = [tree._leaf_by_label[t] for t in index.taxa]  # below[leaf[i]] == 1 << i
-
-    def lca(self, u, v):
-        parent, depth = self.parent, self.depth
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
-        while u != v:
-            u, v = parent[u], parent[v]
-        return u
 
     def side(self, m, x):
         """Leaf bitset of the component of T-m holding x."""
@@ -1072,15 +1070,22 @@ def _bareiss_rank(m: list[list[int]]) -> int:
 
 def path_incidence_matrix(tree: XTree, cords: Iterable[Cord]) -> list[list[int]]:
     """0/1 matrix: one row per cord (sorted), one column per edge (sorted),
-    1 where the edge lies on the cord's leaf path."""
-    edge_index = {(u, v): i for i, (u, v, _) in enumerate(tree.edges())}
-    rows = []
-    for c in sorted(_cords_over(cords, tree)):
-        row = [0] * len(edge_index)
-        for e in tree.path_edges(c.a, c.b):
-            row[edge_index[e]] = 1
-        rows.append(row)
-    return rows
+    1 where the edge lies on the cord's leaf path; read from the tree's side
+    bitsets by _path_rows, with no path walked."""
+    bit = {t: i for i, t in enumerate(tree._index.taxa)}
+    cords = sorted(_cords_over(cords, tree))
+    sides = [tree._side_bits[u, v] for u, v, _ in tree._edges]
+    return _path_rows(sides, len(bit), [bit[c.a] for c in cords], [bit[c.b] for c in cords]).tolist()
+
+
+def _path_rows(sides: Sequence[int], n: int, a: list[int], b: list[int]) -> np.ndarray:
+    """The 0/1 path-incidence rows of taxon pairs a[k], b[k] over n taxa, a
+    column per edge side (a leaf bitset): an edge is on the a-b path exactly
+    when its side holds exactly one of a and b."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in sides), np.uint8).reshape(-1, width)
+    held = np.unpackbits(packed, axis=1, count=n, bitorder="little").T.copy()  # taxa x edges
+    return held[a] ^ held[b]
 
 
 def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
@@ -1106,10 +1111,16 @@ def edge_weight_lasso_certificate(tree: XTree, cords: Iterable[Cord]) -> bool:
 
 def _full_rank(tree: XTree, cords: Collection[Cord]) -> bool:
     """The certificate past its shelling shortcut: whether the path-incidence
-    matrix has full column rank, with no elimination when L has fewer cords
-    than T has edges."""
+    matrix M has full column rank, with no matrix built when L has fewer
+    cords than T has edges or is no cover.  A non-cover has an interior
+    vertex v with sides A and B that no cord joins.  Put +1 on v's edges
+    into A and into B, and -1 on its third edge: a cord's path through v
+    takes the third edge and one other, any other path none of v's edges,
+    so this w is nonzero and M w = 0."""
     n_edges = len(tree._edges)
-    return len(cords) >= n_edges and integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
+    if len(cords) < n_edges or not is_cover(tree, cords):
+        return False
+    return integer_matrix_rank(path_incidence_matrix(tree, cords)) == n_edges
 
 
 # ---------------------------------------------------------------------------
@@ -1279,8 +1290,9 @@ def topological_lasso_oracle(
     LP.  A dropped candidate could not have passed the residual check and
     the survivors keep their order, so the witness is the one the
     exhaustive search returns.  A candidate with the input tree's splits
-    is skipped on its leaf bitsets; only a candidate that reaches the LP
-    is built as an XTree.  Legal weights whose cord distances pass the
+    is skipped on its leaf bitsets, and each LP's matrix is read from the
+    candidate's edge sides (_path_rows): only the witness is built as an
+    XTree.  Legal weights whose cord distances pass the
     float range raise TreeError.
     """
     from scipy.optimize import linprog
@@ -1309,23 +1321,16 @@ def topological_lasso_oracle(
     full = (1 << len(taxa)) - 1
     own_splits = {bits for bits in tree._side_bits.values() if not bits & 1}
 
+    ends = [index[c.a] for c in cords], [index[c.b] for c in cords]
     for bare, sides, leaf_of in _topologies(taxa, forbidden):
         if {bits ^ full if bits & 1 else bits for bits in sides} == own_splits:
             continue
-        candidate = XTree([(u, v, 1.0) for u, v in bare], leaf_of)
-        edges = candidate.edges()
-        a_mat = np.array(
-            [
-                [1 if e in path else 0 for e in ((u, v) for u, v, _ in edges)]
-                for path in (set(candidate.path_edges(c.a, c.b)) for c in cords)
-            ],
-            dtype=float,
-        )
+        # The LP's columns in the order XTree.edges() would give them.
+        edges, sides = zip(*sorted(((min(e), max(e)), bits) for e, bits in zip(bare, sides)))
+        a_mat = _path_rows(sides, len(taxa), *ends).astype(float)
         # Minimising the interior weight makes degenerate fits land exactly
         # on the boundary, so the contraction below is decisive.
-        interior = np.array(
-            [0.0 if candidate.is_leaf(u) or candidate.is_leaf(v) else 1.0 for u, v, _ in edges]
-        )
+        interior = np.array([0.0 if u in leaf_of or v in leaf_of else 1.0 for u, v in edges])
         res = linprog(
             c=interior,
             A_ub=np.vstack([a_mat, -a_mat]),
@@ -1338,13 +1343,14 @@ def topological_lasso_oracle(
         weights = np.maximum(res.x, 0.0)
         if np.max(np.abs(a_mat @ weights - b)) > accept:
             continue
-        return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
+        return _contract_tiny_interior(edges, leaf_of, weights, 10 * fit_tol)
     return None
 
 
-def _contract_tiny_interior(candidate: XTree, weights, tol: float) -> XTree:
-    """Rebuild the fitted tree, contracting interior edges of ~zero weight."""
-    edges = candidate.edges()
+def _contract_tiny_interior(edges, leaf_of: Mapping[int, str], weights, tol: float) -> XTree:
+    """The fitted tree on the sorted *edges* (u < v), each with its weight,
+    and the taxa of the leaves in *leaf_of*, with interior edges of ~zero
+    weight contracted."""
     parent: dict[int, int] = {}
 
     def find(v: int) -> int:
@@ -1352,17 +1358,11 @@ def _contract_tiny_interior(candidate: XTree, weights, tol: float) -> XTree:
             v = parent[v]
         return v
 
-    for (u, v, _), w in zip(edges, weights):
-        interior = not candidate.is_leaf(u) and not candidate.is_leaf(v)
-        if interior and w <= tol:
+    for (u, v), w in zip(edges, weights):
+        if u not in leaf_of and v not in leaf_of and w <= tol:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
 
-    merged = []
-    for (u, v, _), w in zip(edges, weights):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            merged.append((ru, rv, float(w)))
-    labels = {find(candidate.leaf_vertex(t)): t for t in candidate.taxa}
-    return XTree(merged, labels)
+    merged = [(find(u), find(v), float(w)) for (u, v), w in zip(edges, weights) if find(u) != find(v)]
+    return XTree(merged, {find(v): t for v, t in leaf_of.items()})

@@ -344,31 +344,22 @@ def _leaf_distances(tree: XTree, i: np.ndarray, j: np.ndarray, verify_eps: float
     |distance - value| may lie from the exact check's float, (depth + 3) *
     4u * (M + verify_eps), M the largest up and u = 2^-53.
 
-    The weights of reconstruct's trees are >= 0, so up never falls going
-    down the tree.  In preorder, the lowest common ancestor of two leaves
-    is the shallowest of those of the consecutive leaves between them, and
-    that of consecutive leaves is the parent of the vertex visited after
-    the first.  So up of a pair's lowest common ancestor is the least up
-    over the gaps between them, read off a sparse table of range minima."""
+    The index's order is a preorder.  In it, the lowest common ancestor of
+    two leaves is the shallowest of those of the consecutive leaves between
+    them, and that of the leaf at order[k] and the next leaf is the gap
+    vertex parent[order[k + 1]].  The weights of reconstruct's trees are
+    >= 0, so up never falls going down the tree, and up of a pair's lowest
+    common ancestor is the least up over the gaps between them, read off a
+    sparse table of range minima."""
     index, adj, leaf = tree._index, tree._adj, tree._label_by_leaf
     parent, order = index.parent, index.order
     up = {order[0]: 0.0}
     for v in order[1:]:
         up[v] = up[parent[v]] + adj[v][parent[v]]
-    position = {}  # taxon -> preorder position among the leaves
-    ups, gaps = [], []  # up of each leaf, and of the ancestor of each consecutive pair
-    after_leaf = False
-    stack = [order[0]]
-    while stack:
-        v = stack.pop()
-        if after_leaf:
-            gaps.append(up[parent[v]])
-            after_leaf = False
-        if v in leaf:
-            position[leaf[v]] = len(ups)
-            ups.append(up[v])
-            after_leaf = True
-        stack += [c for c in adj[v] if c != parent[v]]
+    leaves = [k for k, v in enumerate(order) if v in leaf]  # the last vertex of a preorder is a leaf
+    position = {leaf[order[k]]: p for p, k in enumerate(leaves)}  # taxon -> position among the leaves
+    ups = [up[order[k]] for k in leaves]
+    gaps = [up[parent[order[k + 1]]] for k in leaves[:-1]]
     at = np.array([position[t] for t in index.taxa], dtype=np.intp)
     p, q = at[i], at[j]
     p, q = np.minimum(p, q), np.maximum(p, q)

@@ -21,14 +21,15 @@ Conventions
 
 Rooted index
 ------------
-Path, side and hop queries read one index per tree, built by the walk with
-which the constructor checks that the edges form a single tree: the tree
-rooted next to its smallest taxon, with each vertex's parent, hop depth and
-the bitset (a Python int, bit i for the i-th sorted taxon) of the leaves at
-or below it.  A leaf path climbs parent pointers to the lowest common
-ancestor; the hop distance is depth[x] + depth[y] - 2 * depth[lca].  The side
-of edge {u, v} where v is u's parent is ``below[u]``, the other side its
-complement.  ``distance`` takes ``math.fsum`` of the path's edge weights.
+Path, side and hop queries read one index per tree, built by the depth-first
+walk with which the constructor checks that the edges form a single tree:
+the tree rooted next to its smallest taxon, its vertices in preorder, with
+each vertex's parent, hop depth and the bitset (a Python int, bit i for the
+i-th sorted taxon) of the leaves at or below it.  ``lca`` climbs parent
+pointers; the hop distance is depth[x] + depth[y] - 2 * depth[lca], and
+``distance`` takes ``math.fsum`` of the weights from both ends up to it.
+The side of edge {u, v} where v is u's parent is ``below[u]``, the other
+its complement; an edge is on a leaf path exactly when its side holds one end.
 
 Distances in bulk (``_pair_distances``, behind ``full_distance``,
 ``induced_distance`` and reconstruct's check) take no path walk per pair.
@@ -129,7 +130,7 @@ def _fsum_or_inf(terms: list[float]) -> float:
 
 
 class _RootedIndex(NamedTuple):
-    """An XTree rooted at ``order[0]``; *order* lists parents before children."""
+    """An XTree rooted at ``order[0]``; *order* is a preorder (each subtree a run)."""
 
     order: list[int]
     parent: dict[int, int | None]
@@ -140,6 +141,17 @@ class _RootedIndex(NamedTuple):
 
     def members(self, bits: int) -> frozenset[str]:
         return frozenset(itertools.compress(self.taxa, _bit_selectors(bits)))
+
+    def lca(self, u: int, v: int) -> int:
+        """The lowest common ancestor of vertices u and v."""
+        parent, depth = self.parent, self.depth
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return u
 
 
 class XTree:
@@ -331,13 +343,14 @@ class XTree:
         (root,) = self._adj[self._leaf_by_label[taxa[0]]]
         parent: dict[int, int | None] = {root: None}
         depth = {root: 0}
-        order = [root]
-        for v in order:  # breadth first: the list grows while it is read
+        order, stack = [], [root]
+        while stack:  # preorder: a popped vertex's subtree is popped whole next
+            order.append(v := stack.pop())
             for nb in self._adj[v]:
                 if nb not in parent:
                     parent[nb] = v
                     depth[nb] = depth[v] + 1
-                    order.append(nb)
+                    stack.append(nb)
         if len(order) != len(self._adj):
             raise TreeError("edges do not form a single tree")
         below = dict.fromkeys(order, 0)
@@ -348,15 +361,11 @@ class XTree:
         return _RootedIndex(order, parent, depth, below, taxa, below[root])
 
     def _path(self, src: int, dst: int) -> list[int]:
-        parent, depth = self._index.parent, self._index.depth
+        parent, top = self._index.parent, self._index.lca(src, dst)
         up, down = [src], [dst]
-        while depth[up[-1]] > depth[down[-1]]:
-            up.append(parent[up[-1]])
-        while depth[down[-1]] > depth[up[-1]]:
-            down.append(parent[down[-1]])
-        while up[-1] != down[-1]:
-            up.append(parent[up[-1]])
-            down.append(parent[down[-1]])
+        for trail in up, down:
+            while trail[-1] != top:
+                trail.append(parent[trail[-1]])
         return up + down[-2::-1]
 
     def path_edges(self, x: str, y: str) -> list[tuple[int, int]]:
@@ -377,11 +386,11 @@ class XTree:
         return dist
 
     def _hops(self, x: str, y: str) -> int:
-        # Unit (edge-count) leaf distance, depth[x] + depth[y] - 2 * depth[lca]
-        # as the length of the climb through the lowest common ancestor; an
-        # exact integer, so quartet topology tests are free of float
+        # Unit (edge-count) leaf distance, depth[x] + depth[y] - 2 * depth[lca];
+        # an exact integer, so quartet topology tests are free of float
         # comparisons.
-        return len(self._path(self.leaf_vertex(x), self.leaf_vertex(y))) - 1
+        index, u, v = self._index, self.leaf_vertex(x), self.leaf_vertex(y)
+        return index.depth[u] + index.depth[v] - 2 * index.depth[index.lca(u, v)]
 
     # -- structural queries ----------------------------------------------
 

@@ -23,8 +23,11 @@ of the shelling closure (pending_hop_closure) that kept its pending cords
 as rank-ordered bitsets until a FIFO queue replaced them, and the block
 loop (per_cord_block_loop) that started a block from every known cord in
 a triangle and in no block with its first end, until one block per taxon
-that no block holds replaced it.  The differential tests compare each pair
-on seeded sweeps; nothing in the library imports this module.
+that no block holds replaced it, and the path-incidence matrix with one
+path walk per cord and the contraction of a candidate built as an XTree,
+until both read edge sides (the exhaustive oracle contracts its witnesses
+so).  The differential tests compare each pair on seeded sweeps; nothing
+in the library imports this module.
 """
 
 import heapq
@@ -38,7 +41,7 @@ from operator import itemgetter
 import numpy as np
 
 from treelasso import Cord, InconsistentDistanceError, PartialDistance, XTree, all_cords, tolerance
-from treelasso.cords import _bit_indices, _partner_bits, cord_taxa
+from treelasso.cords import _bit_indices, _cords_over, _partner_bits, cord_taxa
 from treelasso.lasso import (
     MAX_ORACLE_TAXA,
     ClosureStep,
@@ -47,7 +50,6 @@ from treelasso.lasso import (
     ShellingStep,
     _back_neighbours,
     _closure_trace,
-    _contract_tiny_interior,
     _extend,
     _grow,
     _lowest,
@@ -858,6 +860,45 @@ def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
             continue
         return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
     return None
+
+
+def path_incidence_matrix(tree: XTree, cords) -> list[list[int]]:
+    """0/1 matrix: one row per cord (sorted), one column per edge (sorted),
+    1 where the edge lies on the cord's leaf path."""
+    edge_index = {(u, v): i for i, (u, v, _) in enumerate(tree.edges())}
+    rows = []
+    for c in sorted(_cords_over(cords, tree)):
+        row = [0] * len(edge_index)
+        for e in tree.path_edges(c.a, c.b):
+            row[edge_index[e]] = 1
+        rows.append(row)
+    return rows
+
+
+def _contract_tiny_interior(candidate: XTree, weights, tol: float) -> XTree:
+    """Rebuild the fitted tree, contracting interior edges of ~zero weight."""
+    edges = candidate.edges()
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while v in parent:
+            v = parent[v]
+        return v
+
+    for (u, v, _), w in zip(edges, weights):
+        interior = not candidate.is_leaf(u) and not candidate.is_leaf(v)
+        if interior and w <= tol:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[max(ru, rv)] = min(ru, rv)
+
+    merged = []
+    for (u, v, _), w in zip(edges, weights):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            merged.append((ru, rv, float(w)))
+    labels = {find(candidate.leaf_vertex(t)): t for t in candidate.taxa}
+    return XTree(merged, labels)
 
 
 def engine_forbidden_pairings(n, pairs, values, accept):

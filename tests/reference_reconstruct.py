@@ -1,10 +1,14 @@
 """Test-only reference: the closure -> Neighbor-Joining -> verify pipeline
 that answered every reconstruct before incomplete inputs were placed taxon
 by taxon, and the Neighbor-Joining that filled its matrix one Cord at a
-time and shrank it with np.delete.  The differential tests compare
-reconstruct and neighbor_joining with them on seeded sweeps; nothing in the
-library imports this module.
+time and shrank it with np.delete, and the float leaf distances of the
+check with their own preorder stack walk, from before the rooted index was
+a preorder.  The differential tests compare reconstruct, neighbor_joining
+and _leaf_distances with them on seeded sweeps; nothing in the library
+imports this module.
 """
+
+import math
 
 import numpy as np
 
@@ -97,3 +101,43 @@ def closure_nj_reconstruct(d, eps=DEFAULT_EPSILON, exact_rational=False, verify_
                 f"reconstructed tree gives {reproduced} for {cord}, input says {d[cord]}"
             )
     return Reconstruction(tree, trace, frozenset())
+
+
+def stack_leaf_distances(tree: XTree, i: np.ndarray, j: np.ndarray, verify_eps: float) -> tuple[np.ndarray, float]:
+    """reconstruct._leaf_distances with the leaves and gaps read by a
+    preorder stack walk of its own."""
+    index, adj, leaf = tree._index, tree._adj, tree._label_by_leaf
+    parent, order = index.parent, index.order
+    up = {order[0]: 0.0}
+    for v in order[1:]:
+        up[v] = up[parent[v]] + adj[v][parent[v]]
+    position = {}  # taxon -> preorder position among the leaves
+    ups, gaps = [], []  # up of each leaf, and of the ancestor of each consecutive pair
+    after_leaf = False
+    stack = [order[0]]
+    while stack:
+        v = stack.pop()
+        if after_leaf:
+            gaps.append(up[parent[v]])
+            after_leaf = False
+        if v in leaf:
+            position[leaf[v]] = len(ups)
+            ups.append(up[v])
+            after_leaf = True
+        stack += [c for c in adj[v] if c != parent[v]]
+    at = np.array([position[t] for t in index.taxa], dtype=np.intp)
+    p, q = at[i], at[j]
+    p, q = np.minimum(p, q), np.maximum(p, q)
+    # table[k][x]: the least of gaps[x : x + 2^k], padded with inf
+    table = [np.array(gaps + [math.inf])]
+    while 2 ** len(table) < len(ups):
+        last, step = table[-1], 2 ** (len(table) - 1)
+        table.append(np.minimum(last, np.concatenate([last[step:], np.full(step, math.inf)])))
+    span = np.frexp(np.maximum(q - p, 1))[1] - 1  # floor(log2(q - p))
+    stacked = np.stack(table)
+    lowest = np.minimum(stacked[span, p], stacked[span, q - 2 ** span])
+    ups = np.array(ups)
+    got = ups[p] + ups[q] - 2 * lowest
+    depth = max(index.depth.values())
+    delta = (depth + 3) * 4 * 2.0**-53 * (float(ups.max()) + verify_eps)
+    return got, delta

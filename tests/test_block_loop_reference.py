@@ -10,6 +10,7 @@ drop, 2d and dense families.  Both loops must give the same missing cords,
 step counts and exit codes, and the same trees from clean inputs; every
 shelling step must verify."""
 
+import itertools
 import random
 import sys
 from collections import Counter, deque
@@ -135,11 +136,11 @@ def test_same_fixpoint_as_the_per_cord_loop(both, family):
         differ[other_blocks] += 1
         assert shelling.missing == ref_shelling.missing, (family, k)
         assert len(shelling.steps) == len(ref_shelling.steps), (family, k)
-        # The 281,676 steps of the split cover take 11 s to verify; its
-        # counts are compared, and its blocks place as the smaller ones do.
+        # The 281,676 steps of the split cover take about 6 s to verify, so
+        # only its first 40,000 are; its counts are compared in full.
         small = tree.n_leaves <= 200
-        if small:
-            verify_shelling(tree, cords, shelling.steps, require_complete=shelling.is_complete)
+        steps = shelling.steps if small else list(itertools.islice(shelling.steps, 40000))
+        verify_shelling(tree, cords, steps, require_complete=small and shelling.is_complete)
         for got, expected in zip(calls, ref_calls):
             assert got[0] == expected[0], (family, k)  # the exit code
             if got[0] == 3:

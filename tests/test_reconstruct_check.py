@@ -17,7 +17,7 @@ import pytest
 
 import numpy as np
 
-from reference_reconstruct import closure_nj_reconstruct
+from reference_reconstruct import closure_nj_reconstruct, stack_leaf_distances
 from test_pair_distances import TREES, _id
 from treelasso import (
     Cord,
@@ -138,6 +138,14 @@ def test_float_leaf_distances_lie_within_the_rounding_bound(tree):
     got, delta = _leaf_distances(tree, exact._i, exact._j, 0.0)
     assert np.all(np.abs(got - exact._v) <= delta)
     assert delta < 1e-10 * max(1.0, float(exact._v.max()))
+
+
+@pytest.mark.parametrize("tree", TREES, ids=_id)
+def test_leaf_distances_are_bit_identical_to_the_stack_walk(tree):
+    exact = full_distance(tree)
+    got, delta = _leaf_distances(tree, exact._i, exact._j, 1e-6)
+    want, want_delta = stack_leaf_distances(tree, exact._i, exact._j, 1e-6)
+    assert got.tobytes() == want.tobytes() and delta == want_delta
 
 
 def _verdict(run, d, verify_eps):
