@@ -83,7 +83,7 @@ class PartialDistance(Mapping):
     values.  As the taxa are sorted, cord order is the order of the codes
     i*n + j, so the arrays are the sorted iteration itself.  The library's
     producers (parse_cord_distances, induced_distance, full_distance, the
-    closure's *final*) write the arrays and its readers (format, NJ,
+    closure's *final*) write the arrays and its readers (format, insertion, NJ,
     reconstruct's check and blocks, the closure engine) read them, with no
     Cord per pair.  The Cord-keyed dict is a view, built in cord order on
     the first Mapping access (d[c], iteration, *cords*, *value*) and kept.

@@ -40,9 +40,9 @@ places every taxon, the tree is T, the cords are a shellable lasso of it,
 and the trace holds the shelling the placement certifies (lasso's module
 docstring), these derivations in placement order; no closure or NJ runs.
 
-Closure.  A complete input needs no closure: reconstruct sends it to
-Neighbor-Joining (cheaper there than placing), with the empty trace that
-closure returns for it.  When the first block of an incomplete input spans
+Closure.  A complete input needs no closure: reconstruct builds its tree
+by insertion (Complete maps, below), with the empty trace that closure
+returns for it.  When the first block of an incomplete input spans
 X, reconstruct answers with its tree.  Otherwise, and always for closure,
 the route keeps growing blocks by the loop that grows lasso._hop_closure's
 on T (lasso._block_loop): each taxon in turn that no block holds yet
@@ -55,9 +55,8 @@ engine (lasso._extend), which examines each known cord once.  The
 derivable set only grows, so the fixpoint from the cords plus the block
 cords is the fixpoint from the cords: the same missing cords, and the
 engine finishes it.  Float values may differ in their last bits from a run
-of the engine alone.  A complete closure goes through NJ; on additive
-(tree-metric) input NJ recovers the unique fully-resolved tree exactly, up
-to float accumulation.  The engine checks the seeds in two parts.  Each
+of the engine alone.  A complete closure is built by insertion too.  The
+engine checks the seeds in two parts.  Each
 cord zs inside a block that was known before the block grew (given, or
 derived by an earlier block), z placed after s and s no anchor of z, is
 compared once, at eps, with the value that z's placing quartet
@@ -93,6 +92,32 @@ incomplete closure, as under the full cross-check.  On a cover less one
 cord, one block holds every taxon but x, left with a single cord: only x's
 partner has a partner outside the block, and no other taxon knows x, so no
 quartet is cross-checked and the seeds cost O(n^2), not O(n^4).
+
+Complete maps.  Every value known, the classical additive-tree insertion
+needs no cords to hang a taxon from (Waterman et al. 1977, with Buneman's
+four-point condition, 1974).  Root the tree at taxon r = 0 and insert the
+others in index order.  For z, let s* maximise the Gromov product g(s) =
+(d(z,r) + d(s,r) - d(z,s))/2 over the taxa s placed before z; hang z on
+the r-s* path at g(s*) from r, with a pendant edge of d(z,r) - g(s*).
+Soundness: on the metric of a fully-resolved tree T with positive weights,
+let the tree built on the taxa S placed so far, r among them, be the
+subtree of T that S spans, with its weights, and let m be its point
+nearest z.  For each s in S, g(s) is the distance from r to where z's path
+to r leaves the r-s path, so g(s) <= d(r,m), with equality exactly when m
+lies on the r-s path, as it does for some s; m is then g(s*) from r on the
+r-s* path, and d(z,m) = d(z,r) - g(s*).  T is fully resolved and z is a
+leaf, so m is no vertex of the subtree and the pendant is positive:
+hanging z there gives the subtree that S + {z} spans.  The argmax of every
+row is one numpy pass over the lower triangle of the matrix of g, and the
+edge to split is found by climbing from s*'s leaf on root-path sums.
+Under floats insertion declines (_insert returns None), rather than guess,
+when g(s*) lies within tol of a vertex's root-path sum, when the pendant
+is at most tol, tol being eps relative to the largest value as in NJ, or
+when a value is not finite: ties, zero-length edges, stars and sums past
+the float range.  A declined input goes to Neighbor-Joining, as does one
+whose inserted tree fails the check below, so such inputs print NJ's tree
+or NJ's error; a verdict can only move from an error to a tree, where the
+inserted tree fits within verify_eps and NJ's does not.
 
 Either way the pipeline finishes by checking the output tree against every
 *input* distance, so corrupt or non-additive data cannot slip through
@@ -132,7 +157,9 @@ class NonAdditiveError(ValueError):
 
 
 def neighbor_joining(d: PartialDistance, eps: float = DEFAULT_EPSILON) -> XTree:
-    """Classical agglomerative NJ on a complete distance map.
+    """Classical agglomerative NJ on a complete distance map: reconstruct's
+    fallback, where insertion declines or its tree fails the check (the
+    module docstring's Complete maps paragraph).
 
     Joins the pair minimising the Q-criterion, assigns branch lengths by the
     two-point formulas, reduces the matrix, and solves the 3-taxon core in
@@ -258,12 +285,15 @@ def reconstruct(
     exact_rational=True (see the module docstring); when the first spans X,
     that tree, its weights rounded to float, is the answer and the trace
     lists its derivations in placement order.  Otherwise the block cords
-    seed the closure under the extension rule, as closure() runs it, and a
-    complete closure goes through NJ.  Either way succeeds whenever the cord
-    set contains a shellable lasso of the source tree and the values are its
-    induced metric.  An incomplete closure is a structured result (the missing
-    cords say which distances to measure next), not an error.  Inconsistent
-    or non-additive input raises InconsistentDistanceError /
+    seed the closure under the extension rule, as closure() runs it.  A
+    complete input or closure is built by four-point insertion (_insert),
+    and goes through neighbor_joining only where insertion declines (ties,
+    zero-length edges, values not finite) or its tree fails the check below;
+    the tree or the error is then NJ's.  Either way succeeds whenever the
+    cord set contains a shellable lasso of the source tree and the values
+    are its induced metric.  An incomplete closure is a structured result
+    (the missing cords say which distances to measure next), not an error.
+    Inconsistent or non-additive input raises InconsistentDistanceError /
     NonAdditiveError; a tree that misses an input distance by more than
     verify_eps raises NonAdditiveError naming the smallest such cord.
 
@@ -291,25 +321,72 @@ def reconstruct(
     if tree is None:
         if not trace.is_complete:
             return Reconstruction(None, trace, trace.missing)
-        tree = neighbor_joining(trace.final, eps=eps)
-    _check(tree, d, verify_eps)
+        tree = _insert(trace.final, eps)
+        if tree is None or not _check(tree, d, verify_eps, quiet=True):  # NJ then, whose tree may fit
+            tree = neighbor_joining(trace.final, eps=eps)
+            _check(tree, d, verify_eps)
+    else:
+        _check(tree, d, verify_eps)
     if callable(trace):  # a placement's, derived only now: corrupt values fail the check above first
         trace = trace()
     return Reconstruction(tree, trace, frozenset())
 
 
-def _check(tree: XTree, d: PartialDistance, verify_eps: float) -> None:
+def _insert(final: PartialDistance, eps: float) -> XTree | None:
+    """The tree of the complete map *final* by four-point insertion, or None
+    where insertion declines (the module docstring's Complete maps
+    paragraph), tol being eps relative to the largest value, as in NJ.
+    Vertex 0 is r's leaf and the root, taxon k > 0 has leaf 2k - 1, and
+    taxon z >= 2 hangs from vertex 2z - 2.  Past two taxa, every weight is
+    the difference of two root-path sums more than tol apart."""
+    taxa = final._taxa
+    n = len(taxa)
+    rows, cols, values = final._i, final._j, final._v
+    tol = eps * max(1.0, float(values.max()))
+    to_root = np.zeros(n)
+    to_root[cols[rows == 0]] = values[rows == 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed value declines below
+        g = np.full((n, n), -math.inf)
+        g[cols, rows] = (to_root[cols] + to_root[rows] - values) / 2  # row z, column s < z
+        best = g.argmax(axis=1).tolist()  # a nan wins, and declines
+        reach = g[np.arange(n), best].tolist()
+    to_root = to_root.tolist()
+    up = [0.0, to_root[1]]  # each vertex's root-path sum: r's leaf, then taxon 1's
+    parent: list[int | None] = [None, 0]
+    for z in range(2, n):
+        at, pendant = reach[z], to_root[z] - reach[z]
+        if not (math.isfinite(at) and pendant > tol):
+            return None
+        v = 2 * best[z] - 1 if best[z] else 0  # s*'s leaf: taxon k > 0 has leaf 2k - 1
+        p = parent[v]
+        while p is not None and up[p] >= at:  # climb to the edge whose lower end lies past the point
+            v, p = p, parent[p]
+        if p is None or not (up[p] + tol < at < up[v] - tol):
+            return None
+        parent[v] = len(up)  # the split vertex 2z - 2, then z's leaf 2z - 1
+        parent += [p, len(up)]
+        up += [at, to_root[z]]
+    weight = [0.0 if p is None else up[v] - up[p] for v, p in enumerate(parent)]
+    return _parent_tree(parent, weight, {taxa[0]: 0, **{taxa[k]: 2 * k - 1 for k in range(1, n)}})
+
+
+def _check(tree: XTree, d: PartialDistance, verify_eps: float, quiet: bool = False) -> bool:
     """Raise NonAdditiveError naming the smallest cord of d whose value the
     tree misses by more than verify_eps, with the tree's distance, fsum's
     exact one, or saying that the path of a cord passes the float range.  A
     cord passes outright when its float distance (_leaf_distances) is within
     verify_eps less the rounding bound delta; only the others are summed
-    exactly (reconstruct's docstring)."""
+    exactly (reconstruct's docstring).  With *quiet*, return False instead
+    of raising, at once when a float distance misses by more than
+    verify_eps + delta, which the exact test fails too by the same bound."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is unsure
         got, delta = _leaf_distances(tree, d._i, d._j, verify_eps)
-        unsure = np.flatnonzero(~(np.abs(got - d._v) <= verify_eps - delta))
+        gap = np.abs(got - d._v)
+        if quiet and (gap > verify_eps + delta).any():
+            return False
+        unsure = np.flatnonzero(~(gap <= verify_eps - delta))
     if not unsure.size:
-        return
+        return True
     partners = [0] * len(d._taxa)
     given = {}
     for i, j, v in zip(d._i[unsure].tolist(), d._j[unsure].tolist(), d._v[unsure].tolist()):
@@ -319,18 +396,21 @@ def _check(tree: XTree, d: PartialDistance, verify_eps: float) -> None:
     try:
         firsts, seconds, exact = tree._pair_distances(partners)
     except OverflowError:  # a path sum past the float range, which no input value fits
+        if quiet:
+            return False
         raise NonAdditiveError("reconstructed tree has a cord's path beyond the float range") from None
     failed = [
         (pair, reproduced)
         for pair, reproduced in zip(map(_ordered, firsts, seconds), exact)
         if abs(reproduced - given[pair]) > verify_eps
     ]
-    if failed:
+    if failed and not quiet:
         (i, j), reproduced = min(failed)  # the cord a sorted walk over d would fail first
         taxa = d._taxa
         raise NonAdditiveError(
             f"reconstructed tree gives {reproduced} for {Cord(taxa[i], taxa[j])}, input says {given[i, j]}"
         )
+    return not failed
 
 
 def _ordered(i: int, j: int) -> tuple[int, int]:

@@ -8,9 +8,12 @@ LASSO_EPSILON environment variable.
 
 Reconstruction decides by one margin, eps on the two sums of lasso's
 four_point, which the closure engine and the metric placer both apply to
-the same values.  The tree built is then checked against the input at the
-looser, absolute reconstruct.VERIFY_EPSILON: NJ's fitted edge lengths round
-more as n grows, and that check is there to catch values that fit no tree.
+the same values; insertion into a complete map declines within eps,
+relative to the largest value, of a vertex or of a zero pendant.  The tree
+built is then checked against the input at the looser, absolute
+reconstruct.VERIFY_EPSILON: the inserted tree's lengths are differences of
+root-path sums, NJ's fallback lengths are fitted and round more as n
+grows, and that check is there to catch values that fit no tree.
 """
 
 from __future__ import annotations
