@@ -136,9 +136,7 @@ class PartialDistance(Mapping):
         n = len(self._taxa)
         known = np.zeros((n, n), dtype=bool)
         known[self._i, self._j] = known[self._j, self._i] = True
-        width = (n + 7) // 8
-        packed = np.packbits(known, axis=1, bitorder="little").tobytes()
-        return [int.from_bytes(packed[k:k + width], "little") for k in range(0, n * width, width)]
+        return _row_bits(known)
 
     def __getitem__(self, cord: Cord) -> float:
         return self._data[cord]
@@ -369,6 +367,15 @@ def _partner_bits(cords: Collection[Cord], taxa: Sequence[str]) -> list[int]:
         partners[bit[a]] |= 1 << bit[b]
         partners[bit[b]] |= 1 << bit[a]
     return partners
+
+
+def _row_bits(mask: np.ndarray) -> list[int]:
+    """Each row of a boolean n x n *mask* as a bitset, bit j of entry i set
+    where mask[i, j] is."""
+    n = len(mask)
+    width = (n + 7) // 8
+    packed = np.packbits(mask, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[k:k + width], "little") for k in range(0, n * width, width)]
 
 
 def _bit_indices(bits: int) -> Iterator[int]:

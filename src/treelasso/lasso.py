@@ -13,9 +13,9 @@ Iterating to a fixpoint yields the closure of the cord set.  When the input
 cords contain a shellable lasso of the source tree, the closure reaches all
 pairs, after which the whole tree is recoverable (see reconstruct, whose
 one route grows metric blocks, then runs the engine here seeded by them).
-The engine works on dense taxon indices and examines each known cord once,
-as the cord that may complete the quartets holding it (_extend): the same
-per-cord scheme as the shelling closure below, read on distances.
+The engine works on dense taxon indices and tests the missing cords, each
+when a cord of its sets becomes known (_extend), by the driver that the
+shelling closure below shares (_missing_loop), read on distances.
 
 Shellability
 ------------
@@ -58,12 +58,9 @@ from the known cords K exactly when some r, s in C = K(p) & K(q) with rs
 in K has s outside r's component.  As T is fully resolved, each interior
 vertex of the p-q path has one branch off the path, and the components in
 question are these branches; the test reads "r and s hang off different
-vertices of the p-q path".  Read from the other side, a known cord rs
-derives pq exactly when the p-q and r-s paths meet, so each known cord is
-examined once, taken from a FIFO queue after it becomes known, as the cord
-that may complete the quartets: with the off-path branches of its own path
-as bitsets, one pass along the path from each end finds every cord it
-completes (see _hop_closure).
+vertices of the p-q path", and with the branches as bitsets it is one pass
+along the path from p's end.  Each missing cord is tested so, when a cord
+of its sets may have completed one (_missing_loop, see _hop_closure).
 
 The rank certificate's path-incidence matrix and the oracle's LPs read the
 edges on each cord's path from edge sides (_path_rows): the tree's, or each
@@ -85,7 +82,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bind, _bit_indices, _Bound, _cords_over, _partner_bits, all_cords, cord_taxa, induced_distance
+from .cords import Cord, PartialDistance, _bind, _bit_indices, _Bound, _cords_over, _partner_bits, _row_bits, all_cords, cord_taxa, induced_distance
 from .cover import is_cover
 from .tolerance import DEFAULT_EPSILON, approx_equal, margin
 from .tree import TreeError, XTree
@@ -245,7 +242,7 @@ def _named(taxa: Sequence[str], rows) -> Iterator:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
-def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue: deque,
+def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
             blocks: Sequence[tuple[int, list, list]] = (), values: Sequence | None = None):
     """The extension rule's fixpoint over *taxa* from the distance map *d*
     (over some of them), on its floats, or on *values*, its values in cord
@@ -256,22 +253,11 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue: deque,
     *taxa*.  Each derived value is compared with every set able to derive
     its cord at that moment, and a clash raises InconsistentDistanceError.
 
-    Each known cord pq is examined once, as _hop_closure examines it on the
-    tree's index, here on the values: a FIFO queue holds the cords to
-    examine, and takes each cord as it is derived.  With W = K(p) & K(q),
-    the quartets with five known cords including pq whose sixth cord is
-    missing are of three kinds:
-    - uv for u, v in W, with pivots p and q;
-    - pt for t in K(q) \\ K(p), with pivots q and s, s in W & K(t);
-    - qt for t in K(p) \\ K(q), with pivots p and s, s in W & K(t).
-    All are tested at once by four_point on the values known when pq is
-    examined, and each strict one derives its cord unless an earlier one
-    did.  A known value never changes, so a quartet's test gives the same
-    answer whenever it runs.  Completeness: a missing cord becomes
-    derivable only when the last of its quartet's five cords becomes known;
-    that cord is examined afterwards, with the other four known, and the
-    three kinds cover each of the five places it can hold.  A derivable
-    cord is therefore derived before the queue runs dry.
+    The missing cords are tested by _missing_loop, in index order.  The
+    test of xz runs four_point once over every set {x, z, p, q} with p, q
+    in K(x) & K(z) and pq known, on the values known then, pairs (p, q) in
+    lexicographic order: the first strict set derives xz, and comparing
+    the values of all strict sets in that same call is the cross-check.
 
     *blocks* are the route's metric blocks in the order they grew, each
     (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
@@ -296,9 +282,6 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue: deque,
       only sets with q1 or q2 outside the block are checked, so a z with no
       known partner outside has nothing to check.  In a block with a cord
       that disagrees every set is, and a clash names that cord.
-
-    *queue* holds the known cords to examine first, as _block_loop builds
-    it (which says why no ready set is missed).
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -394,43 +377,28 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue: deque,
         cross_check_blocks(zs, ss, vs)
         known[zs, ss] = known[ss, zs] = True
 
-    def examine(p, q):
-        """The strict quartets of the three kinds for the known cord pq, as
-        rows (x, y, u, z, value), x < z."""
-        w = np.flatnonzero(known[p] & known[q])
-        if not w.size:
-            return ()
-        kw = known[:, w]  # each taxon's known partners in W
-        u, v = np.nonzero(np.triu(~kw[w], 1))
-        kinds = [(w[u], w[v], np.full(u.size, p), np.full(u.size, q))]
-        for a, b in ((p, q), (q, p)):  # cords at, t in K(b) \ K(a), pivots b and s
-            ends = known[b] & ~known[a]
-            ends[a] = False
-            t, s = np.nonzero(kw & ends[:, None])
-            kinds.append((np.full(t.size, a), t, np.full(t.size, b), w[s]))
-        ma, mb, p1, p2 = map(np.concatenate, zip(*kinds))
-        ma, mb = np.minimum(ma, mb), np.maximum(ma, mb)
-        strict, lt, derived = quartet(ma, mb, p1, p2)
-        pa, pb = np.where(lt, p1, p2)[strict], np.where(lt, p2, p1)[strict]
-        return zip(ma[strict].tolist(), pa.tolist(), pb.tolist(), mb[strict].tolist(), derived[strict].tolist())
+    def test(x, z):
+        q = np.flatnonzero(known[x] & known[z])
+        q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
+        strict, lt, derived = quartet(x, z, q1, q2)
+        hits = np.flatnonzero(strict)
+        if not hits.size:
+            return False
+        found = derived[hits]
+        clash = np.flatnonzero(~approx_equal(found[0], found, eps))
+        if clash.size:
+            raise InconsistentDistanceError(
+                f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(found[0])} and {_shown(found[clash[0]])}"
+            )
+        k = hits[0]
+        y, u = (q1[k], q2[k]) if lt[k] else (q2[k], q1[k])
+        v = found[:1].tolist()[0]
+        value[x, z] = value[z, x] = v
+        known[x, z] = known[z, x] = True
+        derivations.append((x, int(y), int(u), z, v))
+        return True
 
-    while queue:
-        for x, y, u, z, v in examine(*queue.popleft()):
-            if known[x, z]:
-                continue
-            # against every set {x, z, q1, q2} deriving xz right now
-            q = np.flatnonzero(known[x] & known[z])
-            q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
-            strict, _, other = quartet(x, z, q1, q2)
-            clash = np.flatnonzero(strict & ~approx_equal(v, other, eps))
-            if clash.size:
-                raise InconsistentDistanceError(
-                    f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(v)} and {_shown(other[clash[0]])}"
-                )
-            value[x, z] = value[z, x] = v
-            known[x, z] = known[z, x] = True
-            derivations.append((x, y, u, z, v))
-            queue.append((x, z))
+    _missing_loop(_row_bits(known), range(n), test)
     return derivations, known
 
 
@@ -519,16 +487,16 @@ def is_shellable(tree: XTree, cords: Iterable[Cord], rng=None) -> ShellingResult
     triangle of L; when it spans X the answer is yes, and the steps derive,
     taxon by taxon in placement order, each cord from the new taxon z to an
     earlier taxon, pivoted on z's two earlier neighbours.  Otherwise the
-    steps derive first the pairs within each block, then the cords the
-    examined known cords complete, and *missing* holds the rest, as a view
-    over the closure's partner bitsets.  The steps are a lazy view too, so
-    the verdict costs the closure alone.  Each step derives one cord that
-    is neither given nor derived earlier, and each known cord that is not
-    given has one, so their len is a count of bits.  *rng* (a random.Random)
-    permutes the taxon order in which the closure grows its blocks and
-    queues the known cords it examines first; the steps change with it,
-    the verdict and *missing* do not (the closure is monotone), which the
-    test suite exercises.  The verdict is kept with the tree for a
+    steps derive first the pairs within each block, then the missing cords
+    in the order the closure's tests derive them, and *missing* holds the
+    rest, as a view over the closure's partner bitsets.  The steps are a
+    lazy view too, so the verdict costs the closure alone.  Each step
+    derives one cord that is neither given nor derived earlier, and each
+    known cord that is not given has one, so their len is a count of bits.
+    *rng* (a random.Random) permutes the taxon order in which the closure
+    grows its blocks and first tests the missing cords; the steps change
+    with it, the verdict and *missing* do not (the closure is monotone),
+    which the test suite exercises.  The verdict is kept with the tree for a
     frozenset of cords (see XTree), where edge_weight_lasso_certificate
     reads it.
     """
@@ -640,37 +608,11 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
     block starts from the smallest cord in a triangle of L, and when it
     spans X nothing is left to derive.
 
-    Then each known cord pq is examined once, as the cord that completes
-    quartets (see the module docstring), taken from a FIFO queue as _extend
-    takes its cords.  Let W = K(p) & K(q) and cut the taxa by the off-path
-    branches of the p-q path, numbered from p's end.  A quartet with five
-    known cords including pq, whose sixth cord is missing, is of one of
-    three kinds:
-    - pivots p and q, missing cord uv with u, v in W: derivable exactly
-      when u and v lie in different branches;
-    - pivots q and s, missing cord pt with s in W and t in K(q) & K(s):
-      derivable exactly when t's branch is not nearer p than s's;
-    - pivots p and s, missing cord qt, the same from q's end.
-    A missing pair with both ends in a block is impossible, so for pq inside
-    a block only u outside it is tried.  An end t of the other two kinds
-    needs a partner in W, so the ends without one are dropped before the
-    branches are climbed.  One pass over the branches from p's end derives
-    the first two kinds, with s the lowest taxon of W & K(t) in t's branch
-    or nearer p; one pass from q's end derives the third, with s the lowest
-    in t's branch or nearer q.  Two facts make this sound:
-    - the branches partition X minus {p, q}, and W excludes p and q, so
-      each s in W lies in one branch, and on W the branches from t's to
-      q's end are the complement of those nearer p;
-    - while pq is examined, K(t) & W does not change for an end t: the
-      first kind pairs taxa inside W, and the other two add only p or q
-      to t's partners.  So the filter holds through both passes, and each
-      cord pt or qt is still missing when the pass reaches its end t.
-
-    The queue starts as _block_loop builds it for both closures, and takes
-    each derived cord; the closure ends when it runs dry.  A cord becomes
-    derivable only when the last of its quartet's five cords becomes known,
-    and that cord is examined afterwards, so nothing derivable is left
-    (_extend's argument).
+    Then _missing_loop tests the missing cords, in the same taxon order.
+    The test of xz is the module docstring's: with W = K(x) & K(z) and the
+    off-path branches of the x-z path taken from x's end, the first r in W,
+    branch by branch, with a known partner in W in a branch nearer z
+    derives xz, the lowest such partner s giving the quartet x r || s z.
     """
     placer = _Placer(tree)
     parent, depth, below, full, leaf = placer.parent, placer.depth, placer.below, placer.full, placer.leaf
@@ -684,103 +626,108 @@ def _hop_closure(tree: XTree, given: list[int], rng=None):
         blocks.append((start, placed, {z: known[z] for z, _, _, _ in placed}))
         return block
 
-    known, home, queue = _block_loop(given, order, grow)
+    known = _block_loop(given, order, grow)
 
-    def derive(u, v, x, y):  # x pairs with u, y with v
-        known[u] |= 1 << v
-        known[v] |= 1 << u
-        queue.append((u, v))
-        derivations.append((u, v, x, y) if u < v else (v, u, y, x))
-
-    while queue:
-        p, q = queue.popleft()
-        kp, kq = known[p], known[q]
-        w = kp & kq
-        if not w:
-            continue
-        outside = full ^ next((blk for blk in home[p] if blk >> q & 1), 0)
-        tp = sum(1 << t for t in _bit_indices(kq & ~(kp | 1 << p)) if known[t] & w)
-        tq = sum(1 << t for t in _bit_indices(kp & ~(kq | 1 << q)) if known[t] & w)
-        if not (tp or tq or w & outside):
-            continue
-        # The off-path branches of the p-q path, from p's end: climb from
+    def test(x, z):
+        w = known[x] & known[z]
+        # The off-path branches of the x-z path, from x's end: climb from
         # both leaves to their lowest common ancestor, which has the rest
         # of the tree as its branch.
-        ca, a, cb, b = leaf[p], parent[leaf[p]], leaf[q], parent[leaf[q]]
-        branches, from_q = [], []
+        ca, a, cb, b = leaf[x], parent[leaf[x]], leaf[z], parent[leaf[z]]
+        branches, from_z = [], []
         while a != b:
             if depth[a] >= depth[b]:
                 branches.append(below[a] ^ below[ca])
                 ca, a = a, parent[a]
             else:
-                from_q.append(below[b] ^ below[cb])
+                from_z.append(below[b] ^ below[cb])
                 cb, b = b, parent[b]
         branches.append(full ^ below[ca] ^ below[cb])
-        branches.extend(reversed(from_q))
-        before = 0  # the branches nearer p
+        branches.extend(reversed(from_z))
+        nearer = 0  # the branches from x's end up to r's
         for g in branches:
-            for u in _bit_indices(w & g & outside):
-                for v in _bit_indices(w & ~g & ~known[u]):
-                    x, y = (q, p) if before >> v & 1 else (p, q)  # v nearer p: v p || u q
-                    derive(u, v, x, y)
-            for t in _bit_indices(tp & g):
-                if (s := _lowest(w & known[t] & (before | g))) >= 0:
-                    x, y = (s, q) if before >> s & 1 else (q, s)  # s nearer p: p s || t q
-                    derive(p, t, x, y)
-            before |= g
-        after = 0  # the branches nearer q
-        for g in reversed(branches):
-            for t in _bit_indices(tq & g):
-                if (s := _lowest(w & known[t] & (after | g))) >= 0:
-                    x, y = (p, s) if g >> s & 1 else (s, p)  # s in t's branch: q p || t s
-                    derive(q, t, x, y)
-            after |= g
+            nearer |= g
+            for r in _bit_indices(w & g):
+                if farther := known[r] & w & ~nearer:
+                    derivations.append((x, z, r, _lowest(farther)))
+                    return True
+        return False
+
+    _missing_loop(known, order, test)
     return known, blocks, derivations
 
 
-def _block_loop(given: list[int], order: Sequence[int], grow) -> tuple[list[int], list[list[int]], deque]:
-    """Where both closures start, over the partner bitsets *given*, as
-    (known, home, queue): the partner bitsets of the known cords after the
-    blocks, the blocks holding each taxon, and the known cords to examine
-    first.  Each taxon i in *order* that no block holds yet, with j its
-    lowest known partner that shares a known partner with it, starts
-    grow((i, j), known), which grows a block and returns the bitset of its
-    taxa; the pairs within the block then become known.  In index order the
-    first block starts from the smallest cord in a triangle.  Blocks mark
-    only derivable cords, so which of them grow never moves the fixpoint.
-
-    The queue holds every known cord with no quiet end, each once, in
-    *order*; a taxon is quiet when its known partners plus itself are
-    exactly one of its blocks.  The skip is sound for both closures (_extend
-    on the distances, _hop_closure on the tree's index): a 4-taxon set ready
-    at the start, with xy missing, has a pivot pair ab with no quiet end,
-    since were a quiet, x and y would share a's block and xy would be known;
-    so ab is queued, and examining it tests the set, x and y in K(a) & K(b).
-    A set that becomes ready later does so when a derived cord, always
-    queued, completes it."""
-    n = len(given)
-    full = (1 << n) - 1
+def _block_loop(given: list[int], order: Sequence[int], grow) -> list[int]:
+    """Where both closures start, over the partner bitsets *given*: the
+    partner bitsets of the known cords after the blocks.  Each taxon i in
+    *order* that no block holds yet, with j its lowest known partner that
+    shares a known partner with it, starts grow((i, j), known), which grows
+    a block and returns the bitset of its taxa; the pairs within the block
+    then become known.  In index order the first block starts from the
+    smallest cord in a triangle.  Blocks mark only derivable cords, so
+    which of them grow never moves the fixpoint."""
     known = list(given)
-    home: list[list[int]] = [[] for _ in range(n)]
     covered = 0  # the taxa of every block
     for i in order:
         j = None if covered >> i & 1 else next((j for j in _bit_indices(known[i]) if known[i] & known[j]), None)
         if j is None:  # i is in a block, or in no triangle
             continue
         block = grow((i, j), known)
-        if block == full:  # every pair is known, and every taxon quiet
-            return [full ^ 1 << b for b in range(n)], [[full] for _ in range(n)], deque()
         covered |= block
         for b in _bit_indices(block):
             known[b] |= block ^ 1 << b
-            home[b].append(block)
-    quiet = sum(1 << b for b in range(n) if (known[b] | 1 << b) in home[b])
-    queue, seen = deque(), quiet  # seen: the quiet taxa and those whose cords are queued
-    for p in order:
-        if not seen >> p & 1:
-            seen |= 1 << p
-            queue.extend((p, q) for q in _bit_indices(known[p] & ~seen))
-    return known, home, queue
+    return known
+
+
+def _missing_loop(known: list[int], order: Sequence[int], test) -> None:
+    """The second phase of both closures: the fixpoint from the partner
+    bitsets *known* as the blocks leave them, updated in place.  test(x, z),
+    x < z, on a missing cord xz, derives it and returns True when some set
+    {x, z, p, q} with p, q in W = K(x) & K(z) and pq known is strict: on the
+    distances in _extend, on the tree's index in _hop_closure.  The known
+    values never change, so a set's verdict is the same whenever it is
+    tested, and *order*, the taxon order, moves no verdict.
+
+    A queue holds the cords to test, each once at a time.  It starts with
+    every missing cord whose W holds two or more taxa, x over *order* and z
+    over the taxa after x in it.  When xz becomes known, the missing cords
+    it may have made derivable are queued again: xt for t in K(z) \\ K(x),
+    zt for t in K(x) \\ K(z), and uv for u, v in K(x) & K(z).  A cord
+    becomes derivable only when the last of its set's five other cords
+    becomes known, and that cord is either at one of its ends or its pivot
+    pair, so the queue runs dry at the fixpoint.  A cord whose W holds
+    fewer than two taxa has no ready set, and is not queued."""
+    queue, everyone, seen = deque(), (1 << len(known)) - 1, 0
+    for x in order:
+        seen |= 1 << x
+        kx = known[x]
+        for z in _bit_indices(everyone & ~(kx | seen)):
+            if (kx & known[z]).bit_count() > 1:
+                queue.append((x, z) if x < z else (z, x))
+    waiting = set(queue)
+
+    def offer(x, z):
+        key = (x, z) if x < z else (z, x)
+        if key not in waiting and (known[x] & known[z]).bit_count() > 1:
+            waiting.add(key)
+            queue.append(key)
+
+    while queue:
+        x, z = key = queue.popleft()
+        waiting.remove(key)
+        if not test(x, z):
+            continue
+        known[x] |= 1 << z
+        known[z] |= 1 << x
+        kx, kz = known[x], known[z]
+        for t in _bit_indices(kz & ~kx & ~(1 << x)):
+            offer(x, t)
+        for t in _bit_indices(kx & ~kz & ~(1 << z)):
+            offer(z, t)
+        w = kx & kz
+        for u in _bit_indices(w):
+            for v in _bit_indices(w & ~known[u] & ~((2 << u) - 1)):
+                offer(u, v)
 
 
 def _lowest(bits: int) -> int:

@@ -51,7 +51,7 @@ given cords, and the pairs within a block become known.  The first block
 stops short when there are fewer than 2n-3 cords, which cannot fix the
 2n-3 edge weights, or a taxon does not place.  The blocks' derivations,
 each one the engine's test passed on the engine's values, seed the closure
-engine (lasso._extend), which examines each known cord once.  The
+engine (lasso._extend), which tests the cords still missing.  The
 derivable set only grows, so the fixpoint from the cords plus the block
 cords is the fixpoint from the cords: the same missing cords, and the
 engine finishes it.  Float values may differ in their last bits from a run
@@ -66,11 +66,11 @@ the quartets deriving it at that turn that hold a taxon outside the block;
 a clash raises InconsistentDistanceError.  A block with a cord that
 disagrees is cross-checked against every quartet, and a clash there names
 that cord.  On a first block that spans X, closure builds no tree to
-check, and these checks stand in for it.  The engine starts from the
-loop's queue, which skips the given and block cords with a quiet end
-(lasso._block_loop says why none is missed).  The trace lists the block
-cords in placement order, then the engine's derivations, in the order it
-examines the cords.
+check, and these checks stand in for it.  The engine then tests each
+missing cord with two or more known partners in common, and again when a
+cord of its sets becomes known (lasso._missing_loop).  The trace lists
+the block cords in placement order, then the engine's derivations, in
+the order its tests derive them.
 
 Soundness of the skip.  Take exact arithmetic, eps = 0, and a block B
 whose known cords all agree.  By induction on placement order, every value
@@ -462,7 +462,7 @@ def closure(d: PartialDistance, eps: float = DEFAULT_EPSILON, exact_rational: bo
     """Fixpoint of the distance-extension rule, with a step-by-step trace:
     reconstruct's route (the module docstring's Closure paragraph), metric
     blocks first, their cords in placement order, then the closure engine's
-    derivations, cord by cord in the order it examines the known cords
+    derivations, in the order its tests of the missing cords derive them
     (lasso._extend).  Each passes the rule's test at eps on the values
     given or derived before it; a cord found derivable as values that
     differ beyond tolerance raises InconsistentDistanceError.  With
@@ -502,14 +502,14 @@ def _close(d: PartialDistance, eps: float, exact: bool = False, place: bool = Tr
         grown.append((placer, rows, block))
         return block
 
-    _, _, queue = _block_loop(partners, range(n), grow)
+    _block_loop(partners, range(n), grow)
     if place and len(grown) == 1 and len(grown[0][0].leaf_of) == n:  # the first block spans X, and ends the loop
         placer, rows, _ = grown[0]
         leaf_of = {taxa[i]: v for i, v in placer.leaf_of.items()}
         tree = _parent_tree(placer.parent, list(map(float, placer.weight)), leaf_of)
         return lambda: _closure_trace(d, taxa, rows), tree
     blocks = [(block, placer.anchors, rows) for placer, rows, block in grown]
-    derivations, _ = _extend(taxa, d, eps, queue, blocks, given if exact else None)
+    derivations, _ = _extend(taxa, d, eps, blocks, given if exact else None)
     return _closure_trace(d, taxa, derivations), None
 
 

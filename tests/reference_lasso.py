@@ -509,7 +509,7 @@ _ROLES = np.array([[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2], [1, 2, 0, 3], [1, 3
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
-def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue=None,
+def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float,
                 blocks: Sequence[tuple[int, list, list]] = (), values: Sequence | None = None,
                 cross_check: bool = True):
     """lasso._extend as it was before it examined each known cord once: the
@@ -552,12 +552,8 @@ def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue=None,
       known partner outside has nothing to check.  In a block with a cord
       that disagrees every set is, and a clash names that cord.
 
-    *queue* holds the known cords that arrive first, as lasso._block_loop
-    builds it, or None for every known cord.  A ready set's two taxa off
-    its missing cord xy both know x and y, so neither is quiet, and the
-    known cord between them offers the set: the first arrivals may skip
-    every cord with a quiet end.  The signature is lasso._extend's, plus
-    *cross_check*.
+    Every known cord arrives first, and offers the sets it is one cord
+    short of.  The signature is lasso._extend's, plus *cross_check*.
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -682,9 +678,7 @@ def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue=None,
         if sel.size:
             offer(np.stack(np.broadcast_arrays(a, b, first[sel], second[sel]), axis=1), cursor)
 
-    if queue is None:
-        queue = np.argwhere(np.triu(known, 1)).tolist()
-    for a, b in queue:  # every ready set holds one
+    for a, b in np.argwhere(np.triu(known, 1)).tolist():  # every ready set holds one
         arrived(a, b, -1)
     while now[0] or later[0]:
         if not now[0]:
@@ -708,7 +702,7 @@ def heap_extend(taxa: Sequence[str], d: PartialDistance, eps: float, queue=None,
     return derivations, known
 
 
-def full_check_extend(taxa, cords, eps, queue, blocks=(), values=None):
+def full_check_extend(taxa, cords, eps, blocks=(), values=None):
     """lasso._extend as reconstruct's closure path ran it before each block
     was checked against its own block tree: each seed row (z, x, y, s, v),
     in order, cross-checked against every set {z, s, q1, q2} with q1, q2
@@ -762,7 +756,7 @@ def full_check_extend(taxa, cords, eps, queue, blocks=(), values=None):
     merged.update((Cord(taxa[z], taxa[s]), v) for z, _, _, s, v in seeds)
     ends = np.array([(index[c.a], index[c.b]) for c in merged], dtype=np.intp).reshape(-1, 2)
     merged = PartialDistance._of(taxa, ends.min(axis=1), ends.max(axis=1), np.array(list(merged.values())))
-    derivations, known = _extend(taxa, merged, eps, queue)
+    derivations, known = _extend(taxa, merged, eps)
     return seeds + derivations, known
 
 

@@ -44,9 +44,9 @@ def both(monkeypatch):
     reference runs that had block seeds."""
     runs = Counter()
 
-    def reference(taxa, cords, eps, queue, blocks=(), values=None):
+    def reference(taxa, cords, eps, blocks=(), values=None):
         runs["seeded"] += any(rows for _, _, rows in blocks)
-        return full_check_extend(taxa, cords, eps, queue, blocks, values)
+        return full_check_extend(taxa, cords, eps, blocks, values)
 
     def run(d):
         got = _outcome(d)

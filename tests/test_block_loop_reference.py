@@ -2,18 +2,17 @@
 block per taxon that no block holds (lasso._block_loop), against the same
 calls with the loop it replaced (reference_lasso.per_cord_block_loop),
 which started a block from every known cord in a triangle and in no block
-with its first end, adapted to return the same kind of starting queue.
-Seeded families: test_hop_closure's cases, the min-order cover less 1-3
-cords at n=50-200 and a cover at n=1000 that splits into two blocks, half
-and a quarter of all pairs at n=20-60, and test_reconstruct_closure_path's
-drop, 2d and dense families.  Both loops must give the same missing cords,
-step counts and exit codes, and the same trees from clean inputs; every
-shelling step must verify."""
+with its first end.  Seeded families: test_hop_closure's cases, the
+min-order cover less 1-3 cords at n=50-200 and a cover at n=1000 that
+splits into two blocks, half and a quarter of all pairs at n=20-60, and
+test_reconstruct_closure_path's drop, 2d and dense families.  Both loops
+must give the same missing cords, step counts and exit codes, and the same
+trees from clean inputs; every shelling step must verify."""
 
 import itertools
 import random
 import sys
-from collections import Counter, deque
+from collections import Counter
 
 import pytest
 
@@ -35,22 +34,15 @@ from treelasso import (
     triplet_cover,
     verify_shelling,
 )
-from treelasso.cords import _bit_indices
 
 LIBRARY = treelasso.lasso._block_loop
 MODULES = (treelasso.lasso, sys.modules["treelasso.reconstruct"])
 
 
 def reference_loop(given, order, grow):
-    """per_cord_block_loop with the library's starting queue: every known
-    cord with no quiet end, each once, in *order*."""
-    known, home, quiet = per_cord_block_loop(given, order, grow)
-    queue, seen = deque(), quiet
-    for p in order:
-        if not seen >> p & 1:
-            seen |= 1 << p
-            queue.extend((p, q) for q in _bit_indices(known[p] & ~seen))
-    return known, home, queue
+    """per_cord_block_loop, returning the library loop's one result: the
+    partner bitsets of the known cords after the blocks."""
+    return per_cord_block_loop(given, order, grow)[0]
 
 
 def _cases(family):

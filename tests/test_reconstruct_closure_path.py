@@ -43,12 +43,12 @@ def engine_runs(monkeypatch):
     runs = Counter()
     engine = treelasso.lasso._extend
 
-    def spy(taxa, cords, eps, queue, blocks=(), values=None):
+    def spy(taxa, cords, eps, blocks=(), values=None):
         runs["calls"] += 1
         seeds = [row for _, _, rows in blocks for row in rows]
         runs["seeded"] += bool(seeds)
         try:
-            derivations, known = engine(taxa, cords, eps, queue, blocks, values)
+            derivations, known = engine(taxa, cords, eps, blocks, values)
         except InconsistentDistanceError as exc:
             block_cords = {
                 str(Cord(taxa[a], taxa[b])) for members, _, _ in blocks

@@ -5,7 +5,6 @@ and the tuple behaviour the views keep."""
 
 import random
 import sys
-from collections import deque
 
 import pytest
 
@@ -208,7 +207,7 @@ def test_extend_rows_name_as_the_trace_does():
     tree = random_tree(9, seed=3)
     d = induced_distance(tree, set(triplet_cover(tree, min_order_transversal(tree))))
     taxa = sorted(d.taxa)
-    rows, _ = _extend(taxa, d, 1e-9, deque(zip(d._i.tolist(), d._j.tolist())))  # every known cord
+    rows, _ = _extend(taxa, d, 1e-9)
     heap_rows, _ = heap_extend(taxa, d, 1e-9)
     for rows, steps in ((rows, _closure_trace(d, taxa, rows).steps), (heap_rows, engine_closure(d).steps)):
         assert rows and all(len(row) == 5 and row[0] < row[3] for row in rows)
