@@ -1205,6 +1205,41 @@ def _forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequen
     return forbidden
 
 
+def _cannot_fit(a_mat: np.ndarray, b: np.ndarray, accept: float) -> bool:
+    """Whether a non-negative least-squares fit of the 0/1 path matrix
+    *a_mat* (cords x edges) to *b* proves that no w >= 0 has
+    |a_mat w - b| <= accept on every cord.
+
+    Let r = b - A w* for the NNLS solution w*, g = A^T r, and U_j the least
+    b_i + accept over the cords i whose path holds edge j.  Any such w has
+    w_j <= (A w)_i <= U_j on each of these cords, so
+
+        r.b = r.(b - A w) + g.w <= |r|_1 accept + sum_j max(g_j, 0) U_j.
+
+    When r.b exceeds the right side by more than a _ROUNDING-relative margin
+    on the magnitudes summed, which also covers the rounding of the oracle's
+    residual check, no weighting passes that check.  The bound holds for
+    any r, so w* need not be exact; an NNLS stopped at its iteration cap, or
+    a value that is not finite, proves nothing.
+    """
+    from scipy.optimize import nnls
+
+    try:
+        w, _ = nnls(a_mat, b)
+    except RuntimeError:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = b - a_mat @ w
+        g = a_mat.T @ r
+        rising = g > 0  # an edge on no cord's path has g_j = 0 and no bound
+        upper = np.where(a_mat[:, rising] > 0, (b + accept)[:, None], np.inf).min(axis=0)
+        pushed = float(g[rising] @ upper)
+        slack = float(np.abs(r).sum()) * accept
+        gap = float(r @ b) - pushed - slack
+        size = float(np.abs(r) @ b) + pushed + slack
+    return math.isfinite(gap) and math.isfinite(size) and gap > _ROUNDING * size
+
+
 def topological_lasso_oracle(
     tree: XTree,
     cords: Iterable[Cord],
@@ -1237,10 +1272,21 @@ def topological_lasso_oracle(
     LP.  A dropped candidate could not have passed the residual check and
     the survivors keep their order, so the witness is the one the
     exhaustive search returns.  A candidate with the input tree's splits
-    is skipped on its leaf bitsets, and each LP's matrix is read from the
-    candidate's edge sides (_path_rows): only the witness is built as an
-    XTree.  Legal weights whose cord distances pass the
-    float range raise TreeError.
+    is skipped on its leaf bitsets, and each candidate's matrix is read
+    from its edge sides (_path_rows): only the witness is built as an
+    XTree.
+
+    Before its LP, each candidate is fitted by non-negative least squares,
+    and skipped when the residual proves that no w >= 0 lies within
+    2*fit_tol of the distances on every cord (_cannot_fit, which states the
+    proof).  Every weighting the LP could return is such a w, so a skipped
+    candidate is one the residual check would reject; the LPs left run in
+    the same order on the same data, and the witness and its weights keep
+    their bits.  The distances are first divided by a power of two that
+    brings them below 2**64, as HiGHS reads any bound from 1e20 up as
+    infinite; the witness's weights and the contraction tolerance are
+    scaled back, so below 2**64 nothing changes.  Legal weights whose cord
+    distances pass the float range raise TreeError.
     """
     from scipy.optimize import linprog
 
@@ -1259,7 +1305,10 @@ def topological_lasso_oracle(
         distances = induced_distance(tree, cords)
     except OverflowError:  # legal weights whose path sums pass the float range
         raise TreeError("topological oracle: a cord distance overflows the float range") from None
-    b = distances._v.copy()  # in cord order, as *cords* are sorted
+    # In cord order, as *cords* are sorted, and scaled by a power of two
+    # below 2**64: HiGHS reads any bound from 1e20 up as infinite.
+    scale = 2.0 ** max(0, math.frexp(float(np.max(distances._v)))[1] - 64)
+    b = distances._v / scale
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     accept = 2 * fit_tol
     index = {t: i for i, t in enumerate(taxa)}
@@ -1275,6 +1324,8 @@ def topological_lasso_oracle(
         # The LP's columns in the order XTree.edges() would give them.
         edges, sides = zip(*sorted(((min(e), max(e)), bits) for e, bits in zip(bare, sides)))
         a_mat = _path_rows(sides, len(taxa), *ends).astype(float)
+        if _cannot_fit(a_mat, b, accept):
+            continue
         # Minimising the interior weight makes degenerate fits land exactly
         # on the boundary, so the contraction below is decisive.
         interior = np.array([0.0 if u in leaf_of or v in leaf_of else 1.0 for u, v in edges])
@@ -1290,7 +1341,7 @@ def topological_lasso_oracle(
         weights = np.maximum(res.x, 0.0)
         if np.max(np.abs(a_mat @ weights - b)) > accept:
             continue
-        return _contract_tiny_interior(edges, leaf_of, weights, 10 * fit_tol)
+        return _contract_tiny_interior(edges, leaf_of, weights * scale, 10 * fit_tol * scale)
     return None
 
 

@@ -16,10 +16,11 @@ pendant edge of length p = (d(z,a)+d(z,b)-D)/2, D the length of the a-b
 path of the tree built so far, attached at the point that lies d(z,a)-p
 from a on that path.  z places only when each quartet {z, a, b, s}, s a
 placed taxon other than a and b, is strict under the engine's own test
-(lasso.four_point) at eps, d(z,a)+d(s,b) against d(z,b)+d(s,a), on the
-values given or derived before.  Float guards (p >= 0, the point strictly
-inside the edge it splits) keep the tree well formed.  It only adds,
-halves and compares, so exact_rational=True places on Fractions, eps=0.
+(lasso.four_point, inlined on scalars) at eps, d(z,a)+d(s,b) against
+d(z,b)+d(s,a), on the values given or derived before.  Float guards
+(p >= 0, the point strictly inside the edge it splits) keep the tree well
+formed.  It only adds, halves and compares, so exact_rational=True places
+on Fractions, eps=0.
 
 Soundness.  Let the values be the metric of a tree T, every edge of
 positive weight, and by induction let the tree built on the placed taxa S
@@ -143,7 +144,6 @@ from .lasso import (
     _grow,
     _parent_tree,
     _path_edges,
-    four_point,
 )
 from .tolerance import DEFAULT_EPSILON
 from .tree import XTree
@@ -536,12 +536,13 @@ class _MetricPlacer:
         rows = []
         for s in self.leaf_of:  # the engine's test on each quartet {z, a, b, s}
             if s != a and s != b:
-                sb, sa = value[s][b], value[s][a]
-                strict, lt = four_point(za + sb, zb + sa, eps)
-                if not strict:  # z's attachment point is a vertex of the block tree
+                s1, s2 = za + value[s][b], zb + value[s][a]
+                tol = eps * max(abs(s1), abs(s2), 1.0) if eps else 0  # four_point, inlined
+                lt = s1 < s2 - tol
+                if not lt and not s2 < s1 - tol:  # z's attachment point is a vertex of the block tree
                     return False
                 if not joined >> s & 1:
-                    rows.append((z, a, b, s, zb + sa - ab) if lt else (z, b, a, s, za + sb - ab))
+                    rows.append((z, a, b, s, s2 - ab) if lt else (z, b, a, s, s1 - ab))
         lower = _path_edges(parent, self.leaf_of[a], self.leaf_of[b])
         length = sum(weight[v] for v in lower)
         at = (za - zb + length) / 2  # the attachment point, as its distance from a

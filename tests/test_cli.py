@@ -202,6 +202,24 @@ class TestClassifyCommand:
         assert proc.stderr == "error: topological oracle: a cord distance overflows the float range\n"
         assert "Traceback" not in proc.stderr
 
+    def test_oracle_near_the_float_range_warns_nothing(self, tmp_path):
+        # A fuzz input whose largest cord distance is 1e308: the oracle's
+        # scaling and its least-squares test raise no warning, here errors.
+        tree = tmp_path / "big.nwk"
+        tree.write_text(
+            "(t01:1e-300,((t02:0.6729481173202683,t04:1e+308):1.0747578066927839,t03:0)"
+            ":1.4720385349102294,t05:0.7373173188222804);\n"
+        )
+        cords = tmp_path / "big.cords"
+        cords.write_text("t01\tt02\nt01\tt03\nt01\tt04\nt01\tt05\nt02\tt04\nt02\tt05\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "treelasso", "classify", "--oracle-topological", str(tree), str(cords)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1].startswith("topological-oracle\trefuted\t")
+
 
 class TestGencoverCommand:
     def test_example3_assignment_file(self, capsys, tmp_path, snowflake_nwk, cover9):

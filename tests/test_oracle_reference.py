@@ -1,11 +1,13 @@
 """Differential tests: the pruned topological oracle against the exhaustive
-one it replaced (reference_lasso.py) on seeded sweeps, LP counts that pin
-the pruning down, against the exhaustive search and against bounds taken
-along the quartet engine's derivations, and the pruning's soundness: no
-pairing it forbids is one the input tree displays."""
+one it replaced (reference_lasso.py) on seeded sweeps, LP and candidate
+counts that pin the pruning down, against the exhaustive search and against
+bounds taken along the quartet engine's derivations, and the soundness of
+both prunings: no pairing it forbids is one the input tree displays, and no
+candidate the least-squares test skips passes the LP and residual check."""
 
 import random
 
+import numpy as np
 import pytest
 import scipy.optimize
 
@@ -51,6 +53,32 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return calls
+
+
+@pytest.fixture
+def fit_tests(monkeypatch):
+    """Record every candidate that reaches the least-squares test, past the
+    pruning, as (edges sorted as the LP's columns, leaf labels by vertex, A,
+    b, accept, whether the test skipped it)."""
+    tests, current = [], [None]
+    enumerate_ = treelasso.lasso._topologies
+    cannot_fit = treelasso.lasso._cannot_fit
+
+    def topologies(taxa, forbidden):
+        for candidate in enumerate_(taxa, forbidden):
+            current[0] = candidate
+            yield candidate
+
+    def recorded(a_mat, b, accept):
+        skipped = cannot_fit(a_mat, b, accept)
+        bare, _, leaf_of = current[0]
+        edges = sorted((min(e), max(e)) for e in bare)
+        tests.append((edges, leaf_of, a_mat, b, accept, skipped))
+        return skipped
+
+    monkeypatch.setattr(treelasso.lasso, "_topologies", topologies)
+    monkeypatch.setattr(treelasso.lasso, "_cannot_fit", recorded)
+    return tests
 
 
 def _outcome(oracle, tree, cords):
@@ -122,6 +150,8 @@ def test_witness_identical_to_exhaustive(lp_calls):
     # short interior edges land on both sides: refuted and not refuted
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert pruned_lps * 10 < exhaustive_lps
+    # Without the least-squares test the oracle solved 54 LPs here.
+    assert pruned_lps == 27
 
 
 def _near_threshold(seed):
@@ -249,19 +279,59 @@ def test_remark1_still_refuted(quartet_abcd, remark1_cords, lp_calls):
     assert lp_calls[0] >= 1
 
 
-def test_any_sure_quartet_bounds_a_cord(lp_calls, monkeypatch):
+def test_any_sure_quartet_bounds_a_cord(fit_tests, monkeypatch):
     # A stable cover of (t01,((t02,t05),t03):7e-7,t04).  The engine derives
     # t01-t03 across the 7e-7 edge, a quartet that is not sure, then t01-t05
     # from t01-t03 and t04-t05 from t01-t05, so none of the three is
     # bounded.  The quartet {t02, t03, t04, t05} bounds t04-t05 surely,
-    # which forbids two pairings of {t01, t02, t04, t05} and saves two LPs.
+    # which forbids two pairings of {t01, t02, t04, t05} and saves two
+    # candidates: LPs or least-squares skips.
     tree, cords, _ = _case(180)
     assert Cord("t04", "t05") not in cords and Cord("t01", "t03") not in cords
     expected = _outcome(exhaustive_oracle, tree, cords)
-    lp_calls[0] = 0
     assert _outcome(topological_lasso_oracle, tree, cords) == expected
-    assert lp_calls[0] == 2
+    assert len(fit_tests) == 2
     monkeypatch.setattr(treelasso.lasso, "_forbidden_pairings", engine_forbidden_pairings)
-    lp_calls[0] = 0
+    fit_tests.clear()
     assert _outcome(topological_lasso_oracle, tree, cords) == expected
-    assert lp_calls[0] == 4
+    assert len(fit_tests) == 4
+
+
+def test_least_squares_skips_only_candidates_the_lp_rejects(fit_tests):
+    # Each skipped candidate goes through the LP and the residual check the
+    # oracle would have run on it: the LP fails or its fit is off by more
+    # than 2*fit_tol on some cord.
+    cases = [_case(seed)[:2] for seed in range(200)]
+    cases += [(tree, cords) for seed in (0, 4) for _, tree, cords in _near_threshold(seed)]
+    for tree, cords in cases:
+        _outcome(topological_lasso_oracle, tree, cords)
+    skipped = [test for test in fit_tests if test[-1]]
+    for edges, leaf_of, a_mat, b, accept, _ in skipped:
+        fit_tol = accept / 2
+        interior = np.array([0.0 if u in leaf_of or v in leaf_of else 1.0 for u, v in edges])
+        res = scipy.optimize.linprog(
+            c=interior,
+            A_ub=np.vstack([a_mat, -a_mat]),
+            b_ub=np.concatenate([b + fit_tol, -(b - fit_tol)]),
+            bounds=[(0, None)] * len(edges),
+            method="highs",
+        )
+        assert not res.success or np.max(np.abs(a_mat @ np.maximum(res.x, 0.0) - b)) > accept
+    assert len(skipped) > 100 and len(skipped) < len(fit_tests)
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e25, 1e300])
+def test_remark1_refuted_past_the_lp_bound(scale, remark1_cords):
+    # HiGHS reads a bound of 1e20 or more as infinite; the oracle scales the
+    # distances below 2**64, so the witness is the unit-scale one, scaled.
+    def quartet(s):
+        return XTree([(0, 4, s), (1, 4, s), (2, 5, s), (3, 5, s), (4, 5, s)], {0: "a", 1: "b", 2: "c", 3: "d"})
+
+    unit = topological_lasso_oracle(quartet(1.0), remark1_cords)
+    witness = topological_lasso_oracle(quartet(scale), remark1_cords)
+    assert unit is not None and witness is not None
+    assert witness.splits() == unit.splits()
+    assert {t: witness.leaf_vertex(t) for t in witness.taxa} == {t: unit.leaf_vertex(t) for t in unit.taxa}
+    assert [(u, v) for u, v, _ in witness.edges()] == [(u, v) for u, v, _ in unit.edges()]
+    for (_, _, w), (_, _, w1) in zip(witness.edges(), unit.edges()):
+        assert abs(w - scale * w1) <= scale * 1e-6
