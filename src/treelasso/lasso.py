@@ -218,10 +218,6 @@ def _shown(value) -> str:
         return format(Decimal(value.numerator) / value.denominator, ".17g")
 
 
-#: Largest element count of one intermediate array of the seeds' cross-check.
-_CHECK_ELEMENTS = 2**20
-
-
 def four_point(s1, s2, eps: float):
     """The extension rule's test, for the closure engine (_extend) and the
     metric placer, on s1 = d(x,p)+d(z,q) and s2 = d(x,q)+d(z,p), cord xz
@@ -253,11 +249,12 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
     *taxa*.  Each derived value is compared with every set able to derive
     its cord at that moment, and a clash raises InconsistentDistanceError.
 
-    The missing cords are tested by _missing_loop, in index order.  The
-    test of xz runs four_point once over every set {x, z, p, q} with p, q
-    in K(x) & K(z) and pq known, on the values known then, pairs (p, q) in
-    lexicographic order: the first strict set derives xz, and comparing
-    the values of all strict sets in that same call is the cross-check.
+    The missing cords are tested by _missing_loop, in index order.  The test
+    of xz runs four_point once over every set {x, z, p, q} with p, q in
+    K(x) & K(z) and pq known (ready, with no taxon masked), on the values
+    known then, pairs (p, q) in lexicographic order: the first strict set
+    derives xz, and comparing the values of all strict sets in that same
+    call is the cross-check.
 
     *blocks* are the route's metric blocks in the order they grew, each
     (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
@@ -268,20 +265,20 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
     at eps on the values known at its turn.  The rows seed the engine: they
     become known and head the derivations.  The derivable set only grows,
     so the fixpoint from the cords plus the seeds is the one from the cords.
-    The seeds are checked in two parts, which in exact arithmetic raise
-    where the cross-check of each row against every set raises
-    (reconstruct's module docstring):
-    - each cord zs inside a block, known before it grew, z the later placed
-      and s no anchor of z, is compared with the value that z's placing
-      quartet {z, a, b, s} derives, all blocks in one vectorised pass;
-    - each row is cross-checked, as a derivation is, against every set {z,
-      s, q1, q2} with q1, q2 known to both and q1q2 known (for row k, q
-      ranges over z's partners before the block and the s of earlier rows),
-      one z's rows in one vectorised pass in chunks of at most
-      _CHECK_ELEMENTS elements.  In a block whose known cords all agree,
-      only sets with q1 or q2 outside the block are checked, so a z with no
-      known partner outside has nothing to check.  In a block with a cord
-      that disagrees every set is, and a clash names that cord.
+    The seeds are checked block by block, in the order the blocks grew,
+    after every seed value is written; in exact arithmetic this raises
+    where the cross-check of each row against every set raises (the
+    soundness of the skip is in reconstruct's module docstring):
+    - first, each cord zs inside the block, known before it grew, z the
+      later placed and s no anchor of z, is compared with the value that
+      z's placing quartet {z, a, b, s} derives, in one vectorised call;
+    - then the block's rows run in order.  A row is cross-checked, as a
+      derivation is, against its ready sets {z, s, q1, q2} (q1, q2 known
+      to both, q1q2 known) with a taxon off the block, then becomes known.
+      So only the rows of a z with a known partner off the block are
+      checked.  When a cord of the first part disagrees, every row is
+      checked against every set, and a clash names that cord; otherwise
+      it names the row and the first failing set by (lower q, higher q).
     """
     n = len(taxa)
     index = {t: i for i, t in enumerate(taxa)}
@@ -299,97 +296,63 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
         strict, lt = four_point(s1, s2, eps)
         return strict, lt, np.where(lt, s2, s1) - value[p1, p2]
 
-    def contradicted():
-        """For each block, the message of its first cord zs known before it
-        grew, z the later placed and s no anchor of z, whose value z's
-        placing quartet {z, a, b, s} contradicts, or None."""
-        quads, owner = [], []
-        for k, (members, anchors, _) in enumerate(blocks):
-            placed = members
-            for z, _, _, _ in anchors:
-                placed ^= 1 << z  # the ends of the start cord
-            for z, a, b, joined in anchors:
-                for s in _bit_indices(joined & placed & ~(1 << a | 1 << b)):
-                    quads.append((z, s, a, b))
-                    owner.append(k)
-                placed |= 1 << z
-        first = [None] * len(blocks)
-        if quads:
-            z, s, a, b = np.array(quads, dtype=np.intp).T
-            had, derived = value[z, s], quartet(z, s, a, b)[2]
-            for q in reversed(np.flatnonzero(~approx_equal(had, derived, eps)).tolist()):
-                first[owner[q]] = (
-                    f"{Cord(taxa[z[q]], taxa[s[q]])} derivable as both {_shown(had[q])} and {_shown(derived[q])}"
-                )
-        return first
+    def ready(x, z, inside):
+        """The sets {x, z, q1, q2} with q1, q2 in K(x) & K(z), q1q2 known and
+        q1 off *inside* (a mask), each once (q1 < q2 when both are off),
+        ordered by q1, then q2: q1, q2 and their quartets for cord xz, as
+        strict mask, q1-with-x flag and value."""
+        q = np.flatnonzero(known[x] & known[z])
+        off = q[~inside[q]]
+        r, c = np.nonzero(known[np.ix_(off, q)] & (inside[q] | (off[:, None] < q)))
+        return (off[r], q[c], *quartet(x, z, off[r], q[c]))
 
-    def cross_check_seeds(z, s, v, inside):
-        """The message for the first k whose new cord zs[k], of value v[k],
-        derived after the cords z s[:k], fails the cross-check on a set with
-        a taxon off *inside* (a mask), naming the value that set gives; or
-        None."""
-        when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
-        when[s] = np.arange(len(s))
-        cols = np.flatnonzero(when < len(s))
-        out = np.flatnonzero(~inside[cols])  # positions in cols of the partners off it
-        # q1 off it, q2 any other partner; a set with both off it once
-        pairs = known[np.ix_(cols[out], cols)] & (inside[cols] | (out[:, None] < np.arange(cols.size)))
-        step = max(1, _CHECK_ELEMENTS // max(1, out.size * cols.size))
-        for lo in range(0, len(s), step):
-            ks = np.arange(lo, min(lo + step, len(s)))
-            mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
-            r, q1, q2 = np.nonzero(mask[:, out, None] & mask[:, None, :] & pairs)
-            q1, q2 = cols[out[q1]], cols[q2]
-            strict, _, other = quartet(z, s[ks[r]], q1, q2)
-            bad = np.flatnonzero(strict & ~approx_equal(v[ks[r]], other, eps))
-            if bad.size:  # the first set in the order (k, lower q, higher q)
-                bad = bad[np.lexsort((np.maximum(q1, q2)[bad], np.minimum(q1, q2)[bad], r[bad]))[0]]
-                k = ks[r[bad]]
-                return f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad])}"
-        return None
-
-    def cross_check_blocks(zs, ss, vs):
-        """Raise InconsistentDistanceError at the first seed row (z, s, v
-        in *zs*, *ss*, *vs*) whose cross-check fails."""
-        done = at = 0  # the rows before *done* are known; z's rows start at *at*
-        for (members, anchors, rows), clash in zip(blocks, contradicted()):
-            # A block that agrees with its known cords is checked only on
-            # sets with a taxon off it; one that does not, on every set.
-            off, inside = (-1, np.zeros(n, dtype=bool)) if clash else (~members, None)
-            partners = {z: joined & off for z, _, _, joined in anchors}
-            for z, batch in itertools.groupby(rows, key=itemgetter(0)):
-                size = sum(1 for _ in batch)
-                if partners[z]:
-                    if inside is None:
-                        inside = np.zeros(n, dtype=bool)
-                        inside[list(_bit_indices(members))] = True
-                    known[zs[done:at], ss[done:at]] = known[ss[done:at], zs[done:at]] = True
-                    done = at
-                    if message := cross_check_seeds(z, ss[at:at + size], vs[at:at + size], inside):
-                        raise InconsistentDistanceError(clash or message)
-                at += size
+    def both(x, z, v, w):
+        """The error for cord xz, derivable as both v and w."""
+        return InconsistentDistanceError(f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(v)} and {_shown(w)}")
 
     derivations = [row for _, _, rows in blocks for row in rows]
-    if derivations:
-        zs, ss = np.array([(row[0], row[3]) for row in derivations], dtype=np.intp).T
-        vs = np.array([row[4] for row in derivations])
-        value[zs, ss] = value[ss, zs] = vs
-        cross_check_blocks(zs, ss, vs)
-        known[zs, ss] = known[ss, zs] = True
+    zs, ss = np.fromiter(itertools.chain.from_iterable(map(itemgetter(0, 3), derivations)), np.intp).reshape(-1, 2).T
+    value[zs, ss] = value[ss, zs] = np.array([row[4] for row in derivations])  # all first: the checks read them
+    for members, anchors, rows in blocks:
+        placed, quads = members, []
+        for z, _, _, _ in anchors:
+            placed ^= 1 << z  # the ends of the start cord
+        for z, a, b, joined in anchors:
+            quads += [(z, s, a, b) for s in _bit_indices(joined & placed & ~(1 << a | 1 << b))]
+            placed |= 1 << z
+        z, s, a, b = np.array(quads, dtype=np.intp).reshape(-1, 4).T
+        had, derived = value[z, s], quartet(z, s, a, b)[2]
+        bad = np.flatnonzero(~approx_equal(had, derived, eps))
+        clash = both(z[bad[0]], s[bad[0]], had[bad[0]], derived[bad[0]]) if bad.size else None
+        # A block that agrees with its known cords is checked only on sets
+        # with a taxon off it; one that does not, on every set.
+        inside = np.zeros(n, dtype=bool)
+        if clash is None:
+            inside[list(_bit_indices(members))] = True
+        off = ~members if clash is None else -1
+        checked = {z for z, _, _, joined in anchors if joined & off}
+        for z, group in itertools.groupby(rows, key=itemgetter(0)):
+            if z not in checked:  # nothing to check: its rows become known at once
+                s = np.fromiter(map(itemgetter(3), group), np.intp)
+                known[z, s] = known[s, z] = True
+                continue
+            for _, _, _, s, v in group:
+                q1, q2, strict, _, other = ready(z, s, inside)
+                bad = np.flatnonzero(strict & ~approx_equal(v, other, eps))
+                if bad.size:  # the first set in the order (lower q, higher q)
+                    bad = bad[np.lexsort((np.maximum(q1, q2)[bad], np.minimum(q1, q2)[bad]))[0]]
+                    raise clash or both(z, s, v, other[bad])
+                known[z, s] = known[s, z] = True
 
     def test(x, z):
-        q = np.flatnonzero(known[x] & known[z])
-        q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
-        strict, lt, derived = quartet(x, z, q1, q2)
+        q1, q2, strict, lt, derived = ready(x, z, np.zeros(n, dtype=bool))
         hits = np.flatnonzero(strict)
         if not hits.size:
             return False
         found = derived[hits]
         clash = np.flatnonzero(~approx_equal(found[0], found, eps))
         if clash.size:
-            raise InconsistentDistanceError(
-                f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(found[0])} and {_shown(found[clash[0]])}"
-            )
+            raise both(x, z, found[0], found[clash[0]])
         k = hits[0]
         y, u = (q1[k], q2[k]) if lt[k] else (q2[k], q1[k])
         v = found[:1].tolist()[0]

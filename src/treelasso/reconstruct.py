@@ -57,21 +57,17 @@ derivable set only grows, so the fixpoint from the cords plus the block
 cords is the fixpoint from the cords: the same missing cords, and the
 engine finishes it.  Float values may differ in their last bits from a run
 of the engine alone.  A complete closure is built by insertion too.  The
-engine checks the seeds in two parts.  Each
-cord zs inside a block that was known before the block grew (given, or
-derived by an earlier block), z placed after s and s no anchor of z, is
-compared once, at eps, with the value that z's placing quartet
-{z, a, b, s} derives.  When every such cord of the block agrees, each
-block cord is cross-checked, as the engine checks a derivation, against
-the quartets deriving it at that turn that hold a taxon outside the block;
-a clash raises InconsistentDistanceError.  A block with a cord that
-disagrees is cross-checked against every quartet, and a clash there names
-that cord.  On a first block that spans X, closure builds no tree to
-check, and these checks stand in for it.  The engine then tests each
-missing cord with two or more known partners in common, and again when a
-cord of its sets becomes known (lasso._missing_loop).  The trace lists
-the block cords in placement order, then the engine's derivations, in
-the order its tests derive them.
+engine checks the seeds block by block, in two parts stated in
+lasso._extend's docstring: the block's cords known before it grew against
+the placing quartets, then each block cord, in turn, against the quartets
+deriving it that hold a taxon outside the block, or every quartet when a
+known cord of the block disagrees; a clash raises
+InconsistentDistanceError.  On a first block that spans X, closure builds
+no tree to check, and these checks stand in for it.  The engine then tests
+each missing cord with two or more known partners in common, and again
+when a cord of its sets becomes known (lasso._missing_loop).  The trace
+lists the block cords in placement order, then the engine's derivations,
+in the order its tests derive them.
 
 Soundness of the skip.  Take exact arithmetic, eps = 0, and a block B
 whose known cords all agree.  By induction on placement order, every value

@@ -26,8 +26,11 @@ a triangle and in no block with its first end, until one block per taxon
 that no block holds replaced it, and the path-incidence matrix with one
 path walk per cord and the contraction of a candidate built as an XTree,
 until both read edge sides (the exhaustive oracle contracts its witnesses
-so).  The differential tests compare each pair on seeded sweeps; nothing
-in the library imports this module.
+so), and the seeds' cross-check (batched_seed_extend) that broadcast all of
+one taxon's block rows against its sets in chunks, until _extend checked
+each row with the engine's own ready-set test.  The differential tests
+compare each pair on seeded sweeps; nothing in the library imports this
+module.
 """
 
 import heapq
@@ -41,7 +44,7 @@ from operator import itemgetter
 import numpy as np
 
 from treelasso import Cord, InconsistentDistanceError, PartialDistance, XTree, all_cords, tolerance
-from treelasso.cords import _bit_indices, _cords_over, _partner_bits, cord_taxa
+from treelasso.cords import _bit_indices, _cords_over, _partner_bits, _row_bits, cord_taxa
 from treelasso.lasso import (
     MAX_ORACLE_TAXA,
     ClosureStep,
@@ -53,6 +56,7 @@ from treelasso.lasso import (
     _extend,
     _grow,
     _lowest,
+    _missing_loop,
     _named,
     _peel,
     _Placer,
@@ -500,7 +504,7 @@ def pending_hop_closure(tree: XTree, given: list[int], rng=None):
 
 
 #: Largest element count of one intermediate array of full_check_extend and
-#: of heap_extend's seeds' cross-check.
+#: of the seeds' cross-checks of heap_extend and batched_seed_extend.
 _CHECK_ELEMENTS = 2**20
 
 #: Row g: positions in a sorted 4-taxon set of the ends of its g-th cord,
@@ -758,6 +762,168 @@ def full_check_extend(taxa, cords, eps, blocks=(), values=None):
     merged = PartialDistance._of(taxa, ends.min(axis=1), ends.max(axis=1), np.array(list(merged.values())))
     derivations, known = _extend(taxa, merged, eps)
     return seeds + derivations, known
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
+def batched_seed_extend(taxa: Sequence[str], d: PartialDistance, eps: float,
+                        blocks: Sequence[tuple[int, list, list]] = (), values: Sequence | None = None):
+    """lasso._extend as it was before it checked each block row with the
+    engine's own ready-set test: the extension rule's fixpoint over *taxa*
+    from the distance map *d* (over some of them), on its floats, or on
+    *values*, its values in cord order as Fractions, with eps=0.  Returns
+    the derivations as rows (x, y, u, z, value) over taxon indices, quartet
+    xy||uz giving cord xz (the form of the blocks' rows below; _named puts
+    labels on them), and the final n x n known-mask over *taxa*.  Each
+    derived value is compared with every set able to derive its cord at
+    that moment, and a clash raises InconsistentDistanceError.
+
+    The missing cords are tested by _missing_loop, in index order.  The
+    test of xz runs four_point once over every set {x, z, p, q} with p, q
+    in K(x) & K(z) and pq known, on the values known then, pairs (p, q) in
+    lexicographic order: the first strict set derives xz, and comparing
+    the values of all strict sets in that same call is the cross-check.
+
+    *blocks* are the route's metric blocks in the order they grew, each
+    (members, anchors, rows): the bitset of its taxa; (z, a, b, joined) for
+    each taxon z it placed after its start cord, in placement order, with
+    z's anchors a, b and its known partners before the block grew; and its
+    derivations, rows (z, x, y, s, v) in order, cord zs of value v by the
+    quartet zx||ys, the rows of one z together.  Each row passed four_point
+    at eps on the values known at its turn.  The rows seed the engine: they
+    become known and head the derivations.  The derivable set only grows,
+    so the fixpoint from the cords plus the seeds is the one from the cords.
+    The seeds are checked in two parts, which in exact arithmetic raise
+    where the cross-check of each row against every set raises
+    (reconstruct's module docstring):
+    - each cord zs inside a block, known before it grew, z the later placed
+      and s no anchor of z, is compared with the value that z's placing
+      quartet {z, a, b, s} derives, all blocks in one vectorised pass;
+    - each row is cross-checked, as a derivation is, against every set {z,
+      s, q1, q2} with q1, q2 known to both and q1q2 known (for row k, q
+      ranges over z's partners before the block and the s of earlier rows),
+      one z's rows in one vectorised pass in chunks of at most
+      _CHECK_ELEMENTS elements.  In a block whose known cords all agree,
+      only sets with q1 or q2 outside the block are checked, so a z with no
+      known partner outside has nothing to check.  In a block with a cord
+      that disagrees every set is, and a clash names that cord.
+    """
+    n = len(taxa)
+    index = {t: i for i, t in enumerate(taxa)}
+    at = np.array([index[t] for t in d._taxa], dtype=np.intp)  # d's arrays are over its own sorted taxa
+    i, j = at[d._i], at[d._j]
+    given = d._v if values is None else np.array(values, dtype=object)
+    value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
+    value[i, j] = value[j, i] = given
+    known[i, j] = known[j, i] = True
+
+    def quartet(ma, mb, p1, p2):
+        """Strict mask, ma-with-p1 flag and value for cords ma-mb."""
+        s1 = value[ma, p1] + value[mb, p2]
+        s2 = value[ma, p2] + value[mb, p1]
+        strict, lt = four_point(s1, s2, eps)
+        return strict, lt, np.where(lt, s2, s1) - value[p1, p2]
+
+    def contradicted():
+        """For each block, the message of its first cord zs known before it
+        grew, z the later placed and s no anchor of z, whose value z's
+        placing quartet {z, a, b, s} contradicts, or None."""
+        quads, owner = [], []
+        for k, (members, anchors, _) in enumerate(blocks):
+            placed = members
+            for z, _, _, _ in anchors:
+                placed ^= 1 << z  # the ends of the start cord
+            for z, a, b, joined in anchors:
+                for s in _bit_indices(joined & placed & ~(1 << a | 1 << b)):
+                    quads.append((z, s, a, b))
+                    owner.append(k)
+                placed |= 1 << z
+        first = [None] * len(blocks)
+        if quads:
+            z, s, a, b = np.array(quads, dtype=np.intp).T
+            had, derived = value[z, s], quartet(z, s, a, b)[2]
+            for q in reversed(np.flatnonzero(~tolerance.approx_equal(had, derived, eps)).tolist()):
+                first[owner[q]] = (
+                    f"{Cord(taxa[z[q]], taxa[s[q]])} derivable as both {_shown(had[q])} and {_shown(derived[q])}"
+                )
+        return first
+
+    def cross_check_seeds(z, s, v, inside):
+        """The message for the first k whose new cord zs[k], of value v[k],
+        derived after the cords z s[:k], fails the cross-check on a set with
+        a taxon off *inside* (a mask), naming the value that set gives; or
+        None."""
+        when = np.where(known[z], -1, len(s))  # the k from which q is z's partner
+        when[s] = np.arange(len(s))
+        cols = np.flatnonzero(when < len(s))
+        out = np.flatnonzero(~inside[cols])  # positions in cols of the partners off it
+        # q1 off it, q2 any other partner; a set with both off it once
+        pairs = known[np.ix_(cols[out], cols)] & (inside[cols] | (out[:, None] < np.arange(cols.size)))
+        step = max(1, _CHECK_ELEMENTS // max(1, out.size * cols.size))
+        for lo in range(0, len(s), step):
+            ks = np.arange(lo, min(lo + step, len(s)))
+            mask = (when[cols] < ks[:, None]) & known[np.ix_(s[ks], cols)]
+            r, q1, q2 = np.nonzero(mask[:, out, None] & mask[:, None, :] & pairs)
+            q1, q2 = cols[out[q1]], cols[q2]
+            strict, _, other = quartet(z, s[ks[r]], q1, q2)
+            bad = np.flatnonzero(strict & ~tolerance.approx_equal(v[ks[r]], other, eps))
+            if bad.size:  # the first set in the order (k, lower q, higher q)
+                bad = bad[np.lexsort((np.maximum(q1, q2)[bad], np.minimum(q1, q2)[bad], r[bad]))[0]]
+                k = ks[r[bad]]
+                return f"{Cord(taxa[z], taxa[s[k]])} derivable as both {_shown(v[k])} and {_shown(other[bad])}"
+        return None
+
+    def cross_check_blocks(zs, ss, vs):
+        """Raise InconsistentDistanceError at the first seed row (z, s, v
+        in *zs*, *ss*, *vs*) whose cross-check fails."""
+        done = at = 0  # the rows before *done* are known; z's rows start at *at*
+        for (members, anchors, rows), clash in zip(blocks, contradicted()):
+            # A block that agrees with its known cords is checked only on
+            # sets with a taxon off it; one that does not, on every set.
+            off, inside = (-1, np.zeros(n, dtype=bool)) if clash else (~members, None)
+            partners = {z: joined & off for z, _, _, joined in anchors}
+            for z, batch in itertools.groupby(rows, key=itemgetter(0)):
+                size = sum(1 for _ in batch)
+                if partners[z]:
+                    if inside is None:
+                        inside = np.zeros(n, dtype=bool)
+                        inside[list(_bit_indices(members))] = True
+                    known[zs[done:at], ss[done:at]] = known[ss[done:at], zs[done:at]] = True
+                    done = at
+                    if message := cross_check_seeds(z, ss[at:at + size], vs[at:at + size], inside):
+                        raise InconsistentDistanceError(clash or message)
+                at += size
+
+    derivations = [row for _, _, rows in blocks for row in rows]
+    if derivations:
+        zs, ss = np.array([(row[0], row[3]) for row in derivations], dtype=np.intp).T
+        vs = np.array([row[4] for row in derivations])
+        value[zs, ss] = value[ss, zs] = vs
+        cross_check_blocks(zs, ss, vs)
+        known[zs, ss] = known[ss, zs] = True
+
+    def test(x, z):
+        q = np.flatnonzero(known[x] & known[z])
+        q1, q2 = (q[k] for k in np.nonzero(np.triu(known[np.ix_(q, q)], 1)))
+        strict, lt, derived = quartet(x, z, q1, q2)
+        hits = np.flatnonzero(strict)
+        if not hits.size:
+            return False
+        found = derived[hits]
+        clash = np.flatnonzero(~tolerance.approx_equal(found[0], found, eps))
+        if clash.size:
+            raise InconsistentDistanceError(
+                f"{Cord(taxa[x], taxa[z])} derivable as both {_shown(found[0])} and {_shown(found[clash[0]])}"
+            )
+        k = hits[0]
+        y, u = (q1[k], q2[k]) if lt[k] else (q2[k], q1[k])
+        v = found[:1].tolist()[0]
+        value[x, z] = value[z, x] = v
+        known[x, z] = known[z, x] = True
+        derivations.append((x, int(y), int(u), z, v))
+        return True
+
+    _missing_loop(_row_bits(known), range(n), test)
+    return derivations, known
 
 
 def eager_closure_trace(d, taxa, rows):
