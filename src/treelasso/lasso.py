@@ -15,7 +15,8 @@ pairs, after which the whole tree is recoverable (see reconstruct, whose
 one route grows metric blocks, then runs the engine here seeded by them).
 The engine works on dense taxon indices and tests the missing cords, each
 when a cord of its sets becomes known (_extend), by the driver that the
-shelling closure below shares (_missing_loop), read on distances.
+shelling closure below and the oracle's bound closure share
+(_missing_loop), read on distances.
 
 Shellability
 ------------
@@ -62,6 +63,9 @@ vertices of the p-q path", and with the branches as bitsets it is one pass
 along the path from p's end.  Each missing cord is tested so, when a cord
 of its sets may have completed one (_missing_loop, see _hop_closure).
 
+The topological oracle prunes its enumeration by a third closure on the
+same driver, over error bounds: a missing cord is bounded by a set whose
+two pairings through it have sums surely apart (_forbidden_pairings).
 The rank certificate's path-incidence matrix and the oracle's LPs read the
 edges on each cord's path from edge sides (_path_rows): the tree's, or each
 candidate topology's as _topologies grows it, so no path is walked, and the
@@ -240,8 +244,8 @@ def _named(taxa: Sequence[str], rows) -> Iterator:
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is never strict
 def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
             blocks: Sequence[tuple[int, list, list]] = (), values: Sequence | None = None):
-    """The extension rule's fixpoint over *taxa* from the distance map *d*
-    (over some of them), on its floats, or on *values*, its values in cord
+    """The extension rule's fixpoint over *taxa*, d's own sorted taxa, from
+    the distance map *d*, on its floats, or on *values*, its values in cord
     order as Fractions, with eps=0; reconstruct._close is the one library
     caller.  Returns the derivations as rows (x, y, u, z, value) over taxon
     indices, quartet xy||uz giving cord xz (the form of the blocks' rows
@@ -280,10 +284,7 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
       checked against every set, and a clash names that cord; otherwise
       it names the row and the first failing set by (lower q, higher q).
     """
-    n = len(taxa)
-    index = {t: i for i, t in enumerate(taxa)}
-    at = np.array([index[t] for t in d._taxa], dtype=np.intp)  # d's arrays are over its own sorted taxa
-    i, j = at[d._i], at[d._j]
+    n, i, j = len(taxa), d._i, d._j
     given = d._v if values is None else np.array(values, dtype=object)
     value, known = np.zeros((n, n), dtype=given.dtype), np.zeros((n, n), dtype=bool)
     value[i, j] = value[j, i] = given
@@ -643,13 +644,18 @@ def _block_loop(given: list[int], order: Sequence[int], grow) -> list[int]:
 
 
 def _missing_loop(known: list[int], order: Sequence[int], test) -> None:
-    """The second phase of both closures: the fixpoint from the partner
-    bitsets *known* as the blocks leave them, updated in place.  test(x, z),
-    x < z, on a missing cord xz, derives it and returns True when some set
-    {x, z, p, q} with p, q in W = K(x) & K(z) and pq known is strict: on the
-    distances in _extend, on the tree's index in _hop_closure.  The known
-    values never change, so a set's verdict is the same whenever it is
-    tested, and *order*, the taxon order, moves no verdict.
+    """The fixpoint driver of all three closures, from the partner bitsets
+    *known*, updated in place: the second phase of the distance closure
+    (_extend) and of the shelling closure (_hop_closure), from the bitsets
+    the blocks leave, and the whole of the oracle's bound closure
+    (_forbidden_pairings), from the given cords.  test(x, z), x < z, on a
+    missing cord xz, derives it and returns True when some set {x, z, p, q}
+    with p, q in W = K(x) & K(z) and pq known is strict: four_point on the
+    distances in _extend, the tree's quartet on its index in _hop_closure,
+    a sure pairing on the bounds in _forbidden_pairings.  The driver relies
+    on one condition: a value or bound, once known, never changes.  So a
+    set's verdict is the same whenever it is tested, and *order*, the taxon
+    order, moves no verdict.
 
     A queue holds the cords to test, each once at a time.  It starts with
     every missing cord whose W holds two or more taxa, x over *order* and z
@@ -1120,42 +1126,53 @@ def _forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequen
     Every accepted fit d' is a tree metric within a bound (value, error) on
     each cord: the given value and *accept* on the given cords, plus
     rounding; d'(P) is its sum over the two cords of a pairing P.  A cord xz
-    of a 4-taxon set {x, y, u, z} whose other five cords are bounded gets a
-    bound when one of the pairings xy|uz and xu|yz, say P, has a sum surely
+    of a 4-taxon set {x, z, p, q} whose other five cords are bounded gets a
+    bound when one of the pairings xp|zq and xq|zp, say P, has a sum surely
     below the other's, Q: below for every metric within the bounds.  Then
     d'(P) < d'(Q), so under the four-point condition d' displays P and the
-    pairing xz|yu has the sum d'(Q): d'(xz) = d'(Q) - d'(yu) lies within
-    the three errors used (plus rounding) of Q's summed values less yu's.
+    pairing xz|pq has the sum d'(Q): d'(xz) = d'(Q) - d'(pq) lies within
+    the three errors used (plus rounding) of Q's summed values less pq's.
     Each bound holds on its own, whatever the order of derivation, which
-    changes only how tight the bounds are.  Passes over the 4-taxon sets
-    run until one bounds nothing new.
+    changes only how tight the bounds are.
+
+    The bounds close on _missing_loop, the closures' driver, over the
+    partner bitsets of the bounded cords: the test of xz takes p < q in
+    K(x) & K(z) with pq bounded, in lexicographic order, and the first set
+    with a sure pairing bounds xz.  A bound is written once and never
+    changes, so a set's verdict is the same whenever it is tested, and the
+    loop stops when no missing cord has a ready set with a sure pairing.
 
     When d'(P) < d'(Q) is sure for two pairings P and Q of a 4-taxon set,
     both with bounded cords, every pairing but P is forbidden: a tree with
     non-negative weights that displays pairing R has d'(R) no larger than
-    the other two sums, which are equal.
+    the other two sums, which are equal.  One pass over the 4-taxon sets
+    reads these from the final bounds.
     """
-    bound = {pair: (v, accept + _ROUNDING * (v + accept)) for pair, v in zip(pairs, values)}
-    quads = [(quad, [(quad[i], quad[j]) for i, j in _QUARTET_CORDS]) for quad in itertools.combinations(range(n), 4)]
-    grew = True
-    while grew:
-        grew = False
-        for _, cords in quads:
-            known = [bound.get(c) for c in cords]
-            if known.count(None) != 1:
-                continue
-            k = known.index(None)
-            yu = known[5 - k]
-            p, q = [(known[j], known[5 - j]) for j in range(3) if j != min(k, 5 - k)]
-            for low, high in ((p, q), (q, p)):
-                if _surely_below(low, high):
-                    used = (*high, yu)
-                    value = high[0][0] + high[1][0] - yu[0]
-                    bound[cords[k]] = (value, sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used))
-                    grew = True
-                    break
+    bound, bounded = {}, [0] * n  # each bound under both orders of its ends; partner bitsets
+    for (p, q), v in zip(pairs, values):
+        bound[p, q] = bound[q, p] = (v, accept + _ROUNDING * (v + accept))
+        bounded[p] |= 1 << q
+        bounded[q] |= 1 << p
+
+    def test(x, z):
+        common = bounded[x] & bounded[z]
+        for p in _bit_indices(common):
+            for q in _bit_indices(common & bounded[p] & ~((2 << p) - 1)):
+                one, two = (bound[x, p], bound[z, q]), (bound[x, q], bound[z, p])
+                for low, high in ((one, two), (two, one)):
+                    if _surely_below(low, high):
+                        used = (*high, bound[p, q])
+                        value = high[0][0] + high[1][0] - bound[p, q][0]
+                        error = sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used)
+                        bound[x, z] = bound[z, x] = (value, error)
+                        return True
+        return False
+
+    _missing_loop(bounded, range(n), test)
+
     forbidden: dict[int, list[tuple[int, int]]] = {}
-    for quad, cords in quads:
+    for quad in itertools.combinations(range(n), 4):
+        cords = [(quad[i], quad[j]) for i, j in _QUARTET_CORDS]
         known = [bound.get(c) for c in cords]
         sums = [(known[j], known[5 - j]) if known[j] and known[5 - j] else None for j in range(3)]
         banned = set()
@@ -1225,9 +1242,11 @@ def topological_lasso_oracle(
     residual on every cord is at most 2*fit_tol, so every accepted metric
     lies within 2*fit_tol (plus rounding) of the input on each given cord.
     The oracle's own closure of these bounds, not the extension rule's
-    engine, decides which cords are derived (_forbidden_pairings): a cord
-    is bounded by any quartet whose sum gap exceeds its bounds' slack, with
-    the summed bounds of the three cords its value comes from.  When one
+    engine, decides which cords are derived (_forbidden_pairings, on the
+    closures' driver _missing_loop): a cord is bounded by any quartet whose
+    sum gap exceeds its bounds' slack, with the summed bounds of the three
+    cords its value comes from, until no missing cord has such a quartet;
+    one pass over the 4-taxon sets then reads the pairings.  When one
     pairing of a 4-taxon set has a four-point sum surely below another's,
     every accepted fit displays that pairing (the displayed pairing's sum
     is the smallest, the other two are equal), so the enumeration drops

@@ -28,9 +28,11 @@ path walk per cord and the contraction of a candidate built as an XTree,
 until both read edge sides (the exhaustive oracle contracts its witnesses
 so), and the seeds' cross-check (batched_seed_extend) that broadcast all of
 one taxon's block rows against its sets in chunks, until _extend checked
-each row with the engine's own ready-set test.  The differential tests
-compare each pair on seeded sweeps; nothing in the library imports this
-module.
+each row with the engine's own ready-set test, and the oracle's bound
+closure (pass_forbidden_pairings) that passed over every 4-taxon set until
+a pass bounded nothing new, until it ran on the closures' shared driver.
+The differential tests compare each pair on seeded sweeps; nothing in the
+library imports this module.
 """
 
 import heapq
@@ -60,6 +62,7 @@ from treelasso.lasso import (
     _named,
     _peel,
     _Placer,
+    _QUARTET_CORDS,
     _ROUNDING,
     _shown,
     _surely_below,
@@ -971,7 +974,10 @@ def insertion_topologies(taxa):
 
 def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
     """One LP per alternative topology, in insertion order; the first fit
-    within twice the LP's tolerance on every cord is the witness."""
+    within twice the LP's tolerance on every cord is the witness.  The
+    distances are divided by the power of two that brings them below 2**64,
+    as in the library (HiGHS reads any bound from 1e20 up as infinite), and
+    the witness's weights and the contraction tolerance are scaled back."""
     from scipy.optimize import linprog
 
     taxa = sorted(tree.taxa)
@@ -989,6 +995,8 @@ def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
         raise ValueError("oracle needs a non-empty cord set")
 
     b = np.array([tree.distance(c.a, c.b) for c in cords])
+    scale = 2.0 ** max(0, math.frexp(float(np.max(b)))[1] - 64)
+    b = b / scale
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     own_splits = tree.splits()
 
@@ -1018,7 +1026,7 @@ def exhaustive_oracle(tree, cords, eps=DEFAULT_EPSILON):
         weights = np.maximum(res.x, 0.0)
         if np.max(np.abs(a_mat @ weights - b)) > 2 * fit_tol:
             continue
-        return _contract_tiny_interior(candidate, weights, 10 * fit_tol)
+        return _contract_tiny_interior(candidate, weights * scale, 10 * fit_tol * scale)
     return None
 
 
@@ -1087,6 +1095,66 @@ def engine_forbidden_pairings(n, pairs, values, accept):
                 banned.update({0, 1, 2} - {low})
         for k in sorted(banned):
             forbidden.setdefault(quad[3], []).append(tuple((1 << p) | (1 << q) for p, q in pairings[k]))
+    return forbidden
+
+
+def pass_forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequence[float], accept: float):
+    """lasso._forbidden_pairings as it was before its bound closure ran on
+    lasso._missing_loop, with whole passes over every 4-taxon set until one
+    bounds nothing new.
+
+    Pairings of 4-taxon sets over taxon indices 0..n-1 that no tree within
+    *accept* of *values* on every cord in *pairs* (p < q) can display, keyed
+    by the largest taxon index of the set, as in _topologies.
+
+    Every accepted fit d' is a tree metric within a bound (value, error) on
+    each cord: the given value and *accept* on the given cords, plus
+    rounding; d'(P) is its sum over the two cords of a pairing P.  A cord xz
+    of a 4-taxon set {x, y, u, z} whose other five cords are bounded gets a
+    bound when one of the pairings xy|uz and xu|yz, say P, has a sum surely
+    below the other's, Q: below for every metric within the bounds.  Then
+    d'(P) < d'(Q), so under the four-point condition d' displays P and the
+    pairing xz|yu has the sum d'(Q): d'(xz) = d'(Q) - d'(yu) lies within
+    the three errors used (plus rounding) of Q's summed values less yu's.
+    Each bound holds on its own, whatever the order of derivation, which
+    changes only how tight the bounds are.  Passes over the 4-taxon sets
+    run until one bounds nothing new.
+
+    When d'(P) < d'(Q) is sure for two pairings P and Q of a 4-taxon set,
+    both with bounded cords, every pairing but P is forbidden: a tree with
+    non-negative weights that displays pairing R has d'(R) no larger than
+    the other two sums, which are equal.
+    """
+    bound = {pair: (v, accept + _ROUNDING * (v + accept)) for pair, v in zip(pairs, values)}
+    quads = [(quad, [(quad[i], quad[j]) for i, j in _QUARTET_CORDS]) for quad in itertools.combinations(range(n), 4)]
+    grew = True
+    while grew:
+        grew = False
+        for _, cords in quads:
+            known = [bound.get(c) for c in cords]
+            if known.count(None) != 1:
+                continue
+            k = known.index(None)
+            yu = known[5 - k]
+            p, q = [(known[j], known[5 - j]) for j in range(3) if j != min(k, 5 - k)]
+            for low, high in ((p, q), (q, p)):
+                if _surely_below(low, high):
+                    used = (*high, yu)
+                    value = high[0][0] + high[1][0] - yu[0]
+                    bound[cords[k]] = (value, sum(e for _, e in used) + _ROUNDING * sum(abs(w) + e for w, e in used))
+                    grew = True
+                    break
+    forbidden: dict[int, list[tuple[int, int]]] = {}
+    for quad, cords in quads:
+        known = [bound.get(c) for c in cords]
+        sums = [(known[j], known[5 - j]) if known[j] and known[5 - j] else None for j in range(3)]
+        banned = set()
+        for low, high in itertools.permutations(range(3), 2):
+            if sums[low] and sums[high] and _surely_below(sums[low], sums[high]):
+                banned.update({0, 1, 2} - {low})
+        for j in sorted(banned):
+            (a, b), (c, d) = cords[j], cords[5 - j]
+            forbidden.setdefault(quad[3], []).append(((1 << a) | (1 << b), (1 << c) | (1 << d)))
     return forbidden
 
 

@@ -3,16 +3,21 @@ closure or reconstruct stops, no missing cord xz has a ready set that
 derives it, a set {x, z, p, q} with p and q known partners of both ends
 and pq known, whose test is strict for xz: the tree's quartet for the
 shelling closure, four_point at eps on the final values for the distance
-closure.  Each check reads the final known cords alone, with no reference
-engine, whatever order the closure took; and on a cover split into two
-blocks no missing cord is ever tested."""
+closure.  When the oracle's bound closure stops, no unbounded cord xz has
+such a set, with pq bounded, in which one of the pairings xp|zq and xq|zp
+is surely below the other on the final bounds.  Each check reads the final
+known cords alone, with no reference engine, whatever order the closure
+took; and on a cover split into two blocks no missing cord is ever
+tested."""
 
+import itertools
 import random
 
 import pytest
 
 import treelasso.lasso
 from test_hop_closure import _case as shelling_case
+from test_oracle_reference import _case as oracle_case
 from test_reconstruct_closure_path import _family_case
 from treelasso import (
     InconsistentDistanceError,
@@ -23,9 +28,10 @@ from treelasso import (
     min_order_transversal,
     random_tree,
     reconstruct,
+    topological_lasso_oracle,
     triplet_cover,
 )
-from treelasso.lasso import four_point
+from treelasso.lasso import _surely_below, four_point
 from treelasso.tolerance import DEFAULT_EPSILON
 
 
@@ -128,3 +134,43 @@ def test_a_split_cover_tests_no_missing_cord(tests_run):
     assert tests_run == []
     _assert_shelling_fixpoint(tree, shelling, "split")
     _assert_distance_fixpoint(trace, trace.missing, "split")
+
+
+@pytest.fixture
+def oracle_bounds(monkeypatch):
+    """The final bounds of each bound closure the oracle runs on the shared
+    driver: the partner bitsets of the bounded cords, and the map of each
+    ordered pair of taxon indices to its bound (value, error), which the
+    driver's test closes over."""
+    runs = []
+    loop = treelasso.lasso._missing_loop
+
+    def kept(known, order, test):
+        loop(known, order, test)
+        cells = dict(zip(test.__code__.co_freevars, (cell.cell_contents for cell in test.__closure__)))
+        runs.append((known, cells["bound"]))
+
+    monkeypatch.setattr(treelasso.lasso, "_missing_loop", kept)
+    return runs
+
+
+def test_the_oracle_bound_closure_leaves_no_sure_set(oracle_bounds):
+    ready = 0
+    for seed in range(200):
+        tree, cords, _ = oracle_case(seed)
+        oracle_bounds.clear()
+        topological_lasso_oracle(tree, cords)
+        (known, bound), = oracle_bounds
+        n = len(known)
+        assert known == [sum(1 << q for q in range(n) if (p, q) in bound) for p in range(n)], seed
+        for x, z in itertools.combinations(range(n), 2):
+            if (x, z) in bound:
+                continue
+            common = [p for p in range(n) if (x, p) in bound and (z, p) in bound]
+            for p, q in itertools.combinations(common, 2):
+                if (p, q) in bound:
+                    one, two = (bound[x, p], bound[z, q]), (bound[x, q], bound[z, p])
+                    assert not _surely_below(one, two) and not _surely_below(two, one), (seed, x, z, p, q)
+                    ready += 1
+    # When this was written: 115 sets checked.
+    assert ready >= 100, ready

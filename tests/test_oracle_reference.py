@@ -1,9 +1,11 @@
 """Differential tests: the pruned topological oracle against the exhaustive
 one it replaced (reference_lasso.py) on seeded sweeps, LP and candidate
 counts that pin the pruning down, against the exhaustive search and against
-bounds taken along the quartet engine's derivations, and the soundness of
-both prunings: no pairing it forbids is one the input tree displays, and no
-candidate the least-squares test skips passes the LP and residual check."""
+bounds taken along the quartet engine's derivations, the bound closure on
+the closures' shared driver against the passes over every 4-taxon set it
+replaced, and the soundness of both prunings: no pairing it forbids is one
+the input tree displays, and no candidate the least-squares test skips
+passes the LP and residual check."""
 
 import random
 
@@ -23,7 +25,7 @@ from treelasso import (
     triplet_cover,
 )
 from treelasso.tree import TreeError
-from reference_lasso import engine_forbidden_pairings, exhaustive_oracle, insertion_topologies
+from reference_lasso import engine_forbidden_pairings, exhaustive_oracle, insertion_topologies, pass_forbidden_pairings
 
 
 @pytest.fixture
@@ -227,6 +229,58 @@ def test_prunes_no_less_than_engine_bounds(lp_calls, monkeypatch):
         assert own <= lp_calls[0], f"seed {seed}"
 
 
+class _Stop(Exception):
+    """Raised in place of the oracle's pruning once its arguments are kept."""
+
+
+def _sweep_cases():
+    """The oracle inputs of the bound closure's sweep: _case seeds 0-399,
+    _near_threshold seeds 0 and 4, and the min-order cover of
+    random_tree(9, seed) for seeds 1-29, whole, less its third cord and
+    less its last."""
+    cases = [_case(seed)[:2] for seed in range(400)]
+    cases += [(tree, cords) for seed in (0, 4) for _, tree, cords in _near_threshold(seed)]
+    for seed in range(1, 30):
+        tree = random_tree(9, seed=seed)
+        cover = sorted(triplet_cover(tree, min_order_transversal(tree)))
+        cases += [(tree, cover)] + [(tree, cover[:k] + cover[k + 1:]) for k in (2, len(cover) - 1)]
+    return cases
+
+
+def test_bound_closure_forbids_what_the_passes_forbid(monkeypatch):
+    # Each call's arguments are kept and the oracle stopped there, before
+    # any LP; then both closures run on them.
+    calls = []
+    prune = treelasso.lasso._forbidden_pairings
+
+    def kept(*args):
+        calls.append(args)
+        raise _Stop
+
+    monkeypatch.setattr(treelasso.lasso, "_forbidden_pairings", kept)
+    for tree, cords in _sweep_cases():
+        with pytest.raises(_Stop):
+            topological_lasso_oracle(tree, cords)
+    assert len(calls) == 499
+    for args in calls:
+        assert prune(*args) == pass_forbidden_pairings(*args), args[:2]
+
+
+def test_outcomes_and_lps_identical_to_the_passes(lp_calls, monkeypatch):
+    own = passes = 0
+    for seed in range(200):
+        tree, cords, _ = _case(seed)
+        lp_calls[0] = 0
+        got = _outcome(topological_lasso_oracle, tree, cords)
+        own += lp_calls[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(treelasso.lasso, "_forbidden_pairings", pass_forbidden_pairings)
+            lp_calls[0] = 0
+            assert _outcome(topological_lasso_oracle, tree, cords) == got, f"seed {seed}"
+            passes += lp_calls[0]
+    assert own == passes and own > 0
+
+
 def test_errors_identical_to_exhaustive():
     tree = random_tree(5, seed=3)
     cases = [
@@ -323,10 +377,13 @@ def test_least_squares_skips_only_candidates_the_lp_rejects(fit_tests):
 @pytest.mark.parametrize("scale", [1e20, 1e25, 1e300])
 def test_remark1_refuted_past_the_lp_bound(scale, remark1_cords):
     # HiGHS reads a bound of 1e20 or more as infinite; the oracle scales the
-    # distances below 2**64, so the witness is the unit-scale one, scaled.
+    # distances below 2**64, as the exhaustive search does, so the witness
+    # is the exhaustive one and the unit-scale one, scaled.
     def quartet(s):
         return XTree([(0, 4, s), (1, 4, s), (2, 5, s), (3, 5, s), (4, 5, s)], {0: "a", 1: "b", 2: "c", 3: "d"})
 
+    expected = _outcome(exhaustive_oracle, quartet(scale), remark1_cords)
+    assert expected is not None and _outcome(topological_lasso_oracle, quartet(scale), remark1_cords) == expected
     unit = topological_lasso_oracle(quartet(1.0), remark1_cords)
     witness = topological_lasso_oracle(quartet(scale), remark1_cords)
     assert unit is not None and witness is not None
