@@ -77,6 +77,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import warnings
 from collections import deque
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .cords import Cord, PartialDistance, _bind, _bit_indices, _Bound, _cords_over, _partner_bits, _row_bits, all_cords, cord_taxa, induced_distance
+from .cords import Cord, PartialDistance, _bind, _bit_indices, _Bound, _cords_over, _partner_bits, _row_bits, all_cords, cord_taxa
 from .cover import is_cover
 from .tolerance import DEFAULT_EPSILON, approx_equal, margin
 from .tree import TreeError, XTree
@@ -1067,12 +1068,16 @@ def _topologies(taxa: Sequence[str], forbidden: Mapping[int, Sequence[tuple[int,
 
     Each edge (u, v) carries the bitset of the taxa on v's side.  Inserting
     taxon i into edge k adds it to v's side of every edge whose v side holds
-    edge k, that is, one side of edge k.  Each tree comes as (edges, sides,
-    leaf labels by vertex), so a caller that needs only its splits builds no
-    XTree.
+    edge k, that is, one side of edge k.  A side s displays the pairing p|q
+    when it holds one pair whole and nothing of the other, that is, when
+    s & (p | q) is p or q; (p | q, p, q) is taken once per level.  Each tree
+    comes as (edges, sides, leaf labels by vertex), so a caller that needs
+    only its splits builds no XTree.
     """
     if len(taxa) < 3:
         raise ValueError("topology enumeration needs at least 3 taxa")
+
+    banned = [[(p | q, p, q) for p, q in forbidden.get(i, ())] for i in range(len(taxa))]
 
     def expand(edges, sides, leaf_of, next_id, i):
         if i == len(taxa):
@@ -1085,11 +1090,7 @@ def _topologies(taxa: Sequence[str], forbidden: Mapping[int, Sequence[tuple[int,
             new_sides = [
                 s | bit if not below & ~s or not above & ~s else s for s in sides[:k] + sides[k + 1 :]
             ] + [below | bit, below, bit]
-            if any(
-                (s & p == p and not s & q) or (s & q == q and not s & p)
-                for p, q in forbidden.get(i, ())
-                for s in new_sides
-            ):
+            if any(s & m == p or s & m == q for m, p, q in banned[i] for s in new_sides):
                 continue
             new_edges = edges[:k] + edges[k + 1 :] + [(u, mid), (mid, v), (mid, leaf)]
             new_leaf_of = dict(leaf_of)
@@ -1110,12 +1111,6 @@ def _surely_below(low, high) -> bool:
     (v3, e3), (v4, e4) = high
     slack = e1 + e2 + e3 + e4
     return (v3 + v4) - (v1 + v2) > slack + _ROUNDING * (abs(v1) + abs(v2) + abs(v3) + abs(v4) + slack)
-
-
-#: The six cords of a sorted 4-taxon set (a, b, c, d), as positions in it:
-#: ab, ac, ad, bc, bd, cd.  Cords k and 5 - k form a pairing: ab|cd, ac|bd
-#: and ad|bc for k = 0, 1, 2.
-_QUARTET_CORDS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequence[float], accept: float):
@@ -1145,8 +1140,13 @@ def _forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequen
     When d'(P) < d'(Q) is sure for two pairings P and Q of a 4-taxon set,
     both with bounded cords, every pairing but P is forbidden: a tree with
     non-negative weights that displays pairing R has d'(R) no larger than
-    the other two sums, which are equal.  One pass over the 4-taxon sets
-    reads these from the final bounds.
+    the other two sums, which are equal.  One pass reads these from the
+    final bounds, over the sets a < b < c < d in lexicographic order, but
+    only those in which two pairings have bounded cords, found on the
+    bitsets: the others forbid nothing.  Each pairing's summed value is
+    taken once, and _surely_below runs, as written, only on a positive gap
+    between two sums: its right side is at least the slack, a sum of
+    errors, which are >= 0, so a gap <= 0 never passes.
     """
     bound, bounded = {}, [0] * n  # each bound under both orders of its ends; partner bitsets
     for (p, q), v in zip(pairs, values):
@@ -1171,17 +1171,31 @@ def _forbidden_pairings(n: int, pairs: Sequence[tuple[int, int]], values: Sequen
     _missing_loop(bounded, range(n), test)
 
     forbidden: dict[int, list[tuple[int, int]]] = {}
-    for quad in itertools.combinations(range(n), 4):
-        cords = [(quad[i], quad[j]) for i, j in _QUARTET_CORDS]
-        known = [bound.get(c) for c in cords]
-        sums = [(known[j], known[5 - j]) if known[j] and known[5 - j] else None for j in range(3)]
-        banned = set()
-        for low, high in itertools.permutations(range(3), 2):
-            if sums[low] and sums[high] and _surely_below(sums[low], sums[high]):
-                banned.update({0, 1, 2} - {low})
-        for j in sorted(banned):
-            (a, b), (c, d) = cords[j], cords[5 - j]
-            forbidden.setdefault(quad[3], []).append(((1 << a) | (1 << b), (1 << c) | (1 << d)))
+    for a, b, c in itertools.combinations(range(n), 3):
+        # With d > c, ab|cd has both cords bounded when ab is and d is in
+        # K(c), ac|bd when ac is and d is in K(b), ad|bc when bc is and d is
+        # in K(a): only the sets in which two pairings have are read.
+        ka, kb = bounded[a], bounded[b]
+        ab_cd = bounded[c] if ka >> b & 1 else 0
+        ac_bd = kb if ka >> c & 1 else 0
+        ad_bc = ka if kb >> c & 1 else 0
+        for d in _bit_indices((ab_cd & ac_bd | ab_cd & ad_bc | ac_bd & ad_bc) >> c + 1 << c + 1):
+            orders = ((a, b, c, d), (a, c, b, d), (a, d, b, c))
+            sums = []  # (j, summed value, bounds) of pairing j = wx|yz, both cords bounded
+            for j, ((w, x, y, z), mask) in enumerate(zip(orders, (ab_cd, ac_bd, ad_bc))):
+                if mask >> d & 1:
+                    pair = bound[w, x], bound[y, z]
+                    sums.append((j, pair[0][0] + pair[1][0], pair))
+            banned = 0
+            for (j, s, one), (k, t, two) in itertools.combinations(sums, 2):
+                # A gap <= 0 never passes _surely_below, whose slack is >= 0.
+                if t - s > 0 and _surely_below(one, two):
+                    banned |= 7 ^ 1 << j
+                elif s - t > 0 and _surely_below(two, one):
+                    banned |= 7 ^ 1 << k
+            for j, (w, x, y, z) in enumerate(orders):
+                if banned >> j & 1:
+                    forbidden.setdefault(d, []).append(((1 << w) | (1 << x), (1 << y) | (1 << z)))
     return forbidden
 
 
@@ -1246,17 +1260,18 @@ def topological_lasso_oracle(
     closures' driver _missing_loop): a cord is bounded by any quartet whose
     sum gap exceeds its bounds' slack, with the summed bounds of the three
     cords its value comes from, until no missing cord has such a quartet;
-    one pass over the 4-taxon sets then reads the pairings.  When one
-    pairing of a 4-taxon set has a four-point sum surely below another's,
-    every accepted fit displays that pairing (the displayed pairing's sum
-    is the smallest, the other two are equal), so the enumeration drops
-    every partial tree displaying another pairing of the set, before any
-    LP.  A dropped candidate could not have passed the residual check and
+    one pass over the 4-taxon sets with two bounded pairings then reads the
+    pairings.  When one pairing of a 4-taxon set has a four-point sum surely
+    below another's, every accepted fit displays that pairing (the
+    displayed pairing's sum is the smallest, the other two are equal), so
+    the enumeration drops every partial tree displaying another pairing of
+    the set, before any LP.  A dropped candidate could not have passed the residual check and
     the survivors keep their order, so the witness is the one the
     exhaustive search returns.  A candidate with the input tree's splits
-    is skipped on its leaf bitsets, and each candidate's matrix is read
-    from its edge sides (_path_rows): only the witness is built as an
-    XTree.
+    is skipped on its leaf bitsets (the input's from its rooted index), and
+    each candidate's matrix is read from its edge sides (_path_rows): only
+    the witness is built as an XTree.  The distances are tree.distance on
+    each cord, which induced_distance equals bit for bit.
 
     Before its LP, each candidate is fitted by non-negative least squares,
     and skipped when the residual proves that no w >= 0 lies within
@@ -1269,8 +1284,19 @@ def topological_lasso_oracle(
     infinite; the witness's weights and the contraction tolerance are
     scaled back, so below 2**64 nothing changes.  Legal weights whose cord
     distances pass the float range raise TreeError.
+
+    Each LP minimises the interior weight subject to the rows A w <= b +
+    fit_tol and -A w <= -(b - fit_tol), with w >= 0, through milp with no
+    integer variable: one LinearConstraint with no lower bound, HiGHS's
+    dual simplex with presolve, as linprog(method="highs") ran it, with
+    fewer options for the wrapper to check.  HiGHS then solves the same
+    model with the same settings but one: milp leaves output_flag on, and
+    with it on HiGHS can end on another optimal vertex of a degenerate LP
+    (it did on one of the 129 LPs of a 200-case test sweep), so it is
+    turned off as linprog turns it off.  The same model and settings
+    give the same x bit for bit, and so the same witness and weights.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import LinearConstraint, milp
 
     taxa = sorted(tree.taxa)
     if len(taxa) > MAX_ORACLE_TAXA:
@@ -1284,20 +1310,20 @@ def topological_lasso_oracle(
         raise ValueError("oracle needs a non-empty cord set")
 
     try:
-        distances = induced_distance(tree, cords)
+        distances = np.array([tree.distance(x, y) for x, y in cords])
     except OverflowError:  # legal weights whose path sums pass the float range
         raise TreeError("topological oracle: a cord distance overflows the float range") from None
-    # In cord order, as *cords* are sorted, and scaled by a power of two
-    # below 2**64: HiGHS reads any bound from 1e20 up as infinite.
-    scale = 2.0 ** max(0, math.frexp(float(np.max(distances._v)))[1] - 64)
-    b = distances._v / scale
+    # In cord order, scaled by a power of two below 2**64: HiGHS reads any
+    # bound from 1e20 up as infinite.
+    scale = 2.0 ** max(0, math.frexp(float(np.max(distances)))[1] - 64)
+    b = distances / scale
     fit_tol = max(1e-7, eps) * max(1.0, float(np.max(np.abs(b))))
     accept = 2 * fit_tol
     index = {t: i for i, t in enumerate(taxa)}
     forbidden = _forbidden_pairings(len(taxa), [(index[x], index[y]) for x, y in cords], b.tolist(), accept)
     # Splits as the side without taxon 0, of the input tree and of each candidate.
-    full = (1 << len(taxa)) - 1
-    own_splits = {bits for bits in tree._side_bits.values() if not bits & 1}
+    rooted, full = tree._index, (1 << len(taxa)) - 1
+    own_splits = {bits ^ full if bits & 1 else bits for v, bits in rooted.below.items() if rooted.parent[v] is not None}
 
     ends = [index[c.a] for c in cords], [index[c.b] for c in cords]
     for bare, sides, leaf_of in _topologies(taxa, forbidden):
@@ -1311,13 +1337,10 @@ def topological_lasso_oracle(
         # Minimising the interior weight makes degenerate fits land exactly
         # on the boundary, so the contraction below is decisive.
         interior = np.array([0.0 if u in leaf_of or v in leaf_of else 1.0 for u, v in edges])
-        res = linprog(
-            c=interior,
-            A_ub=np.vstack([a_mat, -a_mat]),
-            b_ub=np.concatenate([b + fit_tol, -(b - fit_tol)]),
-            bounds=[(0, None)] * len(edges),
-            method="highs",
-        )
+        rows = LinearConstraint(np.vstack([a_mat, -a_mat]), -np.inf, np.concatenate([b + fit_tol, -(b - fit_tol)]))
+        with warnings.catch_warnings():  # milp hands output_flag to HiGHS as given, and says so
+            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+            res = milp(interior, constraints=rows, bounds=(0, np.inf), options={"output_flag": False})
         if not res.success:
             continue
         weights = np.maximum(res.x, 0.0)

@@ -50,7 +50,11 @@ match per token (a label, ':' and a length, or one other character) after
 the whitespace before it.  A state machine over the tokens numbers each
 vertex in preorder at its first token and raises each error at its token's
 line and column; single-child roots are then dropped, degree-2 vertices
-suppressed and missing lengths set to 1.0.
+suppressed and missing lengths set to 1.0.  The tree is built on that
+adjacency (``XTree._of``), laid out as the constructor would lay out its
+edge list, with none of the constructor's checks run again: the parse has
+made each of them hold, but for a merged length past the float range,
+which goes through the constructor to be named.
 """
 
 from __future__ import annotations
@@ -210,7 +214,18 @@ class XTree:
             if label in leaf_map:
                 raise TreeError(f"duplicate taxon label {label!r}")
             leaf_map[label] = vertex
+        self._set(adj, leaf_map, resolved)
 
+    @classmethod
+    def _of(cls, adj: dict[int, dict[int, float]], leaf_map: dict[str, int], resolved: bool) -> "XTree":
+        """The tree on an adjacency that already meets every check of the
+        constructor, in the order the constructor would build it, with its
+        leaves by label and whether it is fully resolved; kept, not copied."""
+        tree = cls.__new__(cls)
+        tree._set(adj, leaf_map, resolved)
+        return tree
+
+    def _set(self, adj: dict[int, dict[int, float]], leaf_map: dict[str, int], resolved: bool) -> None:
         self._adj = adj
         self._resolved = resolved
         self._leaf_by_label = leaf_map
@@ -680,6 +695,7 @@ def parse_newick(text: str) -> XTree:
 
     # Suppress degree-2 vertices; merging two length-less edges stays
     # length-less so the 1.0 default applies once to the merged edge.
+    overflow = False
     for v in [v for v in list(adj) if len(adj[v]) == 2 and v not in labels]:
         (p, wp), (q, wq) = adj[v].items()
         del adj[p][v], adj[q][v], adj[v]
@@ -687,10 +703,23 @@ def parse_newick(text: str) -> XTree:
             merged: float | None = None
         else:
             merged = (1.0 if wp is None else wp) + (1.0 if wq is None else wq)
+            overflow |= merged == math.inf
         adj[p][q] = adj[q][p] = merged
 
-    edges = [(u, v, 1.0 if w is None else w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v]
-    return XTree(edges, labels)
+    if overflow:  # the constructor raises, naming the first infinite edge
+        return XTree([(u, v, 1.0 if w is None else w) for u, nbrs in adj.items() for v, w in nbrs.items() if u < v], labels)
+    # A tree with a label on each leaf and on nothing else, no degree-2
+    # vertex and finite lengths: XTree's checks hold, so it is laid out as
+    # the constructor lays out the edges u < v listed in this order, and
+    # not checked again.
+    tree_adj: dict[int, dict[int, float]] = {}
+    resolved = True
+    for u, nbrs in adj.items():
+        resolved &= len(nbrs) <= 3
+        for v, w in nbrs.items():
+            if u < v:
+                tree_adj.setdefault(u, {})[v] = tree_adj.setdefault(v, {})[u] = 1.0 if w is None else w
+    return XTree._of(tree_adj, {label: v for v, label in labels.items()}, resolved)
 
 
 def write_newick(tree: XTree) -> str:

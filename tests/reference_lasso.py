@@ -62,7 +62,6 @@ from treelasso.lasso import (
     _named,
     _peel,
     _Placer,
-    _QUARTET_CORDS,
     _ROUNDING,
     _shown,
     _surely_below,
@@ -70,6 +69,12 @@ from treelasso.lasso import (
 )
 from treelasso.tolerance import DEFAULT_EPSILON
 from treelasso.tree import TreeError
+
+
+#: The six cords of a sorted 4-taxon set (a, b, c, d), as positions in it:
+#: ab, ac, ad, bc, bd, cd.  Cords k and 5 - k form a pairing: ab|cd, ac|bd
+#: and ad|bc for k = 0, 1, 2.
+_QUARTET_CORDS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _scale(*values):

@@ -15,6 +15,7 @@ import pytest
 
 import reference_tree as ref
 from treelasso import NewickError, parse_newick, random_tree
+from treelasso.tree import TreeError
 
 _SPACE = ("", "", "", " ", "  ", "\n", "\t", "\r\n", " \n ")
 
@@ -79,6 +80,34 @@ def test_valid_trees_parse_to_the_same_tree():
             assert len(edges) == 2 * n - 3, (n, name)
             if name == "bare":
                 assert {w for _, _, w in edges} == {1.0}, n
+
+
+def _layout(tree):
+    """What the tree keeps, in the order it keeps it: the adjacency with each
+    vertex's neighbours, the leaves both ways, whether it is fully resolved,
+    and the rooted index."""
+    return ([(v, list(nbrs.items())) for v, nbrs in tree._adj.items()], list(tree._leaf_by_label.items()),
+            list(tree._label_by_leaf.items()), tree._resolved, tree._index)
+
+
+def test_trees_keep_the_constructors_layout():
+    # parse_newick builds its tree without XTree's constructor; the
+    # reference goes through it, so each dict must come out in the same
+    # order (the index's preorder and every walk over the adjacency follow it).
+    rng = random.Random(40)
+    for n in range(3, 121):
+        tree = random_tree(n, seed=n)
+        for kind in ({}, dict(lengths=False), dict(redundant=True), dict(chain=2, labels=True),
+                     dict(space=True, labels=True, redundant=True, chain=1)):
+            text = _written(tree, rng, **kind)
+            assert _layout(parse_newick(text)) == _layout(ref.parse_newick(text)), text
+
+
+def test_a_merged_length_past_the_float_range_names_its_edge():
+    # The two root edges merge into one of length 2e308, which is inf.
+    with pytest.raises(TreeError) as err:
+        parse_newick("((a:1,b:1):1e308,(c:1,d:1):1e308);")
+    assert str(err.value) == "edge (1,4) has invalid weight inf"
 
 
 @pytest.mark.parametrize(

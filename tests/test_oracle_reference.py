@@ -5,8 +5,11 @@ bounds taken along the quartet engine's derivations, the bound closure on
 the closures' shared driver against the passes over every 4-taxon set it
 replaced, and the soundness of both prunings: no pairing it forbids is one
 the input tree displays, and no candidate the least-squares test skips
-passes the LP and residual check."""
+passes the LP and residual check; also every LP solved through milp
+against linprog, and the pruning at n = 8 and 9 against both references."""
 
+import functools
+import math
 import random
 
 import numpy as np
@@ -45,15 +48,19 @@ def forbidden_calls(monkeypatch):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Count the LPs the oracle solves (it imports linprog at call time)."""
+    """Count the LPs solved: the oracle's through milp, the exhaustive
+    reference's through linprog (both are imported at call time)."""
     calls = [0]
-    solve = scipy.optimize.linprog
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return solve(*args, **kwargs)
+    def counted(solve):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        return call
+
+    for name in ("milp", "linprog"):
+        monkeypatch.setattr(scipy.optimize, name, counted(getattr(scipy.optimize, name)))
     return calls
 
 
@@ -279,6 +286,97 @@ def test_outcomes_and_lps_identical_to_the_passes(lp_calls, monkeypatch):
             assert _outcome(topological_lasso_oracle, tree, cords) == got, f"seed {seed}"
             passes += lp_calls[0]
     assert own == passes and own > 0
+
+
+def _grown_cases(n, seeds):
+    """The min-order cover of random_tree(n, seed), that cover less one
+    cord and plus one cord (each drawn with random.Random(seed))."""
+    for seed in seeds:
+        tree, rng = random_tree(n, seed=seed), random.Random(seed)
+        cover = sorted(triplet_cover(tree, min_order_transversal(tree)))
+        extra = rng.choice(sorted(all_cords(tree.taxa) - set(cover)))
+        yield tree, cover
+        yield tree, [c for c in cover if c != rng.choice(cover)]
+        yield tree, cover + [extra]
+
+
+@functools.cache
+def _all_insertions(n):
+    """Every topology on n taxa in insertion order (reference_lasso's
+    insertion_topologies), as an array of its sorted edges (u, v), an array
+    of one side bitset per edge, and the leaf labels by vertex."""
+    taxa = sorted(random_tree(n, seed=1).taxa)
+    count = math.prod(range(1, 2 * n - 4, 2))
+    edges, sides = np.zeros((count, 2 * n - 3, 2), dtype=np.int16), np.zeros((count, 2 * n - 3), dtype=np.int64)
+    for k, tree in enumerate(insertion_topologies(taxa)):
+        pairs = [(u, v) for u, v, _ in tree.edges()]
+        edges[k] = pairs
+        sides[k] = [tree._side_bits[pair] for pair in pairs]
+    assert k == count - 1
+    return edges, sides, {tree.leaf_vertex(t): t for t in taxa}
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_pruning_at_eight_and_nine_taxa_matches_the_references(n, monkeypatch):
+    # The forbidden maps equal the passes' over every 4-taxon set, and the
+    # candidates are the trees of the full insertion order none of whose
+    # sides displays a forbidden pairing by the enumeration's earlier side
+    # test: p|q shows on side s when s holds one pair whole and nothing of
+    # the other.  Inserting a leaf keeps the quartets on the earlier ones,
+    # so testing whole trees is the same filter as testing partial ones.
+    calls, prune = [], treelasso.lasso._forbidden_pairings
+
+    def kept(*args):
+        calls.append(args)
+        raise _Stop
+
+    monkeypatch.setattr(treelasso.lasso, "_forbidden_pairings", kept)
+    edges, sides, leaf_of = _all_insertions(n)
+    taxa = sorted(leaf_of.values())
+    pruned = 0
+    for tree, cords in _grown_cases(n, range(1, 4)):
+        calls.clear()
+        with pytest.raises(_Stop):
+            topological_lasso_oracle(tree, cords)
+        (args,) = calls
+        forbidden = pass_forbidden_pairings(*args)
+        assert prune(*args) == forbidden, (tree.newick(), cords)
+        left = np.arange(len(sides))  # the trees that show no pairing tested so far
+        for p, q in (pair for pairings in forbidden.values() for pair in pairings):
+            s = sides[left]
+            left = left[~(((s & p) == p) & ((s & q) == 0) | ((s & q) == q) & ((s & p) == 0)).any(axis=1)]
+        got = []
+        for bare, _, labels in treelasso.lasso._topologies(taxa, forbidden):
+            assert labels == leaf_of
+            got.append(sorted((min(e), max(e)) for e in bare))
+        assert np.array_equal(np.array(got, dtype=np.int16).reshape(-1, *edges.shape[1:]), edges[left])
+        pruned += len(sides) - len(left)
+    assert pruned > 0
+
+
+def test_milp_solves_every_lp_as_linprog_did(monkeypatch):
+    # The oracle's LPs go through milp, with the rows stacked as one
+    # LinearConstraint and HiGHS's output off; linprog, which it called
+    # before, hands HiGHS the same model and settings.  Every LP of the
+    # sweep is solved both ways: the same success flag, and the same x bit
+    # for bit.
+    lps, solve = [], scipy.optimize.milp
+
+    def kept(c, *, constraints, bounds, options=None):
+        res = solve(c, constraints=constraints, bounds=bounds, options=options)
+        lps.append((c, constraints.A, constraints.ub, res))
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", kept)
+    for seed in range(200):
+        tree, cords, _ = _case(seed)
+        _outcome(topological_lasso_oracle, tree, cords)
+    assert len(lps) == 129
+    for k, (c, a_ub, b_ub, res) in enumerate(lps):
+        old = scipy.optimize.linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * len(c), method="highs")
+        assert res.success == old.success, f"LP {k}: {c}, {a_ub}, {b_ub}"
+        if old.success:
+            assert res.x.tobytes() == old.x.tobytes(), f"LP {k}: {c}, {a_ub}, {b_ub}"
 
 
 def test_errors_identical_to_exhaustive():
