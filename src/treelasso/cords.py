@@ -292,14 +292,19 @@ def format_cord_set(cords: Iterable[Cord]) -> str:
 
 def induced_distance(tree: XTree, cords: Iterable[Cord]) -> PartialDistance:
     """Restriction of the tree metric to the given cords, each a Cord or a
-    pair of labels; KeyError when one names a taxon outside the tree.  The
-    values are bit-identical to ``tree.distance``, found in one pass."""
+    pair of labels; KeyError when one names a taxon outside the tree.  Each
+    value is the exact sum of its path's weights, rounded once: N / 2^s in
+    integers, 2^-s the weights' finest unit, which Python's int division
+    rounds correctly and ``tree.distance`` returns too, so the values are
+    bit-identical to it and an OverflowError comes where it raises
+    (XTree._pair_distances); found in one pass."""
     cords = _cords_over(cords, tree)
     return _distances(tree, _partner_bits(cords, tree._index.taxa))
 
 
 def full_distance(tree: XTree) -> PartialDistance:
-    """The complete tree metric on all leaf pairs, bit-identical to
+    """The complete tree metric on all leaf pairs, each value the exact
+    path sum rounded once, as in induced_distance: bit-identical to
     ``tree.distance`` on each, found in one pass."""
     full = tree._index.full
     return _distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)])
@@ -307,12 +312,11 @@ def full_distance(tree: XTree) -> PartialDistance:
 
 def _distances(tree: XTree, partners: list[int]) -> PartialDistance:
     """``tree.distance`` of every cord in the partner bitsets over the tree's
-    sorted taxa, written straight into the arrays: path sums of finite
-    non-negative weights, so finite and non-negative themselves (an
-    overflow raises), as PartialDistance needs."""
+    sorted taxa, as arrays handed straight to PartialDistance: path sums of
+    finite non-negative weights, so finite and non-negative themselves (an
+    overflow raises), as it needs."""
     a, b, values = tree._pair_distances(partners)
-    a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
-    return PartialDistance._of(tree._index.taxa, np.minimum(a, b), np.maximum(a, b), np.array(values, dtype=float))
+    return PartialDistance._of(tree._index.taxa, np.minimum(a, b), np.maximum(a, b), values)
 
 
 def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:

@@ -315,6 +315,13 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
     derivations = [row for _, _, rows in blocks for row in rows]
     zs, ss = np.fromiter(itertools.chain.from_iterable(map(itemgetter(0, 3), derivations)), np.intp).reshape(-1, 2).T
     value[zs, ss] = value[ss, zs] = np.array([row[4] for row in derivations])  # all first: the checks read them
+
+    def mark(lo, hi):
+        """Rows lo to hi - 1 of the derivations become known."""
+        if lo < hi:
+            known[zs[lo:hi], ss[lo:hi]] = known[ss[lo:hi], zs[lo:hi]] = True
+
+    k = 0  # the position of the next row in the derivations
     for members, anchors, rows in blocks:
         placed, quads = members, []
         for z, _, _, _ in anchors:
@@ -333,11 +340,17 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
             inside[list(_bit_indices(members))] = True
         off = ~members if clash is None else -1
         checked = {z for z, _, _, joined in anchors if joined & off}
+        # Only a checked z's sets read known, so the rows of a run of z's
+        # with nothing to check become known together, before the next
+        # check, or at the block's end.
+        done = k  # the rows before done are known
         for z, group in itertools.groupby(rows, key=itemgetter(0)):
-            if z not in checked:  # nothing to check: its rows become known at once
-                s = np.fromiter(map(itemgetter(3), group), np.intp)
-                known[z, s] = known[s, z] = True
+            start, group = k, list(group)
+            k += len(group)
+            if z not in checked:
                 continue
+            mark(done, start)
+            done = k
             for _, _, _, s, v in group:
                 q1, q2, strict, _, other = ready(z, s, inside)
                 bad = np.flatnonzero(strict & ~approx_equal(v, other, eps))
@@ -345,6 +358,7 @@ def _extend(taxa: Sequence[str], d: PartialDistance, eps: float,
                     bad = bad[np.lexsort((np.maximum(q1, q2)[bad], np.minimum(q1, q2)[bad]))[0]]
                     raise clash or both(z, s, v, other[bad])
                 known[z, s] = known[s, z] = True
+        mark(done, k)
 
     def test(x, z):
         q1, q2, strict, lt, derived = ready(x, z, np.zeros(n, dtype=bool))

@@ -295,7 +295,7 @@ def reconstruct(
 
     The check.  The verdict and message are those of the exact test, |D -
     v| > verify_eps in floats, D the tree distance summed exactly and
-    rounded once (fsum, XTree.distance's value) and v the input value.
+    rounded once (XTree.distance's value) and v the input value.
     That test runs only where a dense float pass cannot vouch for a pass.
     The pass reads every cord's distance as F = up[x] + up[y] - 2 up[m],
     up the root-path sums in float along the rooted index and m the
@@ -368,8 +368,9 @@ def _insert(final: PartialDistance, eps: float) -> XTree | None:
 
 def _check(tree: XTree, d: PartialDistance, verify_eps: float, quiet: bool = False) -> bool:
     """Raise NonAdditiveError naming the smallest cord of d whose value the
-    tree misses by more than verify_eps, with the tree's distance, fsum's
-    exact one, or saying that the path of a cord passes the float range.  A
+    tree misses by more than verify_eps, with the tree's distance, the
+    exact path sum rounded once (XTree._pair_distances, read back as plain
+    floats), or saying that the path of a cord passes the float range.  A
     cord passes outright when its float distance (_leaf_distances) is within
     verify_eps less the rounding bound delta; only the others are summed
     exactly (reconstruct's docstring).  With *quiet*, return False instead
@@ -397,7 +398,7 @@ def _check(tree: XTree, d: PartialDistance, verify_eps: float, quiet: bool = Fal
         raise NonAdditiveError("reconstructed tree has a cord's path beyond the float range") from None
     failed = [
         (pair, reproduced)
-        for pair, reproduced in zip(map(_ordered, firsts, seconds), exact)
+        for pair, reproduced in zip(map(_ordered, firsts.tolist(), seconds.tolist()), exact.tolist())
         if abs(reproduced - given[pair]) > verify_eps
     ]
     if failed and not quiet:

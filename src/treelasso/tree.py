@@ -16,8 +16,9 @@ Conventions
 * ``XTree`` values are immutable after construction: every operation returns
   a new tree or a plain value, so instances are safe to share between
   threads.
-* Path distances are computed with ``math.fsum`` (correctly rounded, order
-  independent), so ``distance(x, y) == distance(y, x)`` exactly.
+* A path distance is the exact sum of the path's weights, rounded once
+  (``math.fsum``, or integers where fsum overflows midway), so
+  ``distance(x, y) == distance(y, x)`` exactly.
 
 Rooted index
 ------------
@@ -27,21 +28,26 @@ the tree rooted next to its smallest taxon, its vertices in preorder, with
 each vertex's parent, hop depth and the bitset (a Python int, bit i for the
 i-th sorted taxon) of the leaves at or below it.  ``lca`` climbs parent
 pointers; the hop distance is depth[x] + depth[y] - 2 * depth[lca], and
-``distance`` takes ``math.fsum`` of the weights from both ends up to it.
+``distance`` sums the weights from both ends up to it.
 The side of edge {u, v} where v is u's parent is ``below[u]``, the other
 its complement; an edge is on a leaf path exactly when its side holds one end.
 
 Distances in bulk (``_pair_distances``, behind ``full_distance``,
 ``induced_distance`` and reconstruct's check) take no path walk per pair.
-Each vertex's root-path weight is kept exactly, as a Shewchuk expansion
-(floats whose sum is exact, grown by two-sum along the index order).  The
-taxa below a vertex v in two different child subtrees have v as their
-lowest common ancestor, so their path weight is exactly up[x] + up[y] -
-up[v] - up[v], and ``math.fsum`` of those floats rounds that real number
-correctly: the same float as ``fsum`` along the path, bit for bit.  At each
-v the taxa of the smaller side are walked and their partner bitsets meet
-the other side, so any cord set costs O(n log n) bitset steps plus one
-``fsum`` per cord.  A pair whose sums overflow is left to ``distance``.
+With s the largest exponent of the power-of-two denominators of the edge
+weights, every weight is an integer in units of 2^-s, and so is each
+vertex's root-path sum U, kept as a Python int, exactly.  The taxa below a
+vertex v in two different child subtrees have v as their lowest common
+ancestor, so their path sum is N / 2^s, N = U[x] + U[y] - 2 U[v], exactly.
+At each v the taxa of the smaller side are walked and their partner
+bitsets meet the other side, so any cord set costs O(n log n) bitset steps;
+the pairs' values then come from one evaluation of N / 2^s.  Python's int
+division rounds that quotient correctly (half to even, subnormals
+included) and raises OverflowError past the float range, and ``distance``
+returns the same correctly rounded sum, so the two agree bit for bit and
+raise on the same paths.  When every U is below 2^61 and s <= 1022 the
+quotients are taken in one numpy pass instead, exact there as well
+(``_quotients_int64``).
 Newick parsing and writing are iterative, so nesting depth is bounded by
 memory, not by the interpreter's recursion limit.
 
@@ -66,6 +72,8 @@ import random
 import re
 from collections import deque
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -109,28 +117,36 @@ def _bit_selectors(bits: int) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_BIT_SELECTORS)
 
 
-def _grow_expansion(e: list[float], w: float) -> list[float]:
-    """The expansion of sum(e) + w: Shewchuk's Grow-Expansion with zero
-    elimination, a two-sum per component, smallest first.  Exact unless a
-    sum overflows, which leaves an inf or a nan in the result."""
-    out = []
-    for c in e:
-        s = w + c
-        t = s - w
-        err = (w - (s - t)) + (c - t)
-        if err:
-            out.append(err)
-        w = s
-    if w:
-        out.append(w)
-    return out
+def _fixed_point(weights: list[float]) -> tuple[int, list[int]]:
+    """The least s >= 0 for which every weight, a finite float, is an
+    integer in units of 2^-s, and the weights as those integers, exactly:
+    w = p / 2^k in lowest terms (``as_integer_ratio``) is p * 2^(s - k)."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    return s, [p << (s + 1 - q.bit_length()) for p, q in ratios]
 
 
-def _fsum_or_inf(terms: list[float]) -> float:
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return math.inf
+def _quotients_int64(ups: list[int], lows: list[int], a: np.ndarray, b: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
+    """N / 2^s for each pair k, N = ups[a[k]] + ups[b[k]] - lows[r[k]] >= 0,
+    in one numpy pass, where every ups is below 2^61 (and each low, twice
+    one of them, below 2^62) and s <= 1022.  Then every term and sum fits
+    int64; the cast to float64 rounds N to nearest, ties to even; and the
+    product with 2^-s, a normal float, is exact, as every nonzero result is
+    at least 2^-s >= 2^-1022 and so normal: N / 2^s correctly rounded, as
+    _quotients_int computes it.  With no subnormal operand or result, the
+    pass does not depend on a flush-to-zero mode of the processor."""
+    u = np.array(ups, dtype=np.int64)
+    n = u[a] + u[b] - np.array(lows, dtype=np.int64)[r]
+    return n.astype(np.float64) * 2.0**-s
+
+
+def _quotients_int(ups: list[int], lows: list[int], a: np.ndarray, b: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
+    """_quotients_int64's quotients for any ups, lows and s, in Python ints:
+    int true division rounds correctly and raises OverflowError past the
+    float range."""
+    scale = 1 << s
+    pairs = zip(a.tolist(), b.tolist(), r.tolist())
+    return np.array([(ups[i] + ups[j] - lows[k]) / scale for i, j, k in pairs], dtype=np.float64)
 
 
 class _RootedIndex(NamedTuple):
@@ -293,30 +309,55 @@ class XTree:
     # -- metric queries ---------------------------------------------------
 
     def distance(self, x: str, y: str) -> float:
-        """Weighted path distance between taxa x and y (fsum of edge weights)."""
+        """Weighted path distance between taxa x and y: the exact sum of the
+        path's weights, rounded once to the nearest float (ties to even);
+        OverflowError when that rounds past the float range.  ``math.fsum``
+        of the weights gives it; but near the largest float fsum may
+        overflow midway on a sum that rounds to it, so after an overflow
+        the sum is taken again in integers (_fixed_point), which raise only
+        past the range."""
         if x == y:
             self.leaf_vertex(x)
             return 0.0
         path = self._path(self.leaf_vertex(x), self.leaf_vertex(y))
-        return math.fsum(self._adj[a][b] for a, b in zip(path, path[1:]))
+        weights = [self._adj[a][b] for a, b in zip(path, path[1:])]
+        try:
+            return math.fsum(weights)
+        except OverflowError:
+            s, units = _fixed_point(weights)
+            return sum(units) / (1 << s)
 
-    def _pair_distances(self, partners: list[int]) -> tuple[list[int], list[int], list[float]]:
+    def _pair_distances(self, partners: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """distance(x, y) for every pair of taxa where partners[i] holds bit
-        j, i and j their indices in the sorted taxa, as three lists: one end's
-        index, the other's (in either order) and the distance; in one pass
-        over the rooted index (see the module docstring)."""
+        j, i and j their indices in the sorted taxa, as three arrays: one
+        end's index, the other's (in either order) and the distance, bit
+        for bit; OverflowError where ``distance`` raises.
+
+        Every weight is an integer in units of 2^-s (_fixed_point), and so
+        is each vertex's root-path sum U, a Python int, exactly.  One pass
+        over the rooted index finds each pair's lowest common ancestor v
+        (the module docstring), as rows: a taxon x, its partners y below v
+        as a bitset, unpacked in one numpy pass, and 2 U[v].  The path's
+        exact sum is N / 2^s, N = U[x] + U[y] - 2 U[v].  Python's int
+        division rounds it correctly, half to even, a subnormal included,
+        and raises OverflowError past the float range: that is the exact
+        sum rounded once, which ``distance`` returns too, so the two agree
+        bit for bit and raise on the same paths.  _quotients_int evaluates
+        the formula so; _quotients_int64, in one numpy pass, gives the same
+        floats where the sums fit int64 (see there)."""
         index, adj = self._index, self._adj
-        parent, below, taxa = index.parent, index.below, index.taxa
-        up = {index.order[0]: []}  # each vertex's root-path weight, exactly
-        for v in index.order[1:]:
-            up[v] = _grow_expansion(up[parent[v]], adj[v][parent[v]])
+        parent, below, taxa, order = index.parent, index.below, index.taxa, index.order
+        s, units = _fixed_point([adj[v][parent[v]] for v in order[1:]])
+        up = {order[0]: 0}  # each vertex's root-path sum in units of 2^-s
+        for v, w in zip(order[1:], units):
+            up[v] = up[parent[v]] + w
         ups = [up[self._leaf_by_label[t]] for t in taxa]
-        ends = list(range(len(taxa)))
-        firsts: list[int] = []
-        seconds: list[int] = []
-        values: list[float] = []
-        fsum = math.fsum
-        for v in index.order:
+        ends = range(len(taxa))
+        heads: list[int] = []  # per row: the taxon i, its partners by v ...
+        hits: list[bytes] = []  # ... as a little-endian bitset ...
+        lows: list[int] = []  # ... and 2 U[v], v their lowest common ancestor
+        width = (len(taxa) + 7) // 8
+        for v in order:
             # The taxa below v in different groups have v as their lowest
             # common ancestor.  A leaf has children only as the root of a
             # two-leaf tree, and its own taxon is a group there.
@@ -325,31 +366,21 @@ class XTree:
                 groups.append(below[v] ^ sum(groups))
             if len(groups) < 2:
                 continue
-            # fsum reads up[x], -up[v], -up[v], up[y] in that order, so no
-            # running sum is far past up[x] or the distance; doubling up[v]
-            # could overflow where they do not.
-            neg = [-c for c in up[v]] * 2
-            seen = groups[0]
+            low, seen = 2 * up[v], groups[0]
             for group in groups[1:]:
                 small, large = (group, seen) if group.bit_count() <= seen.bit_count() else (seen, group)
-                for i, up_x in itertools.compress(zip(ends, ups), _bit_selectors(small)):
-                    hits = partners[i] & large
-                    if not hits:
-                        continue
-                    ex = up_x + neg
-                    chosen = _bit_selectors(hits)
-                    try:
-                        found = list(map(fsum, map(ex.__add__, itertools.compress(ups, chosen))))
-                    except (OverflowError, ValueError):  # an overflowed root path
-                        found = [_fsum_or_inf(ex + up_y) for up_y in itertools.compress(ups, chosen)]
-                    firsts += [i] * len(found)
-                    seconds += itertools.compress(ends, chosen)
-                    values += found
+                for i in itertools.compress(ends, _bit_selectors(small)):
+                    if found := partners[i] & large:
+                        heads.append(i)
+                        hits.append(found.to_bytes(width, "little"))
+                        lows.append(low)
                 seen |= group
-        if not all(map(math.isfinite, values)):  # left to distance, which raises on an overflow
-            for k in [k for k, d in enumerate(values) if not math.isfinite(d)]:
-                values[k] = self.distance(taxa[firsts[k]], taxa[seconds[k]])
-        return firsts, seconds, values
+        # One pair per set bit, row by row, each row's in increasing order.
+        bits = np.unpackbits(np.frombuffer(b"".join(hits), dtype=np.uint8), bitorder="little")
+        r, b = np.nonzero(bits.reshape(len(hits), 8 * width))
+        a = np.array(heads, dtype=np.intp)[r]
+        quotients = _quotients_int64 if max(ups) < 1 << 61 and s <= 1022 else _quotients_int
+        return a, b, quotients(ups, lows, a, b, r, s)
 
     def _rooted_index(self) -> _RootedIndex:
         # With |V| - 1 edges, the graph is a tree exactly when it is

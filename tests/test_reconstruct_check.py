@@ -206,6 +206,18 @@ def test_the_command_line_prints_the_same_message(capsys, tmp_path, k):
     assert (code, out, err) == (3, "", f"error: inconsistent distances: {message}\n")
 
 
+def test_a_raised_first_value_is_named_byte_for_byte():
+    # CI's bad1000 case at n=60: the complete metric with its first value
+    # raised by 1.0.  The check's exact pass gives the tree's value, the one
+    # place where a bulk distance reaches a message.
+    first, rest = format_cord_distances(full_distance(random_tree(60, seed=1))).split("\n", 1)
+    a, b, value = first.split("\t")
+    d = parse_cord_distances(f"{a}\t{b}\t{float(value) + 1.0!r}\n{rest}")
+    with pytest.raises(NonAdditiveError) as raised:
+        reconstruct(d)
+    assert str(raised.value) == "reconstructed tree gives 18.227930586797743 for t01-t02, input says 19.20347387578724"
+
+
 #: A 5-taxon star, every distance 1e308: pendant edges of 5e307, whose row
 #: sums overflow unless NJ scales them.
 HUGE_STAR = PartialDistance({Cord(f"t{a}", f"t{b}"): 1e308 for a, b in itertools.combinations(range(5), 2)})
