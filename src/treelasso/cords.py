@@ -299,24 +299,26 @@ def induced_distance(tree: XTree, cords: Iterable[Cord]) -> PartialDistance:
     bit-identical to it and an OverflowError comes where it raises
     (XTree._pair_distances); found in one pass."""
     cords = _cords_over(cords, tree)
-    return _distances(tree, _partner_bits(cords, tree._index.taxa))
+    taxa = tree._index.taxa
+    index = {t: k for k, t in enumerate(taxa)}
+    ends = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(cords)), np.intp, 2 * len(cords))
+    codes = np.sort(ends[0::2] * len(taxa) + ends[1::2])  # each Cord is sorted, so i < j: cord order
+    return _distances(tree, *np.divmod(codes, len(taxa)))
 
 
 def full_distance(tree: XTree) -> PartialDistance:
     """The complete tree metric on all leaf pairs, each value the exact
     path sum rounded once, as in induced_distance: bit-identical to
     ``tree.distance`` on each, found in one pass."""
-    full = tree._index.full
-    return _distances(tree, [full ^ (1 << i) for i in range(tree.n_leaves)])
+    return _distances(tree, *np.triu_indices(tree.n_leaves, 1))
 
 
-def _distances(tree: XTree, partners: list[int]) -> PartialDistance:
-    """``tree.distance`` of every cord in the partner bitsets over the tree's
-    sorted taxa, as arrays handed straight to PartialDistance: path sums of
-    finite non-negative weights, so finite and non-negative themselves (an
-    overflow raises), as it needs."""
-    a, b, values = tree._pair_distances(partners)
-    return PartialDistance._of(tree._index.taxa, np.minimum(a, b), np.maximum(a, b), values)
+def _distances(tree: XTree, i: np.ndarray, j: np.ndarray) -> PartialDistance:
+    """``tree.distance`` of the cords (taxa[i[k]], taxa[j[k]]) over the
+    tree's sorted taxa, i < j and in cord order, as arrays handed straight
+    to PartialDistance: path sums of finite non-negative weights, so finite
+    and non-negative themselves (an overflow raises), as it needs."""
+    return PartialDistance._of(tree._index.taxa, i, j, tree._pair_distances(i, j))
 
 
 def _cords_over(cords: Iterable[Cord], tree: XTree) -> set[Cord]:

@@ -224,11 +224,12 @@ def _shown(value) -> str:
 
 
 def four_point(s1, s2, eps: float):
-    """The extension rule's test, for the closure engine (_extend) and the
-    metric placer, on s1 = d(x,p)+d(z,q) and s2 = d(x,q)+d(z,p), cord xz
-    and pivots p, q: (strict, lt), strict when one sum is definitely less
-    than the other, lt when s1 is (quartet xp||qz, d(x,z) = s2 - d(p,q));
-    elementwise."""
+    """The extension rule's test, for the closure engine (_extend), on s1
+    = d(x,p)+d(z,q) and s2 = d(x,q)+d(z,p), cord xz and pivots p, q:
+    (strict, lt), strict when one sum is definitely less than the other, lt
+    when s1 is (quartet xp||qz, d(x,z) = s2 - d(p,q)); elementwise.  The
+    metric placer (reconstruct._MetricPlacer.place) runs the same test
+    inlined on scalars."""
     tol = margin(s1, s2, eps)  # one margin serves both definitely_less tests
     lt = s1 < s2 - tol
     return lt | (s2 < s1 - tol), lt

@@ -118,7 +118,9 @@ inserted tree fits within verify_eps and NJ's does not.
 
 Either way the pipeline finishes by checking the output tree against every
 *input* distance, so corrupt or non-additive data cannot slip through
-unnoticed.
+unnoticed.  Each tree distance is the exact path sum rounded once, read off
+the tree's one bulk evaluator (XTree._pair_distances): the verdict carries
+no rounding error of the check's own.
 """
 
 from __future__ import annotations
@@ -293,25 +295,10 @@ def reconstruct(
     NonAdditiveError; a tree that misses an input distance by more than
     verify_eps raises NonAdditiveError naming the smallest such cord.
 
-    The check.  The verdict and message are those of the exact test, |D -
-    v| > verify_eps in floats, D the tree distance summed exactly and
-    rounded once (XTree.distance's value) and v the input value.
-    That test runs only where a dense float pass cannot vouch for a pass.
-    The pass reads every cord's distance as F = up[x] + up[y] - 2 up[m],
-    up the root-path sums in float along the rooted index and m the
-    lowest common ancestor (_leaf_distances).  With u = 2^-53, depth h the
-    most edges on a root path and M the largest up, each up is off its
-    exact value by at most h*u*M (one rounding of at most u*M per edge),
-    and the last two operations add at most 2u*(2M): |F - D| <= (4h + 6)
-    u*M, to first order.  Both tests then round one subtraction and one
-    comparison of values near verify_eps, which moves them by at most a
-    few u*verify_eps more.  So delta = (h + 3) * 4u * (M + verify_eps)
-    covers all of it with room for the second-order terms, and a cord with
-    |F - v| <= verify_eps - delta passes the exact test too.  Every other
-    cord, a non-finite F included (M is then infinite and nothing passes
-    outright), is summed exactly: on a good tree that is no cord at all,
-    and on a bad one the failures and the smallest failing cord are those
-    of the exact test alone.
+    The check.  A cord fails when |D - v| > verify_eps in floats, D the
+    tree distance summed exactly and rounded once (XTree.distance's value,
+    which XTree._pair_distances gives for every cord in one pass) and v the
+    input value.
     """
     trace, tree = _close(d, eps, exact_rational)
     if tree is None:
@@ -367,92 +354,25 @@ def _insert(final: PartialDistance, eps: float) -> XTree | None:
 
 
 def _check(tree: XTree, d: PartialDistance, verify_eps: float, quiet: bool = False) -> bool:
-    """Raise NonAdditiveError naming the smallest cord of d whose value the
-    tree misses by more than verify_eps, with the tree's distance, the
-    exact path sum rounded once (XTree._pair_distances, read back as plain
-    floats), or saying that the path of a cord passes the float range.  A
-    cord passes outright when its float distance (_leaf_distances) is within
-    verify_eps less the rounding bound delta; only the others are summed
-    exactly (reconstruct's docstring).  With *quiet*, return False instead
-    of raising, at once when a float distance misses by more than
-    verify_eps + delta, which the exact test fails too by the same bound."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum is unsure
-        got, delta = _leaf_distances(tree, d._i, d._j, verify_eps)
-        gap = np.abs(got - d._v)
-        if quiet and (gap > verify_eps + delta).any():
-            return False
-        unsure = np.flatnonzero(~(gap <= verify_eps - delta))
-    if not unsure.size:
-        return True
-    partners = [0] * len(d._taxa)
-    given = {}
-    for i, j, v in zip(d._i[unsure].tolist(), d._j[unsure].tolist(), d._v[unsure].tolist()):
-        partners[i] |= 1 << j
-        partners[j] |= 1 << i
-        given[i, j] = v
+    """Raise NonAdditiveError naming the first cord of d, in cord order,
+    whose value the tree misses by more than verify_eps, with the tree's
+    distance, the exact path sum rounded once (XTree._pair_distances, read
+    back as plain floats), or saying that the path of a cord passes the
+    float range.  With *quiet*, return False instead of raising."""
     try:
-        firsts, seconds, exact = tree._pair_distances(partners)
+        got = tree._pair_distances(d._i, d._j)
     except OverflowError:  # a path sum past the float range, which no input value fits
         if quiet:
             return False
         raise NonAdditiveError("reconstructed tree has a cord's path beyond the float range") from None
-    failed = [
-        (pair, reproduced)
-        for pair, reproduced in zip(map(_ordered, firsts.tolist(), seconds.tolist()), exact.tolist())
-        if abs(reproduced - given[pair]) > verify_eps
-    ]
-    if failed and not quiet:
-        (i, j), reproduced = min(failed)  # the cord a sorted walk over d would fail first
+    failed = np.flatnonzero(np.abs(got - d._v) > verify_eps)
+    if failed.size and not quiet:
+        k = failed[0]
         taxa = d._taxa
         raise NonAdditiveError(
-            f"reconstructed tree gives {reproduced} for {Cord(taxa[i], taxa[j])}, input says {given[i, j]}"
+            f"reconstructed tree gives {got[k].item()} for {Cord(taxa[d._i[k]], taxa[d._j[k]])}, input says {d._v[k].item()}"
         )
-    return not failed
-
-
-def _ordered(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
-def _leaf_distances(tree: XTree, i: np.ndarray, j: np.ndarray, verify_eps: float) -> tuple[np.ndarray, float]:
-    """The tree's distances between taxa i[k] and j[k] of its sorted taxa,
-    each up[x] + up[y] - 2 up[v] from float root-path sums up on the rooted
-    index, v the lowest common ancestor; and the bound delta on how far
-    |distance - value| may lie from the exact check's float, (depth + 3) *
-    4u * (M + verify_eps), M the largest up and u = 2^-53.
-
-    The index's order is a preorder.  In it, the lowest common ancestor of
-    two leaves is the shallowest of those of the consecutive leaves between
-    them, and that of the leaf at order[k] and the next leaf is the gap
-    vertex parent[order[k + 1]].  The weights of reconstruct's trees are
-    >= 0, so up never falls going down the tree, and up of a pair's lowest
-    common ancestor is the least up over the gaps between them, read off a
-    sparse table of range minima."""
-    index, adj, leaf = tree._index, tree._adj, tree._label_by_leaf
-    parent, order = index.parent, index.order
-    up = {order[0]: 0.0}
-    for v in order[1:]:
-        up[v] = up[parent[v]] + adj[v][parent[v]]
-    leaves = [k for k, v in enumerate(order) if v in leaf]  # the last vertex of a preorder is a leaf
-    position = {leaf[order[k]]: p for p, k in enumerate(leaves)}  # taxon -> position among the leaves
-    ups = [up[order[k]] for k in leaves]
-    gaps = [up[parent[order[k + 1]]] for k in leaves[:-1]]
-    at = np.array([position[t] for t in index.taxa], dtype=np.intp)
-    p, q = at[i], at[j]
-    p, q = np.minimum(p, q), np.maximum(p, q)
-    # table[k][x]: the least of gaps[x : x + 2^k], padded with inf
-    table = [np.array(gaps + [math.inf])]
-    while 2 ** len(table) < len(ups):
-        last, step = table[-1], 2 ** (len(table) - 1)
-        table.append(np.minimum(last, np.concatenate([last[step:], np.full(step, math.inf)])))
-    span = np.frexp(np.maximum(q - p, 1))[1] - 1  # floor(log2(q - p))
-    stacked = np.stack(table)
-    lowest = np.minimum(stacked[span, p], stacked[span, q - 2 ** span])
-    ups = np.array(ups)
-    got = ups[p] + ups[q] - 2 * lowest
-    depth = max(index.depth.values())
-    delta = (depth + 3) * 4 * 2.0**-53 * (float(ups.max()) + verify_eps)
-    return got, delta
+    return not failed.size
 
 
 def closure(d: PartialDistance, eps: float = DEFAULT_EPSILON, exact_rational: bool = False) -> ClosureTrace:

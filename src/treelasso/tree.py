@@ -36,18 +36,18 @@ Distances in bulk (``_pair_distances``, behind ``full_distance``,
 ``induced_distance`` and reconstruct's check) take no path walk per pair.
 With s the largest exponent of the power-of-two denominators of the edge
 weights, every weight is an integer in units of 2^-s, and so is each
-vertex's root-path sum U, kept as a Python int, exactly.  The taxa below a
-vertex v in two different child subtrees have v as their lowest common
-ancestor, so their path sum is N / 2^s, N = U[x] + U[y] - 2 U[v], exactly.
-At each v the taxa of the smaller side are walked and their partner
-bitsets meet the other side, so any cord set costs O(n log n) bitset steps;
-the pairs' values then come from one evaluation of N / 2^s.  Python's int
-division rounds that quotient correctly (half to even, subnormals
-included) and raises OverflowError past the float range, and ``distance``
-returns the same correctly rounded sum, so the two agree bit for bit and
-raise on the same paths.  When every U is below 2^61 and s <= 1022 the
-quotients are taken in one numpy pass instead, exact there as well
-(``_quotients_int64``).
+vertex's root-path sum U, kept as a Python int, exactly.  A pair's path
+sum is N / 2^s, N = U[x] + U[y] - 2 U[v], v their lowest common ancestor.
+In the preorder, v is the shallowest of the gap vertices between the two
+leaves, the gap after a leaf being the parent of the vertex that follows
+it; U never falls going down the tree, so U[v] is the least U over those
+gaps, read off one sparse table of range minima (Bender and
+Farach-Colton, 2000).  Python's int division rounds N / 2^s correctly
+(half to even, subnormals included) and raises OverflowError past the
+float range, and ``distance`` returns the same correctly rounded sum, so
+the two agree bit for bit and raise on the same paths.  When every U is
+below 2^61 and s <= 1022 the quotients are taken in int64 and one numpy
+pass instead, exact there as well (``_quotients_int64``).
 Newick parsing and writing are iterative, so nesting depth is bounded by
 memory, not by the interpreter's recursion limit.
 
@@ -68,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 from collections import deque
@@ -121,32 +122,53 @@ def _fixed_point(weights: list[float]) -> tuple[int, list[int]]:
     """The least s >= 0 for which every weight, a finite float, is an
     integer in units of 2^-s, and the weights as those integers, exactly:
     w = p / 2^k in lowest terms (``as_integer_ratio``) is p * 2^(s - k)."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    s = max(q.bit_length() for _, q in ratios) - 1
+    ratios = list(map(float.as_integer_ratio, weights))
+    s = max(map(operator.itemgetter(1), ratios)).bit_length() - 1
     return s, [p << (s + 1 - q.bit_length()) for p, q in ratios]
 
 
-def _quotients_int64(ups: list[int], lows: list[int], a: np.ndarray, b: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
-    """N / 2^s for each pair k, N = ups[a[k]] + ups[b[k]] - lows[r[k]] >= 0,
-    in one numpy pass, where every ups is below 2^61 (and each low, twice
-    one of them, below 2^62) and s <= 1022.  Then every term and sum fits
-    int64; the cast to float64 rounds N to nearest, ties to even; and the
-    product with 2^-s, a normal float, is exact, as every nonzero result is
-    at least 2^-s >= 2^-1022 and so normal: N / 2^s correctly rounded, as
-    _quotients_int computes it.  With no subnormal operand or result, the
-    pass does not depend on a flush-to-zero mode of the processor."""
+def _range_minima(gaps: list, p: np.ndarray, q: np.ndarray, dtype) -> np.ndarray:
+    """The least of gaps[p[k]:q[k]] for each k, p[k] < q[k], read off a
+    sparse table of *dtype*, any with an order (Bender and Farach-Colton,
+    "The LCA problem revisited", 2000): row e holds the least of each 2^e
+    consecutive gaps, and a range is covered by the two runs of 2^e at its
+    ends, 2^e the largest power of two within its length.  Each row's last
+    2^e - 1 entries, never read, are left unset."""
+    span = np.frexp(q - p)[1] - 1  # floor(log2(q - p))
+    table = np.empty((len(gaps).bit_length(), len(gaps)), dtype=dtype)
+    table[0] = gaps
+    for e in range(1, len(table)):
+        half, width = 1 << (e - 1), len(gaps) - (1 << e) + 1
+        np.minimum(table[e - 1, :width], table[e - 1, half:half + width], out=table[e, :width])
+    # Flat indices cost a third of table[span, p]'s.
+    flat, row = table.ravel(), np.multiply(span, len(gaps), dtype=np.intp)
+    return np.minimum(flat[row + p], flat[row + q - (1 << span)])
+
+
+def _quotients_int64(ups: list[int], gaps: list[int], p: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
+    """N / 2^s for each pair k, N = ups[p[k]] + ups[q[k]] - 2 * (the least
+    of gaps[p[k]:q[k]]) >= 0, in int64 and one numpy pass, where every ups
+    and gaps is below 2^61 (so every term and sum fits) and s <= 1022.
+    ldexp casts N to float64, rounding to nearest, ties to even, and its
+    scaling by 2^-s is exact, as every nonzero result is at least 2^-s >=
+    2^-1022 and so normal: N / 2^s correctly rounded, as _quotients_int
+    computes it.  With no subnormal operand or result, the pass does not
+    depend on a flush-to-zero mode of the processor."""
     u = np.array(ups, dtype=np.int64)
-    n = u[a] + u[b] - np.array(lows, dtype=np.int64)[r]
-    return n.astype(np.float64) * 2.0**-s
+    return np.ldexp(u[p] + u[q] - 2 * _range_minima(gaps, p, q, np.int64), -s)
 
 
-def _quotients_int(ups: list[int], lows: list[int], a: np.ndarray, b: np.ndarray, r: np.ndarray, s: int) -> np.ndarray:
-    """_quotients_int64's quotients for any ups, lows and s, in Python ints:
-    int true division rounds correctly and raises OverflowError past the
-    float range."""
-    scale = 1 << s
-    pairs = zip(a.tolist(), b.tolist(), r.tolist())
-    return np.array([(ups[i] + ups[j] - lows[k]) / scale for i, j, k in pairs], dtype=np.float64)
+def _quotients_int(ups: list[int], gaps: list[int], p: np.ndarray, q: np.ndarray, s: int) -> np.ndarray:
+    """_quotients_int64's quotients for any ups, gaps and s, on Python ints
+    in object arrays: int true division rounds correctly and raises
+    OverflowError past the float range.  The steps work in place, so each
+    replaces its pair's int and the peak holds one int per pair, not three."""
+    u = np.array(ups, dtype=object)
+    n, low = u[p] + u[q], _range_minima(gaps, p, q, object)
+    n -= low
+    n -= low
+    n /= 1 << s
+    return n.astype(np.float64)
 
 
 class _RootedIndex(NamedTuple):
@@ -327,60 +349,43 @@ class XTree:
             s, units = _fixed_point(weights)
             return sum(units) / (1 << s)
 
-    def _pair_distances(self, partners: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """distance(x, y) for every pair of taxa where partners[i] holds bit
-        j, i and j their indices in the sorted taxa, as three arrays: one
-        end's index, the other's (in either order) and the distance, bit
-        for bit; OverflowError where ``distance`` raises.
+    def _pair_distances(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """distance(x, y) for each pair k of distinct taxa, x and y the
+        i[k]-th and j[k]-th of the sorted taxa, in the order given, bit for
+        bit; OverflowError where ``distance`` raises.
 
         Every weight is an integer in units of 2^-s (_fixed_point), and so
-        is each vertex's root-path sum U, a Python int, exactly.  One pass
-        over the rooted index finds each pair's lowest common ancestor v
-        (the module docstring), as rows: a taxon x, its partners y below v
-        as a bitset, unpacked in one numpy pass, and 2 U[v].  The path's
-        exact sum is N / 2^s, N = U[x] + U[y] - 2 U[v].  Python's int
-        division rounds it correctly, half to even, a subnormal included,
+        is each vertex's root-path sum U, a Python int, exactly.  The path
+        from x to y turns at their lowest common ancestor v, so its exact
+        sum is N / 2^s, N = U[x] + U[y] - 2 U[v].  Python's int division
+        rounds that quotient correctly, half to even, a subnormal included,
         and raises OverflowError past the float range: that is the exact
         sum rounded once, which ``distance`` returns too, so the two agree
-        bit for bit and raise on the same paths.  _quotients_int evaluates
-        the formula so; _quotients_int64, in one numpy pass, gives the same
-        floats where the sums fit int64 (see there)."""
-        index, adj = self._index, self._adj
-        parent, below, taxa, order = index.parent, index.below, index.taxa, index.order
+        bit for bit and raise on the same paths.
+
+        U[v] is a range minimum.  The index's order is a preorder; in it,
+        the lowest common ancestor of a leaf and the next leaf is the gap
+        vertex parent[order[k + 1]], order[k] the leaf, and that of any two
+        leaves is the shallowest gap vertex between them.  Every weight is
+        >= 0, so U never falls going down the tree, and U[v] is exactly the
+        least U over those gaps.  _quotients_int64 evaluates the formula in
+        one numpy pass where the sums fit int64; _quotients_int, on Python
+        ints, everywhere else."""
+        index, adj, leaf = self._index, self._adj, self._label_by_leaf
+        parent, order = index.parent, index.order
         s, units = _fixed_point([adj[v][parent[v]] for v in order[1:]])
         up = {order[0]: 0}  # each vertex's root-path sum in units of 2^-s
         for v, w in zip(order[1:], units):
             up[v] = up[parent[v]] + w
-        ups = [up[self._leaf_by_label[t]] for t in taxa]
-        ends = range(len(taxa))
-        heads: list[int] = []  # per row: the taxon i, its partners by v ...
-        hits: list[bytes] = []  # ... as a little-endian bitset ...
-        lows: list[int] = []  # ... and 2 U[v], v their lowest common ancestor
-        width = (len(taxa) + 7) // 8
-        for v in order:
-            # The taxa below v in different groups have v as their lowest
-            # common ancestor.  A leaf has children only as the root of a
-            # two-leaf tree, and its own taxon is a group there.
-            groups = [below[c] for c in adj[v] if c != parent[v]]
-            if v in self._label_by_leaf:
-                groups.append(below[v] ^ sum(groups))
-            if len(groups) < 2:
-                continue
-            low, seen = 2 * up[v], groups[0]
-            for group in groups[1:]:
-                small, large = (group, seen) if group.bit_count() <= seen.bit_count() else (seen, group)
-                for i in itertools.compress(ends, _bit_selectors(small)):
-                    if found := partners[i] & large:
-                        heads.append(i)
-                        hits.append(found.to_bytes(width, "little"))
-                        lows.append(low)
-                seen |= group
-        # One pair per set bit, row by row, each row's in increasing order.
-        bits = np.unpackbits(np.frombuffer(b"".join(hits), dtype=np.uint8), bitorder="little")
-        r, b = np.nonzero(bits.reshape(len(hits), 8 * width))
-        a = np.array(heads, dtype=np.intp)[r]
+        leaves = [k for k, v in enumerate(order) if v in leaf]  # the last vertex of a preorder is a leaf
+        ups = [up[order[k]] for k in leaves]
+        gaps = [up[parent[order[k + 1]]] for k in leaves[:-1]]
+        position = {leaf[order[k]]: p for p, k in enumerate(leaves)}
+        at = np.array([position[t] for t in index.taxa], dtype=np.intp)
+        p, q = at[i], at[j]
+        p, q = np.minimum(p, q), np.maximum(p, q)
         quotients = _quotients_int64 if max(ups) < 1 << 61 and s <= 1022 else _quotients_int
-        return a, b, quotients(ups, lows, a, b, r, s)
+        return quotients(ups, gaps, p, q, s)
 
     def _rooted_index(self) -> _RootedIndex:
         # With |V| - 1 edges, the graph is a tree exactly when it is

@@ -15,10 +15,8 @@ import warnings
 
 import pytest
 
-import numpy as np
-
-from reference_reconstruct import closure_nj_reconstruct, stack_leaf_distances
-from test_pair_distances import TREES, _id
+from reference_reconstruct import closure_nj_reconstruct
+from test_pair_distances import _heavy_caterpillar, routes  # noqa: F401 (routes is a fixture)
 from treelasso import (
     Cord,
     InconsistentDistanceError,
@@ -38,7 +36,7 @@ from treelasso import (
     triplet_cover,
 )
 from treelasso.cli import main
-from treelasso.reconstruct import _leaf_distances
+from treelasso.reconstruct import VERIFY_EPSILON, _check
 
 
 def _complete(seed):
@@ -130,24 +128,6 @@ def test_complete_input_names_the_cord_closure_and_nj_names(seed):
     assert _message(d) == str(expected.value)
 
 
-@pytest.mark.parametrize("tree", TREES, ids=_id)
-def test_float_leaf_distances_lie_within_the_rounding_bound(tree):
-    # full_distance is the exact sum, rounded once: the float root-path sums
-    # stay within delta of it (delta at verify_eps = 0).
-    exact = full_distance(tree)
-    got, delta = _leaf_distances(tree, exact._i, exact._j, 0.0)
-    assert np.all(np.abs(got - exact._v) <= delta)
-    assert delta < 1e-10 * max(1.0, float(exact._v.max()))
-
-
-@pytest.mark.parametrize("tree", TREES, ids=_id)
-def test_leaf_distances_are_bit_identical_to_the_stack_walk(tree):
-    exact = full_distance(tree)
-    got, delta = _leaf_distances(tree, exact._i, exact._j, 1e-6)
-    want, want_delta = stack_leaf_distances(tree, exact._i, exact._j, 1e-6)
-    assert got.tobytes() == want.tobytes() and delta == want_delta
-
-
 def _verdict(run, d, verify_eps):
     try:
         return run(d, verify_eps=verify_eps).tree.newick()
@@ -208,7 +188,7 @@ def test_the_command_line_prints_the_same_message(capsys, tmp_path, k):
 
 def test_a_raised_first_value_is_named_byte_for_byte():
     # CI's bad1000 case at n=60: the complete metric with its first value
-    # raised by 1.0.  The check's exact pass gives the tree's value, the one
+    # raised by 1.0.  The check gives the tree's exact value, the one
     # place where a bulk distance reaches a message.
     first, rest = format_cord_distances(full_distance(random_tree(60, seed=1))).split("\n", 1)
     a, b, value = first.split("\t")
@@ -217,6 +197,23 @@ def test_a_raised_first_value_is_named_byte_for_byte():
         reconstruct(d)
     assert str(raised.value) == "reconstructed tree gives 18.227930586797743 for t01-t02, input says 19.20347387578724"
 
+
+
+def test_the_check_on_python_ints_names_the_first_failing_cord(routes):
+    # Root-path sums past 2^61 take every cord through Python ints.  The
+    # messages are those of the check that summed each path in floats first
+    # and exactly only where the float sums could not vouch for a pass.
+    tree = _heavy_caterpillar(16.0)
+    d = dict(full_distance(tree))
+    assert _check(tree, PartialDistance(d), VERIFY_EPSILON)
+    d[Cord("c004", "c005")] += 1.0
+    d[Cord("c002", "c006")] += 1.0
+    raised = PartialDistance(d)
+    assert not _check(tree, raised, VERIFY_EPSILON, quiet=True)
+    with pytest.raises(NonAdditiveError) as caught:
+        _check(tree, raised, VERIFY_EPSILON)
+    assert str(caught.value) == "reconstructed tree gives 162.0 for c002-c006, input says 163.0"
+    assert routes == ["_quotients_int"] * 4
 
 #: A 5-taxon star, every distance 1e308: pendant edges of 5e307, whose row
 #: sums overflow unless NJ scales them.
